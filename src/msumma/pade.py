@@ -9,15 +9,14 @@ from 1 stay well conditioned; poles are mapped back afterwards.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import pade as _scipy_pade
 
 from .series import RamifiedSeries
 
 STABILITY_TOL = 1e-2  # relative pole agreement across consecutive orders
+RANK_TOL = 1e-14  # numerical-rank threshold of Gonnet, Guttel & Trefethen
 
 
 def geometric_slope(log10_abs: np.ndarray) -> float:
@@ -91,11 +90,51 @@ def _scaled_coeffs(a) -> tuple[np.ndarray, float]:
     return a * scale, 10.0 ** (-slope)
 
 
+def _solve_pade(c: np.ndarray, L: int, M: int) -> tuple[np.poly1d, np.poly1d]:
+    """[L/M] numerator and denominator of sum c_j x^j, normalized q(0) = 1.
+
+    The (L+M+1)-square system is the one scipy.interpolate.pade builds:
+    an identity block for the numerator coefficients, then the negated,
+    reversed coefficients c_{k-1-j} for the denominator ones.  Raises
+    np.linalg.LinAlgError when it is exactly singular.
+    """
+    n = L + M + 1
+    c = c[:n]
+    system = np.zeros((n, n), dtype=c.dtype)
+    system[:L + 1, :L + 1] = np.eye(L + 1)
+    lag = np.arange(n)[:, None] - 1 - np.arange(M)[None, :]
+    system[:, L + 1:] = np.where(lag >= 0, -c[np.maximum(lag, 0)], 0.0)
+    pq = np.linalg.solve(system, c)
+    q = np.concatenate(([1.0], pq[L + 1:]))
+    return np.poly1d(pq[:L + 1][::-1]), np.poly1d(q[::-1])
+
+
+def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
+    """Numerical rank of the M x (M+1) denominator block c_{L+1+i-k}.
+
+    Singular values count when above RANK_TOL * ||c_0..c_{L+M}||_2, the
+    tolerance of Gonnet, Guttel & Trefethen (SIAM Rev. 55(1), 2013), and
+    above the SVD's own rounding floor (M+1) * eps * sigma_max, the default
+    of numpy.linalg.matrix_rank.  The floor matters for large M: sigma_max
+    grows like M |c| but ||c||_2 only like sqrt(2M) |c|, and at M = 210
+    the rounding noise of a rank-1 block already clears the GGT tolerance.
+    """
+    lag = L + 1 + np.arange(M)[:, None] - np.arange(M + 1)[None, :]
+    block = np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
+    sv = np.linalg.svd(block, compute_uv=False)
+    tol = max(RANK_TOL * np.linalg.norm(c[:L + M + 1]),
+              (M + 1) * np.finfo(float).eps * sv[0])
+    return int(np.count_nonzero(sv > tol))
+
+
 def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
     """Near-diagonal [L/M] Pade (default L = M - 1) of a coefficient series.
 
     The rescaled coefficients d_j = c_j * r^j are O(1); the returned object
-    evaluates and reports poles in the original variable.
+    evaluates and reports poles in the original variable.  Exactly rational
+    input makes the system singular: the first singular solve jumps to the
+    numerical rank rho of the denominator block, [min(L, rho-1)/rho], and
+    the order steps down by one only while the system stays singular.
     """
     d, r = _scaled_coeffs(a)
     if L is None:
@@ -103,22 +142,21 @@ def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
     need = L + M + 1
     if len(d) < need:
         raise ValueError(f"need {need} coefficients for [{L}/{M}], got {len(d)}")
-    with warnings.catch_warnings():
-        # near-diagonal Pade systems are routinely ill conditioned; the
-        # cross-order stability filter is what certifies the poles
-        warnings.simplefilter("ignore")
-        while True:
-            try:
-                num, den = _scipy_pade(d[:need], M, L)
-                break
-            except np.linalg.LinAlgError:
-                # exactly rational input makes the Toeplitz system
-                # singular; step down to the smallest order that resolves it
-                M -= 1
-                L = min(L, max(M - 1, 0))
-                need = L + M + 1
-                if M < 1:
-                    raise
+    rho = None  # numerical rank, taken at the first singular solve only
+    while True:
+        try:
+            num, den = _solve_pade(d, L, M)
+            break
+        except np.linalg.LinAlgError:
+            if rho is None:
+                rho = _numerical_rank(d, L, M)
+                if 1 <= rho < M:
+                    M, L = rho, min(L, rho - 1)
+                    continue
+            M -= 1
+            L = min(L, max(M - 1, 0))
+            if M < 1:
+                raise
     return PadeApproximant(num=num, den=den, r=r, order=(L, M))
 
 
@@ -154,11 +192,7 @@ def stable_poles(a, n_coeffs: int | None = None):
     stable when each order reproduces it within STABILITY_TOL relative.
     Returns a list of (location, confidence_radius) sorted by modulus.
     """
-    if isinstance(a, RamifiedSeries):
-        total = len(a)
-    else:
-        total = len(a)
-    n = total if n_coeffs is None else min(n_coeffs, total)
+    n = len(a) if n_coeffs is None else min(n_coeffs, len(a))
     if n < 8:
         raise ValueError("need at least 8 coefficients for pole tracking")
     sets = []

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import msumma as ms
 from msumma import RamifiedSeries
-from msumma.pade import (diagonal_pade, geometric_slope, ratio_radius,
-                         stable_poles)
+from msumma.pade import (_scaled_coeffs, diagonal_pade, geometric_slope,
+                         ratio_radius, stable_poles)
 
 
 def test_geometric_pole_located():
@@ -18,12 +23,13 @@ def test_geometric_pole_located():
     assert abs(loc - 0.25) < 1e-3
 
 
-def test_two_pole_function():
+def two_pole_coeffs(n):
     # 1/((1-x)(1+2x)) = sum c_j x^j
-    c = np.zeros(40)
-    for j in range(40):
-        c[j] = (1.0 - (-2.0) ** (j + 1)) / 3.0
-    poles = stable_poles(c)
+    return np.array([(1.0 - (-2.0) ** (j + 1)) / 3.0 for j in range(n)])
+
+
+def test_two_pole_function():
+    poles = stable_poles(two_pole_coeffs(40))
     locs = sorted((p for p, _ in poles), key=abs)
     assert abs(locs[0] + 0.5) < 1e-6
     assert abs(locs[1] - 1.0) < 1e-6
@@ -97,3 +103,65 @@ def test_geometric_slope_median():
     logs = np.arange(20) * 0.5
     assert abs(geometric_slope(logs) - 0.5) < 1e-14
     assert geometric_slope(np.array([1.0])) == 0.0
+
+
+@pytest.mark.parametrize("coeffs, M", [
+    ([1.0 / math.factorial(j) for j in range(12)], 6),
+    (two_pole_coeffs(4) * np.exp(0.7j) ** np.arange(4), 2),
+])
+def test_pade_matches_scipy_oracle(coeffs, M):
+    from scipy.interpolate import pade as scipy_pade
+    d, _ = _scaled_coeffs(coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ap = diagonal_pade(coeffs, M)
+        num, den = scipy_pade(d[:2 * M], M, M - 1)
+    assert ap.order == (M - 1, M)
+    scale = np.abs(d).max()
+    assert np.abs(ap.num.coeffs - num.coeffs).max() <= 1e-12 * scale
+    assert np.abs(ap.den.coeffs - den.coeffs).max() <= 1e-12 * scale
+
+
+def test_rank_jump_replaces_step_down(monkeypatch):
+    # 1/(1-z) at [209/210]: one singular solve, one SVD, one solve at [0/1]
+    counts = {"solve": 0, "svd": 0}
+    solve, svd = np.linalg.solve, np.linalg.svd
+
+    def counting_solve(*args, **kwargs):
+        counts["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    ap = diagonal_pade(np.ones(421), 210)
+    assert ap.order == (0, 1)
+    assert 1 <= counts["solve"] <= 2
+    assert counts["svd"] == 1
+    assert abs(ap.poles()[0] - 1.0) < 1e-12
+
+
+def test_numerically_rational_input_lands_on_its_degree():
+    # 1/(1-4x): [19/20] is exactly singular, but rounding keeps lower
+    # orders off exact singularity, so stepping down one order at a time
+    # stops at a spurious [7/8]; the rank jump goes straight to degree 1
+    ap = diagonal_pade([4.0**j for j in range(40)], 20)
+    assert ap.order == (0, 1)
+    poles = ap.poles()
+    assert len(poles) == 1
+    assert abs(poles[0] - 0.25) < 1e-12
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(ms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, msumma; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
