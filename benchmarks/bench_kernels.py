@@ -3,7 +3,10 @@
 Runs each primitive on identical inputs under both backends and prints a
 table with the speedup.  The backend is selected per subprocess via the
 MSUMMA_PURE environment variable, so this script re-executes itself once
-with the flag set.
+with the flag set.  The last two rows are the moment tables of the
+operator layer: `MomentFunction.log_eval_array` over n arguments and
+`scaled.from_log10_array` over n decimal logs (it normalizes through the
+active backend).
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
@@ -36,6 +39,8 @@ def bench(fn, reps):
 
 def run_backend(n, reps):
     from msumma import _kernels as K
+    from msumma.moments import MomentFunction
+    from msumma.scaled import from_log10_array
 
     rng = np.random.default_rng(0)
     m1, e1, m2, e2 = make_inputs(n, rng)
@@ -52,6 +57,11 @@ def run_backend(n, reps):
         lambda: K.axpy_shift(nm1, ne1, nm2, ne2, 2.0 + 1.0j, -2, 1), reps)
     results["eval_scaled"] = bench(
         lambda: K.eval_scaled(small_m, small_e, 0.3 + 0.1j, 0), reps)
+    m = MomentFunction.gamma(2) / MomentFunction.gamma(1)
+    u = np.arange(n) / 3
+    logs = rng.uniform(-5000.0, 5000.0, size=n)
+    results["log_eval_array"] = bench(lambda: m.log_eval_array(u), reps)
+    results["from_log10_array"] = bench(lambda: from_log10_array(logs), reps)
     return results
 
 
@@ -78,12 +88,12 @@ def main():
         print("compiled backend unavailable; both runs used the fallback")
 
     print(f"array length {args.n}, {args.reps} reps, times in ms\n")
-    print(f"{'kernel':<12} {here['backend']:>10} {pure['backend']:>10} "
+    print(f"{'kernel':<16} {here['backend']:>10} {pure['backend']:>10} "
           f"{'speedup':>8}")
     for key in ("normalize", "add", "mul", "scale", "axpy_shift",
-                "eval_scaled"):
+                "eval_scaled", "log_eval_array", "from_log10_array"):
         a, b = here[key] * 1e3, pure[key] * 1e3
-        print(f"{key:<12} {a:>10.3f} {b:>10.3f} {b / a:>7.1f}x")
+        print(f"{key:<16} {a:>10.3f} {b:>10.3f} {b / a:>7.1f}x")
 
 
 if __name__ == "__main__":

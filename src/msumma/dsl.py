@@ -17,7 +17,6 @@ All syntax errors carry (line, column, expected tokens).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from .characteristic import CharPolynomial
 from .errors import ParseError, SemanticError
-from .moments import MomentFunction
-from .scaled import ScaledComplex
+from .moments import LOG10_E, MomentFunction, lgamma_array
+from .scaled import from_log10_array
 from .series import RamifiedSeries
 
 KEYS = ("equation", "m1", "m2", "data", "trunc_t", "trunc_z", "kappa",
@@ -253,19 +252,22 @@ def _materialize(spec, kappa: int, trunc_z: int) -> RamifiedSeries:
             raise SemanticError(
                 "rat() denominator vanishes at z = 0; the data series must "
                 "be a power series")
+        # out_j = (p_j - sum_i q_i out_{j-i}) / q_0 over the nonzero q_i
+        taps = [i for i in range(1, n) if q[i] != 0]
         out = np.zeros(n, dtype=np.complex128)
         for j in range(n):
             acc = p[j]
-            for i in range(1, j + 1):
+            for i in taps:
+                if i > j:
+                    break
                 acc -= q[i] * out[j - i]
             out[j] = acc / q[0]
         return RamifiedSeries.from_complex(kappa, out)
     if kind == "gamma":
         s = float(spec[1])
-        lge = math.log10(math.e)
-        vals = [ScaledComplex.from_log10(math.lgamma(1.0 + s * j) * lge)
-                for j in range(n)]
-        return RamifiedSeries.from_scaled(kappa, vals)
+        mant, exp = from_log10_array(
+            lgamma_array(1.0 + s * np.arange(n)) * LOG10_E)
+        return RamifiedSeries(kappa, mant, exp, normalized=True)
     raise ValueError(f"unknown spec {kind!r}")
 
 

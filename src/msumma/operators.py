@@ -21,21 +21,21 @@ import numpy as np
 from . import _kernels as K
 from .errors import GridError, TruncationError
 from .moments import LOG10_E, MomentFunction
-from .scaled import ScaledComplex
+from .scaled import ScaledComplex, from_log10_array
 from .series import RamifiedSeries
 
 
 def _factor_series(m: MomentFunction, kappa: int, count: int, sign: float,
                    offset: Fraction = Fraction(0)):
     """Scaled array of m(j/kappa + offset)^sign for j = 0..count-1."""
-    mant = np.empty(count, dtype=np.complex128)
-    exp = np.empty(count, dtype=np.int64)
-    off = float(offset)
-    for j in range(count):
-        sc = ScaledComplex.from_log10(sign * m.log_eval(j / kappa + off) * LOG10_E)
-        mant[j] = sc.mantissa
-        exp[j] = sc.exp10
-    return mant, exp
+    u = np.arange(count) / kappa + float(offset)
+    return from_log10_array(sign * m.log_eval_array(u) * LOG10_E)
+
+
+def _ratio_series(m: MomentFunction, u: np.ndarray, shift: float):
+    """Scaled array of m(u + shift) / m(u), one log-space subtraction each."""
+    return from_log10_array(
+        (m.log_eval_array(u + shift) - m.log_eval_array(u)) * LOG10_E)
 
 
 def borel(m: MomentFunction, a: RamifiedSeries) -> RamifiedSeries:
@@ -74,12 +74,7 @@ def moment_derivative(m: MomentFunction, power: int, a: RamifiedSeries
                 f"truncation {out.trunc} exhausted by derivative step "
                 f"(needs at least kappa={out.kappa} more coefficients)")
         n = len(out) - out.kappa
-        ratio_m = np.empty(n, dtype=np.complex128)
-        ratio_e = np.empty(n, dtype=np.int64)
-        for j in range(n):
-            sc = m.ratio_scaled(j / out.kappa + 1.0, j / out.kappa)
-            ratio_m[j] = sc.mantissa
-            ratio_e[j] = sc.exp10
+        ratio_m, ratio_e = _ratio_series(m, np.arange(n) / out.kappa, 1.0)
         rm, re = K.mul(out.mant[out.kappa:], out.exp10[out.kappa:],
                        ratio_m, ratio_e)
         out = RamifiedSeries(out.kappa, rm, re, normalized=True)
@@ -109,13 +104,8 @@ def monomial_pseudo(lam: complex, q, m: MomentFunction, a: RamifiedSeries,
     lam_sc = ScaledComplex.from_complex(lam)
     for _ in range(power):
         lam_p = lam_p * lam_sc
-    fm = np.empty(n, dtype=np.complex128)
-    fe = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        sc = m.ratio_scaled(j / a.kappa + float(q) * power, j / a.kappa)
-        sc = sc * lam_p
-        fm[j] = sc.mantissa
-        fe[j] = sc.exp10
+    fm, fe = _ratio_series(m, np.arange(n) / a.kappa, float(q) * power)
+    fm, fe = K.scale(fm, fe, lam_p.mantissa, lam_p.exp10)
     rm, re = K.mul(a.mant[shift:], a.exp10[shift:], fm, fe)
     return RamifiedSeries(a.kappa, rm, re, normalized=True)
 
@@ -140,17 +130,15 @@ def apply_char_polynomial(coeffs, m1: MomentFunction, m2: MomentFunction,
     for (pa, pb), c in coeffs.items():
         if c == 0:
             continue
-        term_rows = []
+        # d_{m1,t}^a contributes m1(j/kt + a)/m1(j/kt) on row j
+        fm, fe = _ratio_series(m1, np.arange(nt) / u.kappa_t, pa)
+        fm, fe = K.scale(fm, fe, complex(c), 0)
         for j in range(nt):
             row = u.extract_row(j + pa * u.kappa_t)
-            # d_{m1,t}^a contributes m1(j/kt + a)/m1(j/kt) on row j
-            f = m1.ratio_scaled(j / u.kappa_t + pa, j / u.kappa_t)
             row = moment_derivative(m2, pb, row) if pb else row
-            term_rows.append(row.truncate_to(nz - 1).scale(f * c))
-        for j in range(nt):
-            rm, re = K.add(acc_m[j], acc_e[j],
-                           term_rows[j].mant, term_rows[j].exp10)
-            acc_m[j], acc_e[j] = rm, re
+            row = row.truncate_to(nz - 1)
+            tm, te = K.scale(row.mant, row.exp10, complex(fm[j]), int(fe[j]))
+            acc_m[j], acc_e[j] = K.add(acc_m[j], acc_e[j], tm, te)
     return BiSeries(u.kappa_t, u.kappa_z, acc_m, acc_e, normalized=True)
 
 

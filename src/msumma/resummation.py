@@ -17,12 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernels as K
 from .errors import (GridError, RayBlockedError, SectorError,
                      UnsupportedRangeError)
-from .moments import KernelPair, MomentFunction, kernel_pair_for
+from .moments import (LOG10_E, KernelPair, MomentFunction, kernel_pair_for,
+                      lgamma_array)
 from .pade import diagonal_pade, ratio_radius, stable_poles
 from .quadrature import integrate_segment
-from .scaled import ScaledComplex
+from .scaled import from_log10_array
 from .series import BiSeries, RamifiedSeries
 
 SECTOR_MARGIN = 0.02  # rad shaved off the flatness sector pi/(2k)
@@ -109,18 +111,16 @@ def beta_bridge(v: BiSeries, s1, s2) -> BiSeries:
     turning B_{Gamma_{s1},t} B_{Gamma_{s2},z} u into B_{(s1,s2)} u exactly.
     """
     s1, s2 = float(Fraction(s1)), float(Fraction(s2))
-    mant = np.array(v.mant)
-    exp = np.array(v.exp10)
-    lge = math.log10(math.e)
+    u1 = s1 * np.arange(v.trunc_t + 1) / v.kappa_t
+    u2 = s2 * np.arange(v.trunc_z + 1) / v.kappa_z
+    lg1 = lgamma_array(1.0 + u1)
+    lg2 = lgamma_array(1.0 + u2)
+    mant = np.empty_like(v.mant)
+    exp = np.empty_like(v.exp10)
     for kk in range(v.trunc_t + 1):
-        u1 = s1 * kk / v.kappa_t
-        for n in range(v.trunc_z + 1):
-            u2 = s2 * n / v.kappa_z
-            lg = (math.lgamma(1.0 + u1) + math.lgamma(1.0 + u2)
-                  - math.lgamma(1.0 + u1 + u2))
-            sc = ScaledComplex(complex(mant[kk, n]), int(exp[kk, n]))
-            sc = sc * ScaledComplex.from_log10(lg * lge)
-            mant[kk, n], exp[kk, n] = sc.mantissa, sc.exp10
+        lg = lg1[kk] + lg2 - lgamma_array(1.0 + u1[kk] + u2)
+        fm, fe = from_log10_array(lg * LOG10_E)
+        mant[kk], exp[kk] = K.mul(v.mant[kk], v.exp10[kk], fm, fe)
     return BiSeries(v.kappa_t, v.kappa_z, mant, exp, normalized=True)
 
 

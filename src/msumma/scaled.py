@@ -11,6 +11,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _kernels as K
+
 _MAX_SHIFT = 400
 
 
@@ -36,6 +40,22 @@ def _norm(m: complex, e: int) -> tuple[complex, int]:
         m *= 10.0
         e -= 1
     return m, e
+
+
+def from_log10_array(log10_mag):
+    """Scaled array (mant, exp10) of 10**L for an array of decimal logs L.
+
+    Entry by entry this equals ScaledComplex.from_log10(L) bit for bit.  The
+    mantissa uses Python's float power (libm pow) per entry on purpose:
+    numpy's vectorized power differs from it by an ulp on some inputs.
+    """
+    log10_mag = np.asarray(log10_mag, dtype=np.float64)
+    if not np.all(np.isfinite(log10_mag)):
+        raise ValueError("decimal log-magnitudes must be finite")
+    e = np.floor(log10_mag)
+    m = np.fromiter((10.0 ** x for x in (log10_mag - e).ravel().tolist()),
+                    np.complex128, log10_mag.size).reshape(log10_mag.shape)
+    return K.normalize(m, e.astype(np.int64))
 
 
 @dataclass(frozen=True)

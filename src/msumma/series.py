@@ -211,10 +211,9 @@ class RamifiedSeries:
     def dumps(self) -> str:
         """Series literal format: header 'kappa N', lines 'j re im exp10'."""
         lines = [f"{self.kappa} {self.trunc}"]
-        for j in range(len(self)):
-            m = self.mant[j]
-            lines.append(f"{j} {float(m.real)!r} {float(m.imag)!r} "
-                         f"{int(self.exp10[j])}")
+        lines += [f"{j} {re!r} {im!r} {e}" for j, (re, im, e) in enumerate(
+            zip(self.mant.real.tolist(), self.mant.imag.tolist(),
+                self.exp10.tolist()))]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -330,12 +329,12 @@ class BiSeries:
 
     def dumps(self) -> str:
         lines = [f"{self.kappa_t} {self.kappa_z} {self.trunc_t} {self.trunc_z}"]
-        for j in range(self.mant.shape[0]):
-            for n in range(self.mant.shape[1]):
-                m = self.mant[j, n]
-                lines.append(
-                    f"{j} {n} {float(m.real)!r} {float(m.imag)!r} "
-                    f"{int(self.exp10[j, n])}")
+        # one row at a time: converting the whole grid to lists at once
+        # would keep a float object per entry alive and raise peak memory
+        for j, row in enumerate(self.mant):
+            lines += [f"{j} {n} {re!r} {im!r} {e}" for n, (re, im, e) in
+                      enumerate(zip(row.real.tolist(), row.imag.tolist(),
+                                    self.exp10[j].tolist()))]
         return "\n".join(lines) + "\n"
 
     @staticmethod

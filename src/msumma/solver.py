@@ -29,9 +29,9 @@ from .characteristic import (CharPolynomial, CharRoot, newton_polygon_roots,
                              reconstruct_from_roots)
 from .errors import (DecompositionError, GridError, SemanticError,
                      TruncationError)
-from .moments import MomentFunction
+from .moments import LOG10_E, MomentFunction
 from .operators import monomial_pseudo
-from .scaled import ScaledComplex
+from .scaled import ScaledComplex, from_log10_array
 from .series import BiSeries, RamifiedSeries
 
 RECONSTRUCT_TOL = 1e-9  # relative; monomial-exactness of the factorization
@@ -73,27 +73,29 @@ class PdeProblem:
 def _normalized_data_row(phi: RamifiedSeries, m1: MomentFunction,
                          m2: MomentFunction) -> RamifiedSeries:
     """c_{jn} = phi_n * m1(0) * m2(n/kappa) for a Cauchy row."""
-    kappa = phi.kappa
-    out = [phi[n] * m2.eval_scaled(n / kappa) for n in range(len(phi))]
+    fm, fe = from_log10_array(
+        m2.log_eval_array(np.arange(len(phi)) / phi.kappa) * LOG10_E)
+    rm, re = K.mul(phi.mant, phi.exp10, fm, fe)
     m10 = m1.eval_scaled(0.0)
-    return RamifiedSeries.from_scaled(kappa, [c * m10 for c in out])
+    rm, re = K.scale(rm, re, m10.mantissa, m10.exp10)
+    return RamifiedSeries(phi.kappa, rm, re, normalized=True)
 
 
 def _denormalize(c: BiSeries, m1: MomentFunction, m2: MomentFunction
                  ) -> BiSeries:
-    """u_{jn} = c_{jn} / (m1(j) m2(n/kappa))."""
-    kappa = c.kappa_z
-    mant = np.array(c.mant)
-    exp = np.array(c.exp10)
+    """u_{jn} = c_{jn} / (m1(j) m2(n/kappa)).
+
+    The divisor is separable: one log-moment table per axis, then one row
+    of factors at a time, so no grid-sized temporary is built.
+    """
+    f1 = m1.log_eval_array(np.arange(c.trunc_t + 1, dtype=np.float64))
+    f2 = m2.log_eval_array(np.arange(c.trunc_z + 1) / c.kappa_z)
+    mant = np.empty_like(c.mant)
+    exp = np.empty_like(c.exp10)
     for j in range(c.trunc_t + 1):
-        f1 = m1.log_eval(float(j))
-        for n in range(c.trunc_z + 1):
-            sc = ScaledComplex(complex(mant[j, n]), int(exp[j, n]))
-            f = ScaledComplex.from_log10(
-                -(f1 + m2.log_eval(n / kappa)) * math.log10(math.e))
-            sc = sc * f
-            mant[j, n], exp[j, n] = sc.mantissa, sc.exp10
-    return BiSeries(1, kappa, mant, exp, normalized=True)
+        fm, fe = from_log10_array(-(f1[j] + f2) * LOG10_E)
+        mant[j], exp[j] = K.mul(c.mant[j], c.exp10[j], fm, fe)
+    return BiSeries(1, c.kappa_z, mant, exp, normalized=True)
 
 
 def required_z_truncation(P: CharPolynomial, kappa: int, trunc_t: int) -> int:
@@ -132,12 +134,13 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
         ce[j, :len(row)] = row.exp10
         valid[j] = nz_in + 1
 
-    lower = [((a, b), c) for (a, b), c in P.coeffs.items() if a < n_lam]
     inv_p0 = ScaledComplex.from_complex(-1.0 / p0)
+    # each term (a, b) reads row j+a shifted by b*kappa columns, times s
+    lower = [(a, b * kappa, inv_p0 * p_ab)
+             for (a, b), p_ab in P.coeffs.items() if a < n_lam]
     for j2 in range(n_lam, nt + 1):
         j = j2 - n_lam
-        # each term (a, b) reads row j+a shifted by b*kappa columns
-        width = min(valid[j + a] - b * kappa for (a, b), _ in lower)
+        width = min(valid[j + a] - shift for a, shift, _ in lower)
         if width <= 0:
             raise TruncationError(
                 f"z-truncation exhausted at t-row {j2}; the recurrence needs "
@@ -145,9 +148,7 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
                 f"(got {nz_in})")
         acc_m = np.zeros(width, dtype=np.complex128)
         acc_e = np.zeros(width, dtype=np.int64)
-        for (a, b), p_ab in lower:
-            s = inv_p0 * p_ab
-            shift = b * kappa
+        for a, shift, s in lower:
             rm, re = K.axpy_shift(acc_m, acc_e,
                                   cm[j + a, shift:shift + width],
                                   ce[j + a, shift:shift + width],
@@ -258,8 +259,7 @@ def decompose(prob: PdeProblem) -> list[SimplePiece]:
             f"root multiplicities sum to {len(cols)}, expected {n}")
 
     nw = len(prob.data[0])
-    lw = np.array([prob.m2.log_eval(j / kappa) for j in range(nw)])
-    log10e = math.log10(math.e)
+    lw = prob.m2.log_eval_array(np.arange(nw) / kappa)
     a_rows = []
     b_vals = []
     for a in range(n):
@@ -276,7 +276,7 @@ def decompose(prob: PdeProblem) -> list[SimplePiece]:
             for u, s, c in terms:
                 row[u * nw + j + s] = c * math.exp(lw[j + s] - lw[j + h])
             a_rows.append(row)
-            w = ScaledComplex.from_log10((lw[j] - lw[j + h]) * log10e)
+            w = ScaledComplex.from_log10((lw[j] - lw[j + h]) * LOG10_E)
             b_vals.append((prob.data[a][j] * w).to_complex())
     mat = np.array(a_rows)
     b = np.array(b_vals)

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +10,7 @@ from scipy.special import erfc
 
 import msumma as ms
 from msumma import MomentFunction, kernel_pair_for, mittag_leffler
+from msumma.scaled import ScaledComplex, from_log10_array
 
 
 def test_gamma_1_values():
@@ -143,3 +145,101 @@ def test_kernel_pair_rejects_composites():
         kernel_pair_for(ms.GAMMA_1 * ms.GAMMA_1)
     with pytest.raises(ms.UnsupportedKernelError):
         kernel_pair_for(ms.GAMMA_0)
+
+
+# -- array moment tables ----------------------------------------------------
+
+TABLE_MOMENTS = (
+    ms.GAMMA_1,
+    MomentFunction.gamma(Fraction(1, 2)),
+    MomentFunction.gamma(-1),
+    MomentFunction.gamma(2) * MomentFunction.gamma(Fraction(-1, 3)),
+    MomentFunction.gamma(1) / MomentFunction.gamma(Fraction(2, 3)),
+    MomentFunction.gamma(Fraction(1, 3), a=2.5, b=1.75),
+)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
+def test_log_eval_array_matches_log_eval():
+    u = np.concatenate([np.arange(121) / 3, [0.5, 7.25, 250.0, 1e4]])
+    for m in TABLE_MOMENTS:
+        table = m.log_eval_array(u)
+        scalar = np.array([m.log_eval(float(x)) for x in u])
+        assert table.shape == u.shape
+        assert _same_bits(table, scalar)
+    grid = np.arange(12.0).reshape(3, 4)
+    assert m.log_eval_array(grid).shape == (3, 4)
+    with pytest.raises(ValueError):
+        ms.GAMMA_1.log_eval_array(np.array([0.0, 1.0, -0.5]))
+
+
+def test_from_log10_array_matches_from_log10():
+    rng = np.random.default_rng(11)
+    logs = np.concatenate([
+        rng.uniform(-5000.0, 5000.0, 4000),
+        rng.uniform(-3.0, 3.0, 2000),
+        # integers and neighbours, where floor and the mantissa's
+        # decade correction decide the exponent
+        np.arange(-320.0, 320.0),
+        [-1e-20, 1e-20, 0.0, -0.0, np.nextafter(1.0, 0.0), 4999.999999999,
+         -4999.999999999, 308.3, -323.7],
+    ])
+    mant, exp10 = from_log10_array(logs)
+    ref = [ScaledComplex.from_log10(x) for x in logs.tolist()]
+    assert _same_bits(mant, np.array([r.mantissa for r in ref]))
+    assert np.array_equal(exp10, [r.exp10 for r in ref])
+    with pytest.raises(ValueError):
+        from_log10_array(np.array([1.0, np.inf]))
+
+
+def _mp_log_gamma_s(s, u, a=1, b=1):
+    """log of a * Gamma_s(u) generalised to b, at 50 significant digits."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s.numerator) / s.denominator
+        x = mpmath.mpf(b) + abs(s) * mpmath.mpf(u)
+        lg = mpmath.loggamma(x)
+        return (lg if s >= 0 else -lg) + mpmath.log(a)
+
+
+@pytest.mark.parametrize("s, a, b, u", [
+    # large u: 1 + 2u close to 2e4
+    (Fraction(2), 1, 1, np.linspace(9000.0, 9999.5, 7)),
+    (Fraction(1), 1, 1, np.array([0.0, 0.5, 1.0, 1.5, 3.0, 170.0, 1e4])),
+    # Gamma_s with negative s is 1/Gamma(1 - s u)
+    (Fraction(-1), 1, 1, np.array([0.0, 0.25, 1.0, 2.5, 60.0, 1e4])),
+    (Fraction(-3, 2), 1, 1, np.array([0.0, 0.5, 1.0, 7.0, 333.3])),
+    # a * Gamma(b + u/k)
+    (Fraction(1, 2), 2.5, 1.75, np.array([0.0, 0.5, 3.0, 41.0, 2e4])),
+    (Fraction(1, 3), 0.125, 1.0, np.array([0.0, 1.5, 3.0, 9.0, 900.0])),
+])
+def test_log_eval_array_mpmath_oracle(s, a, b, u):
+    m = MomentFunction.gamma(s, a=a, b=b)
+    got = m.log_eval_array(u)
+    for x, g in zip(u.tolist(), got.tolist()):
+        ref = float(_mp_log_gamma_s(s, x, a, b))
+        assert abs(g - ref) <= 1e-13 * max(1.0, abs(ref)), (x, g, ref)
+
+
+def _with_shift(m, b):
+    # MomentFunction rejects b < 1, which keeps every Gamma argument >= 1
+    # for u >= 0; lowering b afterwards puts poles on the grid
+    object.__setattr__(m, "shift_b", b)
+    return m
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_log_eval_array_poles_raise_like_scalar(s):
+    m = _with_shift(MomentFunction.gamma(s), -3.0)
+    # s = 1: Gamma(-3 + u) has a pole at u = 1; s = -1: 1/Gamma(-3 + u)
+    # vanishes there, so its log diverges
+    with pytest.raises(ms.MomentPoleError) as scalar:
+        m.log_eval(1.0)
+    with pytest.raises(ms.MomentPoleError) as table:
+        m.log_eval_array(np.array([0.5, 1.0, 2.0]))
+    assert str(table.value) == str(scalar.value)
+    # non-integer arguments stay finite
+    assert np.all(np.isfinite(m.log_eval_array(np.array([0.5, 1.5]))))

@@ -8,6 +8,7 @@ import msumma as ms
 from msumma import (CharPolynomial, GAMMA_1, MomentFunction, PdeProblem,
                     RamifiedSeries, decompose, solve_constant_leading,
                     solve_simple, sum_pieces)
+from msumma.scaled import ScaledComplex
 from msumma.solver import required_z_truncation
 
 from conftest import biseries_to_array, cross_solver_deviation
@@ -185,3 +186,36 @@ def test_sum_pieces_min_rule():
     s = sum_pieces(pieces)
     assert s.trunc_t == min(p.solution.trunc_t for p in pieces)
     assert s.trunc_z == min(p.solution.trunc_z for p in pieces)
+
+
+def _count_calls(monkeypatch, owner, name, wrap=lambda f: f):
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+    return calls
+
+
+def test_solve_moment_work_does_not_grow_with_grid(monkeypatch):
+    # moment factors come from one array table per axis: the scalar
+    # log-moment and log-to-scaled paths are not used per grid cell
+    log_eval = _count_calls(monkeypatch, MomentFunction, "log_eval")
+    from_log10 = _count_calls(monkeypatch, ScaledComplex, "from_log10",
+                              staticmethod)
+    P = (L - Z) * (L + Z)
+    counts = []
+    for trunc_t, width in ((50, 101), (100, 201)):
+        need = required_z_truncation(P, 1, trunc_t)
+        prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1,
+                          data=geometric_data(2, need + width),
+                          trunc_t=trunc_t)
+        log_eval[0] = from_log10[0] = 0
+        u = solve_constant_leading(prob)
+        assert u.mant.shape == (trunc_t + 1, width)
+        counts.append((log_eval[0], from_log10[0]))
+    assert counts[0] == counts[1]
+    assert max(counts[1]) <= 2
