@@ -1,20 +1,13 @@
-"""Timing comparison of the compiled and pure-numpy scaled-arithmetic kernels.
+"""Timing of the scaled-arithmetic kernels and the moment tables.
 
-Runs each primitive on identical inputs under both backends and prints a
-table with the speedup.  The backend is selected per subprocess via the
-MSUMMA_PURE environment variable, so this script re-executes itself once
-with the flag set.  The last two rows are the moment tables of the
+Runs each primitive of msumma._kernels on fixed seeded inputs and prints
+one time per kernel.  The last two rows are the moment tables of the
 operator layer: `MomentFunction.log_eval_array` over n arguments and
-`scaled.from_log10_array` over n decimal logs (it normalizes through the
-active backend).
+`scaled.from_log10_array` over n decimal logs.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
 import argparse
-import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -25,8 +18,7 @@ def make_inputs(n, rng):
     e1 = rng.integers(-50, 50, size=n)
     m2 = rng.normal(size=n) + 1j * rng.normal(size=n)
     e2 = rng.integers(-50, 50, size=n)
-    return (np.ascontiguousarray(m1), np.ascontiguousarray(e1),
-            np.ascontiguousarray(m2), np.ascontiguousarray(e2))
+    return m1, e1, m2, e2
 
 
 def bench(fn, reps):
@@ -37,7 +29,7 @@ def bench(fn, reps):
     return (time.perf_counter() - t0) / reps
 
 
-def run_backend(n, reps):
+def run(n, reps):
     from msumma import _kernels as K
     from msumma.moments import MomentFunction
     from msumma.scaled import from_log10_array
@@ -48,7 +40,7 @@ def run_backend(n, reps):
     nm2, ne2 = K.normalize(m2, e2)
     small_m, small_e = nm1[:400].copy(), ne1[:400].copy()
 
-    results = {"backend": K.BACKEND}
+    results = {}
     results["normalize"] = bench(lambda: K.normalize(m1, e1), reps)
     results["add"] = bench(lambda: K.add(nm1, ne1, nm2, ne2), reps)
     results["mul"] = bench(lambda: K.mul(nm1, ne1, nm2, ne2), reps)
@@ -69,31 +61,14 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=200_000)
     ap.add_argument("--reps", type=int, default=20)
-    ap.add_argument("--emit-json", action="store_true")
     args = ap.parse_args()
 
-    if args.emit_json:
-        print(json.dumps(run_backend(args.n, args.reps)))
-        return
-
-    here = run_backend(args.n, args.reps)
-    env = dict(os.environ, MSUMMA_PURE="1")
-    out = subprocess.run(
-        [sys.executable, __file__, "--n", str(args.n), "--reps",
-         str(args.reps), "--emit-json"],
-        env=env, capture_output=True, text=True, check=True)
-    pure = json.loads(out.stdout)
-
-    if here["backend"] == pure["backend"]:
-        print("compiled backend unavailable; both runs used the fallback")
-
-    print(f"array length {args.n}, {args.reps} reps, times in ms\n")
-    print(f"{'kernel':<16} {here['backend']:>10} {pure['backend']:>10} "
-          f"{'speedup':>8}")
-    for key in ("normalize", "add", "mul", "scale", "axpy_shift",
-                "eval_scaled", "log_eval_array", "from_log10_array"):
-        a, b = here[key] * 1e3, pure[key] * 1e3
-        print(f"{key:<16} {a:>10.3f} {b:>10.3f} {b / a:>7.1f}x")
+    results = run(args.n, args.reps)
+    print(f"array length {args.n} (eval_scaled: 400 terms), "
+          f"{args.reps} reps\n")
+    print(f"{'kernel':<16} {'ms':>10}")
+    for key, t in results.items():
+        print(f"{key:<16} {t * 1e3:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--d", default=None, help="resummation direction")
     ap.add_argument("--trunc", type=int, default=None,
                     help="override trunc_t from the problem file")
-    ap.add_argument("--json", action="store_true", dest="json_out")
     ap.add_argument("--csv", action="store_true")
     return ap
 

@@ -264,6 +264,11 @@ def _materialize(spec, kappa: int, trunc_z: int) -> RamifiedSeries:
             out[j] = acc / q[0]
         return RamifiedSeries.from_complex(kappa, out)
     if kind == "gamma":
+        if spec[1] < 0:
+            # lgamma(1 + s*j) drops the sign of Gamma and meets its poles
+            raise SemanticError(
+                f"{_format_spec(spec)}: s must be >= 0 (the coefficients are "
+                "Gamma(1 + s*j))")
         s = float(spec[1])
         mant, exp = from_log10_array(
             lgamma_array(1.0 + s * np.arange(n)) * LOG10_E)

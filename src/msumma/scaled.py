@@ -4,6 +4,8 @@ A ScaledComplex stores value = mantissa * 10**exp10 with |mantissa| in
 [1, 10) (or exactly 0).  Solution coefficients grow like Gamma(1+sigma*j)
 and leave double range near j ~ 85 for sigma = 2; this representation keeps
 truncation orders of several hundred feasible without arbitrary precision.
+Every operation normalizes through `_kernels.norm1`, the rule the array
+kernels share.
 """
 from __future__ import annotations
 
@@ -14,32 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-
-_MAX_SHIFT = 400
-
-
-def _norm(m: complex, e: int) -> tuple[complex, int]:
-    a = abs(m)
-    if a == 0.0:
-        return 0j, 0
-    if not math.isfinite(a):
-        return m, e
-    d = int(math.floor(math.log10(a)))
-    if abs(d) > 300:
-        # one-step rescale of subnormal or huge mantissas would overflow
-        half = d // 2
-        m = (m * 10.0 ** (-half)) * 10.0 ** (half - d)
-    else:
-        m = m * 10.0 ** (-d)
-    e = e + d
-    a = abs(m)
-    if a >= 10.0:
-        m /= 10.0
-        e += 1
-    elif a < 1.0:
-        m *= 10.0
-        e -= 1
-    return m, e
 
 
 def from_log10_array(log10_mag):
@@ -65,16 +41,14 @@ class ScaledComplex:
 
     @staticmethod
     def from_complex(z: complex) -> "ScaledComplex":
-        m, e = _norm(complex(z), 0)
-        return ScaledComplex(m, e)
+        return ScaledComplex(*K.norm1(complex(z), 0))
 
     @staticmethod
     def from_log10(log10_mag: float, phase: float = 0.0) -> "ScaledComplex":
         """Build from a decimal log-magnitude and a phase angle."""
         e = int(math.floor(log10_mag))
         m = 10.0 ** (log10_mag - e) * cmath.exp(1j * phase)
-        m, e = _norm(m, e)
-        return ScaledComplex(m, e)
+        return ScaledComplex(*K.norm1(m, e))
 
     @staticmethod
     def zero() -> "ScaledComplex":
@@ -84,17 +58,8 @@ class ScaledComplex:
         return self.mantissa != 0
 
     def __add__(self, other: "ScaledComplex") -> "ScaledComplex":
-        if self.mantissa == 0:
-            return other
-        if other.mantissa == 0:
-            return self
-        if self.exp10 >= other.exp10:
-            hi, lo = self, other
-        else:
-            hi, lo = other, self
-        d = lo.exp10 - hi.exp10
-        m = hi.mantissa + (lo.mantissa * 10.0**d if d > -_MAX_SHIFT else 0.0)
-        return ScaledComplex(*_norm(m, hi.exp10))
+        return ScaledComplex(*K.add1(self.mantissa, self.exp10,
+                                     other.mantissa, other.exp10))
 
     def __neg__(self) -> "ScaledComplex":
         return ScaledComplex(-self.mantissa, self.exp10 if self.mantissa != 0 else 0)
@@ -104,17 +69,17 @@ class ScaledComplex:
 
     def __mul__(self, other):
         if isinstance(other, ScaledComplex):
-            return ScaledComplex(*_norm(self.mantissa * other.mantissa,
-                                        self.exp10 + other.exp10))
-        return ScaledComplex(*_norm(self.mantissa * complex(other), self.exp10))
+            return ScaledComplex(*K.norm1(self.mantissa * other.mantissa,
+                                          self.exp10 + other.exp10))
+        return ScaledComplex(*K.norm1(self.mantissa * complex(other), self.exp10))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, ScaledComplex):
-            return ScaledComplex(*_norm(self.mantissa / other.mantissa,
-                                        self.exp10 - other.exp10))
-        return ScaledComplex(*_norm(self.mantissa / complex(other), self.exp10))
+            return ScaledComplex(*K.norm1(self.mantissa / other.mantissa,
+                                          self.exp10 - other.exp10))
+        return ScaledComplex(*K.norm1(self.mantissa / complex(other), self.exp10))
 
     def conjugate(self) -> "ScaledComplex":
         return ScaledComplex(self.mantissa.conjugate(), self.exp10)

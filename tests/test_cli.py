@@ -109,6 +109,15 @@ def test_semantic_error_exit_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_negative_gamma_coeffs_exit_3(tmp_path, capsys):
+    bad = tmp_path / "neg.mpde"
+    bad.write_text("equation: L - Z;\ndata: gamma_coeffs(-1/2);\n"
+                   "trunc_z: 10;\n")
+    assert run(["solve", bad, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma_coeffs(-1/2)")
+
+
 def test_missing_flag_exit_3():
     assert run(["resum", HEAT]) == 3
     assert run(["verdict", HEAT]) == 3

@@ -59,6 +59,15 @@ def test_gamma_coeffs_data():
         assert abs(phi.coeff_complex(n) - expect) <= 1e-13 * expect
 
 
+@pytest.mark.parametrize("s", ["-1/2", "-1/3"])
+def test_gamma_coeffs_negative_s_rejected(s):
+    # -1/2 meets a pole of Gamma at j = 2; -1/3 would lose the sign of Gamma
+    pf = parse_problem(
+        f"equation: L - Z;\ndata: gamma_coeffs({s});\ntrunc_z: 10;\n")
+    with pytest.raises(ms.SemanticError, match=rf"gamma_coeffs\({s}\)"):
+        pf.to_problem()
+
+
 def test_complex_coefficients_and_moments():
     src = ("equation: (2+3i)*L^2 - Z;\n"
            "m1: Gamma(1/2) * Gamma(1);\n"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msumma import ScaledComplex
+from msumma import _kernels as K
 
 finite = st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
                             allow_nan=False, allow_infinity=False)
@@ -75,3 +76,72 @@ def test_from_log10_phase():
     z = a.to_complex()
     assert abs(abs(z) - 1e10) / 1e10 < 1e-12
     assert abs(np.angle(z) - math.pi / 2) < 1e-12
+
+
+def _bits(m):
+    """Raw bits of complex values, so signed zeros and NaNs compare exactly."""
+    return np.asarray(m, dtype=np.complex128).reshape(-1).view(np.uint64)
+
+
+def test_array_and_scalar_rules_agree():
+    rng = np.random.default_rng(4)
+    per = 8
+
+    # normalize vs norm1 at every decade shift: subnormal entries below
+    # 1e-308, zeros below 1e-323, infinities above 1e308.  Besides random
+    # magnitudes, each shift has some within a few ulps of a power of ten,
+    # where the decade and the rounding correction are decided.
+    shifts = np.repeat(np.arange(-330, 330), 5 * per)
+    mag = rng.uniform(1, 10, shifts.size)
+    edge = np.arange(shifts.size) % (5 * per) >= per
+    mag[edge] = rng.choice([9.999999999999996, 9.999999999999998, 1.0,
+                            1.0000000000000002, 1.0000000000000004],
+                           edge.sum())
+    r = mag * np.exp(1j * rng.uniform(0, 2 * np.pi, shifts.size))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        x = r * np.array([10.0 ** (d // 2) * 10.0 ** (d - d // 2)
+                          for d in shifts.tolist()])
+    x = np.concatenate([x, [complex(math.inf, 1.0), complex(1.0, -math.inf),
+                            complex(math.nan, 0.0), complex(-2.0, math.nan)]])
+    e0 = rng.integers(-50, 50, x.size)
+    m, e = K.normalize(x, e0)
+    ref = [K.norm1(complex(v), int(k)) for v, k in zip(x.tolist(), e0.tolist())]
+    assert np.array_equal(_bits(m), _bits([v for v, _ in ref]))
+    assert e.tolist() == [k for _, k in ref]
+    # the shared non-finite rule: inf and NaN keep mantissa and exponent
+    bad = ~np.isfinite(x)
+    assert bad.sum() >= 4
+    assert np.array_equal(_bits(m[bad]), _bits(x[bad]))
+    assert np.array_equal(e[bad], e0[bad])
+
+    # add vs add1 at every alignment shift, either operand the larger one
+    shifts = np.repeat(np.arange(-400, 1), per)
+    zeros = np.zeros(shifts.size, dtype=np.int64)
+    m1, _ = K.normalize(rng.normal(size=shifts.size)
+                        + 1j * rng.normal(size=shifts.size), zeros)
+    m2, _ = K.normalize(rng.normal(size=shifts.size)
+                        + 1j * rng.normal(size=shifts.size), zeros)
+    # a purely imaginary m1 leaves the aligned real part of m2 unrounded
+    m1[1::2] = 1j * np.abs(m1[1::2])
+    m2[::per] = 0  # a zero operand takes the other one unchanged
+    e1 = rng.integers(-50, 50, shifts.size)
+    for a_m, a_e, b_m, b_e in ((m1, e1, m2, e1 + shifts),
+                               (m2, e1 + shifts, m1, e1)):
+        m, e = K.add(a_m, a_e, b_m, b_e)
+        ref = [K.add1(*args) for args in zip(a_m.tolist(), a_e.tolist(),
+                                             b_m.tolist(), b_e.tolist())]
+        assert np.array_equal(_bits(m), _bits([v for v, _ in ref]))
+        assert e.tolist() == [k for _, k in ref]
+
+    # eval_scaled vs a ScaledComplex Horner loop, Gamma-like growth
+    n = 400
+    cm, ce = K.normalize(rng.normal(size=n) + 1j * rng.normal(size=n),
+                         np.array([int(math.lgamma(1 + 2 * j) / math.log(10))
+                                   for j in range(n)]))
+    w = ScaledComplex.from_complex(0.3 - 0.7j) * ScaledComplex.from_log10(-600)
+    got = K.eval_scaled(cm, ce, w.mantissa, w.exp10)
+    acc = ScaledComplex(complex(cm[-1]), int(ce[-1]))
+    for j in range(n - 2, -1, -1):
+        acc = acc * w + ScaledComplex(complex(cm[j]), int(ce[j]))
+    assert np.array_equal(_bits(got[0]), _bits(acc.mantissa))
+    assert got[1] == acc.exp10
