@@ -126,8 +126,7 @@ def cmd_gevrey(pf, digest, args) -> int:
     return EXIT_OK
 
 
-def _singular_payload(pf):
-    _, _, diag = _diag_series(pf)
+def _singular_payload(pf, diag):
     (q, K) = _first_level(pf)[0]
     bor = borel(MomentFunction.gamma(1 / K), diag)
     s = borel_singularities(bor)
@@ -145,7 +144,8 @@ def _singular_payload(pf):
 
 
 def cmd_singular(pf, digest, args) -> int:
-    _, s, payload = _singular_payload(pf)
+    _, _, diag = _diag_series(pf)
+    _, s, payload = _singular_payload(pf, diag)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write(args.out, "singularities.json", text)
     _run_record(args.out, digest, text)
@@ -211,7 +211,7 @@ def cmd_report(pf, digest, args) -> int:
             else [0.0, math.pi / 2, math.pi])
     report = summability_verdict(prob, dirs)
     est = estimate_gevrey(diag)
-    bor, sing, sing_payload = _singular_payload(pf)
+    bor, sing, sing_payload = _singular_payload(pf, diag)
 
     bundle = {
         "schema": "msumma_report.v1",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +43,26 @@ class PadeApproximant:
         y = np.asarray(x, dtype=np.complex128) / self.r
         return self.num(y) / self.den(y)
 
+    @cached_property
+    def _roots_residues(self) -> tuple[np.ndarray, np.ndarray]:
+        """Denominator roots in the rescaled variable and |residue| at each.
+
+        Computed once per approximant and read-only; the pole methods
+        return new arrays built from it.
+        """
+        y = np.roots(self.den.coeffs)
+        res = np.empty(0)
+        if len(y):
+            dden = self.den.deriv()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                res = np.abs(self.num(y) / dden(y))
+            res = np.where(np.isfinite(res), res, np.inf)
+        y.setflags(write=False)
+        res.setflags(write=False)
+        return y, res
+
     def poles(self) -> np.ndarray:
-        p = np.roots(self.den.coeffs) * self.r
+        p = self._roots_residues[0] * self.r
         return p[np.argsort(np.abs(p))]
 
     def significant_poles(self, rel_tol: float = 1e-8) -> np.ndarray:
@@ -53,13 +72,9 @@ class PadeApproximant:
         systems carry residues many orders below the genuine ones; they are
         dropped relative to the largest residue present.
         """
-        y = np.roots(self.den.coeffs)
+        y, res = self._roots_residues
         if len(y) == 0:
-            return y
-        dden = self.den.deriv()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = np.abs(self.num(y) / dden(y))
-        res = np.where(np.isfinite(res), res, np.inf)
+            return y.copy()
         top = res.max()
         if not np.isfinite(top) or top == 0.0:
             keep = np.ones(len(y), dtype=bool)
@@ -135,10 +150,21 @@ def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
     input makes the system singular: the first singular solve jumps to the
     numerical rank rho of the denominator block, [min(L, rho-1)/rho], and
     the order steps down by one only while the system stays singular.
+
+    A RamifiedSeries keeps its approximants by requested (M, L), so repeat
+    requests on the same series object return the same approximant; plain
+    arrays are solved on every call, and failures are never kept.
     """
-    d, r = _scaled_coeffs(a)
     if L is None:
         L = M - 1
+    key, memo = (M, L), None
+    if isinstance(a, RamifiedSeries):
+        if a._pade_memo is None:
+            a._pade_memo = {}
+        memo = a._pade_memo
+        if key in memo:
+            return memo[key]
+    d, r = _scaled_coeffs(a)
     need = L + M + 1
     if len(d) < need:
         raise ValueError(f"need {need} coefficients for [{L}/{M}], got {len(d)}")
@@ -157,7 +183,12 @@ def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
             L = min(L, max(M - 1, 0))
             if M < 1:
                 raise
-    return PadeApproximant(num=num, den=den, r=r, order=(L, M))
+    ap = PadeApproximant(num=num, den=den, r=r, order=(L, M))
+    if memo is not None:
+        num.coeffs.setflags(write=False)  # shared by every later request
+        den.coeffs.setflags(write=False)
+        memo[key] = ap
+    return ap
 
 
 def _cluster(pole_sets, tol=STABILITY_TOL):
@@ -186,11 +217,15 @@ def _cluster(pole_sets, tol=STABILITY_TOL):
 
 
 def stable_poles(a, n_coeffs: int | None = None):
-    """Poles persisting across three consecutive Pade orders.
+    """Poles persisting across the Pade orders requested for N, N-1, N-2.
 
-    Orders [M-1/M] with M = n//2 for n in {N, N-1, N-2}; a pole counts as
-    stable when each order reproduces it within STABILITY_TOL relative.
-    Returns a list of (location, confidence_radius) sorted by modulus.
+    The requests are [M-1/M] with M = n//2 for n in {N, N-1, N-2}.  They
+    are not three different orders: at odd N, N//2 equals (N-1)//2, and at
+    even N, (N-1)//2 equals (N-2)//2, so only two distinct approximants
+    are compared.  On a RamifiedSeries the repeated request is answered
+    from the series' memo at no cost.  A pole counts as stable when each
+    order reproduces it within STABILITY_TOL relative.  Returns a list of
+    (location, confidence_radius) sorted by modulus.
     """
     n = len(a) if n_coeffs is None else min(n_coeffs, len(a))
     if n < 8:

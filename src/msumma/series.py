@@ -30,7 +30,9 @@ class DivergentPartialSumWarning(UserWarning):
 class RamifiedSeries:
     """Truncated series sum c_j x^(j/kappa), scaled complex coefficients."""
 
-    __slots__ = ("kappa", "mant", "exp10")
+    # _pade_memo: Pade approximants of this series by (M, L), filled by
+    # pade.diagonal_pade; it lives and dies with the (read-only) series.
+    __slots__ = ("kappa", "mant", "exp10", "_pade_memo")
 
     def __init__(self, kappa: int, mant, exp10, normalized: bool = False):
         if kappa < 1:
@@ -46,6 +48,7 @@ class RamifiedSeries:
         self.kappa = int(kappa)
         self.mant = mant
         self.exp10 = exp10
+        self._pade_memo = None
 
     # -- construction ---------------------------------------------------
 

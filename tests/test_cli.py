@@ -166,6 +166,26 @@ def test_reports_are_byte_stable(tmp_path):
     assert ra == rb
 
 
+def test_report_solves_once(tmp_path, monkeypatch):
+    import msumma.cli as cli
+
+    calls = []
+    solve = cli.solve_constant_leading
+
+    def counting(prob):
+        calls.append(prob)
+        return solve(prob)
+
+    monkeypatch.setattr(cli, "solve_constant_leading", counting)
+    assert run(["report", HEAT, "--out", tmp_path]) == 0
+    assert len(calls) == 1
+    # the bundled singularity set is the one `singular` writes
+    assert run(["singular", HEAT, "--out", tmp_path / "s"]) == 0
+    bundle = json.loads((tmp_path / "report.json").read_text())
+    sing = json.loads((tmp_path / "s" / "singularities.json").read_text())
+    assert bundle["singularities"] == sing
+
+
 def test_seed_is_recorded(tmp_path, monkeypatch):
     monkeypatch.setenv("MSUMMA_SEED", "12345")
     assert run(["report", HEAT, "--out", tmp_path]) == 0

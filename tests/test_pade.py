@@ -10,6 +10,7 @@ import pytest
 
 import msumma as ms
 from msumma import RamifiedSeries
+from msumma import pade
 from msumma.pade import (_scaled_coeffs, diagonal_pade, geometric_slope,
                          ratio_radius, stable_poles)
 
@@ -165,3 +166,78 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# -- approximants and poles kept on the series object -------------------------
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = pade._solve_pade
+
+    def counting(c, L, M):
+        calls.append((L, M))
+        return solve(c, L, M)
+
+    monkeypatch.setattr(pade, "_solve_pade", counting)
+    return calls
+
+
+def fresh_copy(a):
+    return RamifiedSeries(a.kappa, a.mant.copy(), a.exp10.copy(),
+                          normalized=True)
+
+
+def test_returned_poles_are_copies():
+    a = RamifiedSeries.from_complex(1, two_pole_coeffs(40))
+    ap = diagonal_pade(a, 20)
+    sig, allp = ap.significant_poles(), ap.poles()
+    sig_before, all_before = sig.copy(), allp.copy()
+    sig[:] = 0.0
+    allp[:] = 0.0
+    assert np.array_equal(ap.significant_poles(), sig_before)
+    assert np.array_equal(ap.poles(), all_before)
+    assert np.array_equal(diagonal_pade(a, 20).significant_poles(),
+                          sig_before)
+    with pytest.raises(ValueError):
+        ap.den.coeffs[0] = 0.0
+
+    poles = stable_poles(a)
+    before = list(poles)
+    poles[0] = (0j, 0.0)
+    poles.append((1j, 1.0))
+    assert stable_poles(a) == before
+
+
+def test_memo_is_per_series_object(monkeypatch):
+    calls = count_solves(monkeypatch)
+    a = RamifiedSeries.from_complex(1, two_pole_coeffs(40))
+    ap = diagonal_pade(a, 20)
+    assert diagonal_pade(a, 20) is ap
+    assert diagonal_pade(a, 20, 19) is ap  # L defaults to M - 1
+    assert len(calls) == 1
+    b = fresh_copy(a)
+    assert b == a
+    bp = diagonal_pade(b, 20)
+    assert bp is not ap
+    assert len(calls) == 2
+    assert np.array_equal(bp.significant_poles(), ap.significant_poles())
+    # plain arrays are solved on every call
+    c = two_pole_coeffs(40)
+    assert diagonal_pade(c, 20) is not diagonal_pade(c, 20)
+    assert len(calls) == 4
+
+
+def test_failures_are_not_kept(monkeypatch):
+    calls = count_solves(monkeypatch)
+    a = RamifiedSeries.zero(1, 20)  # every order of the system is singular
+    with pytest.raises(np.linalg.LinAlgError):
+        diagonal_pade(a, 5)
+    first = list(calls)
+    with pytest.raises(np.linalg.LinAlgError):
+        diagonal_pade(a, 5)
+    assert first and calls == first + first
+    short = RamifiedSeries.from_complex(1, np.ones(6))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            diagonal_pade(short, 4)
+    assert not short._pade_memo

@@ -7,9 +7,11 @@ import pytest
 from scipy.special import exp1
 
 import msumma as ms
-from msumma import (BiSeries, GAMMA_1, MomentFunction, RamifiedSeries,
-                    beta_bridge, kernel_pair_for, kernel_solution_quadrature,
-                    laplace_resum)
+from msumma import (BiSeries, CharPolynomial, GAMMA_1, MomentFunction,
+                    PdeProblem, RamifiedSeries, beta_bridge, borel,
+                    kernel_pair_for, kernel_solution_quadrature,
+                    laplace_resum, solve_constant_leading)
+from msumma import pade
 from msumma.resummation import joint_borel_factors
 
 K1 = kernel_pair_for(GAMMA_1)
@@ -66,6 +68,61 @@ def test_geometric_resum_is_exact_sum():
     t = 0.3
     res = laplace_resum(a, K1, 0.0, t)
     assert abs(res.value - 1.0 / (1.0 - t / 2.0)) < 1e-10
+
+
+def heat_borel(trunc_t=60):
+    # Borel transform of the heat model's u(t, 0): sum C(2j, j) x^j
+    prob = PdeProblem(P=CharPolynomial.lam() - CharPolynomial.zeta() ** 2,
+                      m1=GAMMA_1, m2=GAMMA_1,
+                      data=(RamifiedSeries.from_complex(
+                          1, np.ones(2 * trunc_t + 3)),),
+                      trunc_t=trunc_t)
+    return borel(GAMMA_1, solve_constant_leading(prob).extract_col(0))
+
+
+RESUM_TS = [0.03j, 0.045j, 0.06j, 0.075j, 0.09j]
+
+
+def test_resummation_points_share_one_pole_search(monkeypatch):
+    roots, solves = [], []
+    np_roots, solve = np.roots, pade._solve_pade
+
+    def counting_roots(p):
+        roots.append(len(p))
+        return np_roots(p)
+
+    def counting_solve(c, L, M):
+        solves.append((L, M))
+        return solve(c, L, M)
+
+    monkeypatch.setattr(np, "roots", counting_roots)
+    monkeypatch.setattr(pade, "_solve_pade", counting_solve)
+    bor = heat_borel()
+    pade.stable_poles(heat_borel())
+    once = len(roots), len(solves)
+    assert once[0] >= 2 and once[1] >= 2
+    roots.clear(), solves.clear()
+    for t in RESUM_TS:
+        laplace_resum(bor, K1, math.pi / 2, t)
+    assert len(roots) <= once[0] and len(solves) <= once[1]
+
+
+def test_shared_pole_search_is_bit_identical():
+    bor = heat_borel()
+
+    def fresh():
+        return RamifiedSeries(bor.kappa, bor.mant.copy(), bor.exp10.copy(),
+                              normalized=True)
+
+    for t in RESUM_TS:
+        got = laplace_resum(bor, K1, math.pi / 2, t)
+        ref = laplace_resum(fresh(), K1, math.pi / 2, t)
+        for field in ("value", "quadrature_error", "pade_radius_used"):
+            x, y = getattr(got, field), getattr(ref, field)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field
+    got, ref = pade.stable_poles(bor), pade.stable_poles(fresh())
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    assert abs(got[0][0] - 0.25) < 1e-3
 
 
 # -- iterated-to-joint Borel bridge -----------------------------------------
