@@ -141,14 +141,20 @@ def scale(m, e, sm, se):
 
 
 def axpy_shift(acc_m, acc_e, src_m, src_e, sm, se, shift):
-    """acc[i] += (sm,se) * src[i+shift] for the overlapping index range."""
+    """acc[i] += (sm,se) * src[i+shift] for the overlapping index range.
+
+    One normalize per call: the product src * sm goes into `add` as it is,
+    and `add` aligns the exponents and normalizes the sum.
+    """
     acc_m = np.array(acc_m, dtype=np.complex128, copy=True)
     acc_e = np.array(acc_e, dtype=np.int64, copy=True)
+    src_m = np.asarray(src_m, dtype=np.complex128)
+    src_e = np.asarray(src_e, dtype=np.int64)
     n = min(len(acc_m), len(src_m) - shift)
-    if n <= 0:
+    if n <= 0 or sm == 0:
         return acc_m, acc_e
-    tm, te = scale(src_m[shift:shift + n], src_e[shift:shift + n], sm, se)
-    rm, re = add(acc_m[:n], acc_e[:n], tm, te)
+    rm, re = add(acc_m[:n], acc_e[:n], src_m[shift:shift + n] * sm,
+                 src_e[shift:shift + n] + np.int64(se))
     acc_m[:n] = rm
     acc_e[:n] = re
     return acc_m, acc_e

@@ -20,7 +20,7 @@ from .characteristic import newton_polygon_roots, summability_levels
 from .errors import SemanticError
 from .moments import MomentFunction
 from .operators import borel
-from .pade import diagonal_pade, ratio_radius, stable_poles
+from .pade import ratio_radius, stable_poles
 from .series import RamifiedSeries
 
 ANGULAR_TOL = math.radians(2.0)
@@ -71,12 +71,11 @@ def estimate_gevrey(a: RamifiedSeries, window=None) -> GevreyEstimate:
     stderr_reg = math.sqrt(max(cov[0, 0], 0.0))
 
     # ratio method on consecutive indices present in the window
-    pairs = [(j, k) for j, k in zip(idx, idx[1:]) if k == j + 1]
+    step = idx[1:] == idx[:-1] + 1
     sigma_ratio = sigma_reg
-    if len(pairs) >= 4:
-        js = np.array([j for j, _ in pairs], dtype=float)
-        Ld = np.array([L[np.searchsorted(idx, k)] - L[np.searchsorted(idx, j)]
-                       for j, k in pairs])
+    if np.count_nonzero(step) >= 4:
+        js = idx[:-1][step].astype(float)
+        Ld = np.diff(L)[step]
         sj = Ld / np.log(js)
         A = np.stack([np.ones_like(js), 1.0 / np.log(js)], axis=1)
         c2, _, _, _ = np.linalg.lstsq(A, sj, rcond=None)
@@ -192,30 +191,6 @@ def fitted_growth_order(a: RamifiedSeries, expected_rho: float) -> float:
     if est.order_hat >= -1e-3:
         return math.inf
     return -1.0 / est.order_hat
-
-
-def ray_growth_fit(a: RamifiedSeries, direction: float, rho: float,
-                   singular_set: SingularitySet, samples: int = 24):
-    """Fit log|V(x e^{i d})| ~ log A + B x^rho along a pole-free ray.
-
-    V is the Pade representative; x runs to 3x the nearest-singularity
-    modulus (extrapolated past the proven disc, and said so).
-    """
-    m = len(a) // 2
-    rep = diagonal_pade(a, m)
-    r0 = singular_set.nearest_modulus()
-    if not math.isfinite(r0):
-        r0 = 1.0
-    xs = np.linspace(0.05 * r0, 3.0 * r0, samples)
-    pts = xs * np.exp(1j * direction)
-    vals = np.abs(rep(pts))
-    good = vals > 0
-    if good.sum() < 4:
-        return math.nan, math.nan
-    y = np.log(vals[good])
-    X = np.stack([np.ones(good.sum()), xs[good] ** rho], axis=1)
-    c, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    return float(math.exp(c[0])), float(c[1])
 
 
 @dataclass(frozen=True)

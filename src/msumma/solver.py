@@ -35,6 +35,7 @@ from .scaled import ScaledComplex, from_log10_array
 from .series import BiSeries, RamifiedSeries
 
 RECONSTRUCT_TOL = 1e-9  # relative; monomial-exactness of the factorization
+_DENORM_ROWS = 32  # rows per K.mul call in _denormalize; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,26 @@ def _denormalize(c: BiSeries, m1: MomentFunction, m2: MomentFunction
                  ) -> BiSeries:
     """u_{jn} = c_{jn} / (m1(j) m2(n/kappa)).
 
-    The divisor is separable: one log-moment table per axis, then one row
-    of factors at a time, so no grid-sized temporary is built.
+    The divisor is separable: one scaled table 1/m1(j) and one 1/m2(n/kappa),
+    each from one `from_log10_array` call.  Blocks of _DENORM_ROWS rows are
+    then multiplied by both tables in one `K.mul` call on raveled arrays, so
+    no grid-sized temporary is built and no work is done per cell in Python.
     """
-    f1 = m1.log_eval_array(np.arange(c.trunc_t + 1, dtype=np.float64))
-    f2 = m2.log_eval_array(np.arange(c.trunc_z + 1) / c.kappa_z)
+    nt, nz = c.mant.shape
+    f1m, f1e = from_log10_array(
+        -m1.log_eval_array(np.arange(nt, dtype=np.float64)) * LOG10_E)
+    f2m, f2e = from_log10_array(
+        -m2.log_eval_array(np.arange(nz) / c.kappa_z) * LOG10_E)
     mant = np.empty_like(c.mant)
     exp = np.empty_like(c.exp10)
-    for j in range(c.trunc_t + 1):
-        fm, fe = from_log10_array(-(f1[j] + f2) * LOG10_E)
-        mant[j], exp[j] = K.mul(c.mant[j], c.exp10[j], fm, fe)
+    for j0 in range(0, nt, _DENORM_ROWS):
+        rows = slice(j0, j0 + _DENORM_ROWS)
+        nb = len(f1m[rows])
+        bm, be = K.mul((c.mant[rows] * f1m[rows, None]).ravel(),
+                       (c.exp10[rows] + f1e[rows, None]).ravel(),
+                       np.tile(f2m, nb), np.tile(f2e, nb))
+        mant[rows] = bm.reshape(nb, nz)
+        exp[rows] = be.reshape(nb, nz)
     return BiSeries(1, c.kappa_z, mant, exp, normalized=True)
 
 
@@ -146,14 +157,15 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
                 f"z-truncation exhausted at t-row {j2}; the recurrence needs "
                 f"data trunc_z >= {required_z_truncation(P, kappa, nt)} "
                 f"(got {nz_in})")
-        acc_m = np.zeros(width, dtype=np.complex128)
-        acc_e = np.zeros(width, dtype=np.int64)
-        for a, shift, s in lower:
-            rm, re = K.axpy_shift(acc_m, acc_e,
-                                  cm[j + a, shift:shift + width],
-                                  ce[j + a, shift:shift + width],
-                                  s.mantissa, s.exp10, 0)
-            acc_m, acc_e = rm, re
+        (a, shift, s), *rest = lower
+        acc_m, acc_e = K.scale(cm[j + a, shift:shift + width],
+                               ce[j + a, shift:shift + width],
+                               s.mantissa, s.exp10)
+        for a, shift, s in rest:
+            acc_m, acc_e = K.axpy_shift(acc_m, acc_e,
+                                        cm[j + a, shift:shift + width],
+                                        ce[j + a, shift:shift + width],
+                                        s.mantissa, s.exp10, 0)
         cm[j2, :width] = acc_m
         ce[j2, :width] = acc_e
         valid[j2] = width

@@ -145,3 +145,46 @@ def test_array_and_scalar_rules_agree():
         acc = acc * w + ScaledComplex(complex(cm[j]), int(ce[j]))
     assert np.array_equal(_bits(got[0]), _bits(acc.mantissa))
     assert got[1] == acc.exp10
+
+
+def test_axpy_shift_one_normalize_matches_scale_then_add(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 4000
+    shift = 3
+
+    def draw(size):
+        m = rng.normal(size=size) + 1j * rng.normal(size=size)
+        m[rng.random(size) < 0.1] = 0
+        return K.normalize(m, rng.integers(-20, 20, size))
+
+    acc_m, acc_e = draw(n + 7)  # entries past the overlap stay untouched
+    src_m, src_e = draw(n + shift)
+    calls = [0]
+    normalize = K.normalize
+
+    def counted(*args):
+        calls[0] += 1
+        return normalize(*args)
+
+    for sm, se in ((1.7 - 0.4j, 3), (-9.9, -12), (1.0, 0)):
+        monkeypatch.setattr(K, "normalize", counted)
+        calls[0] = 0
+        m, e = K.axpy_shift(acc_m, acc_e, src_m, src_e, sm, se, shift)
+        assert calls[0] == 1
+        monkeypatch.setattr(K, "normalize", normalize)
+        tm, te = K.scale(src_m[shift:], src_e[shift:], sm, se)
+        rm, re = K.add(acc_m[:n], acc_e[:n], tm, te)
+        assert np.array_equal(_bits(m[n:]), _bits(acc_m[n:]))
+        # compare on the scale of the larger term: a sum is accurate to a
+        # few ulp of |acc| + |term|, not of a cancelled result
+        ref = np.maximum(np.where(acc_m[:n] == 0, te, acc_e[:n]),
+                         np.where(tm == 0, acc_e[:n], te))
+        got = m[:n] * 10.0 ** (e[:n] - ref).astype(float)
+        old = rm * 10.0 ** (re - ref).astype(float)
+        size = (np.abs(acc_m[:n]) * 10.0 ** (acc_e[:n] - ref).astype(float)
+                + np.abs(tm) * 10.0 ** (te - ref).astype(float))
+        assert np.all(np.abs(got - old) <= 4 * np.finfo(float).eps * size)
+
+    m, e = K.axpy_shift(acc_m, acc_e, src_m, src_e, 0j, 5, shift)
+    assert np.array_equal(_bits(m), _bits(acc_m))
+    assert np.array_equal(e, acc_e)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import msumma as ms
+from msumma import _kernels as K
 from msumma import (CharPolynomial, GAMMA_1, MomentFunction, PdeProblem,
                     RamifiedSeries, decompose, solve_constant_leading,
                     solve_simple, sum_pieces)
@@ -202,10 +203,13 @@ def _count_calls(monkeypatch, owner, name, wrap=lambda f: f):
 
 def test_solve_moment_work_does_not_grow_with_grid(monkeypatch):
     # moment factors come from one array table per axis: the scalar
-    # log-moment and log-to-scaled paths are not used per grid cell
+    # log-moment and log-to-scaled paths are not used per grid cell, and
+    # the array conversion is not called per row
     log_eval = _count_calls(monkeypatch, MomentFunction, "log_eval")
     from_log10 = _count_calls(monkeypatch, ScaledComplex, "from_log10",
                               staticmethod)
+    from_log10_array = _count_calls(monkeypatch, ms.solver,
+                                    "from_log10_array")
     P = (L - Z) * (L + Z)
     counts = []
     for trunc_t, width in ((50, 101), (100, 201)):
@@ -213,9 +217,47 @@ def test_solve_moment_work_does_not_grow_with_grid(monkeypatch):
         prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1,
                           data=geometric_data(2, need + width),
                           trunc_t=trunc_t)
-        log_eval[0] = from_log10[0] = 0
+        log_eval[0] = from_log10[0] = from_log10_array[0] = 0
         u = solve_constant_leading(prob)
         assert u.mant.shape == (trunc_t + 1, width)
-        counts.append((log_eval[0], from_log10[0]))
+        counts.append((log_eval[0], from_log10[0], from_log10_array[0]))
     assert counts[0] == counts[1]
-    assert max(counts[1]) <= 2
+    assert max(counts[1][:2]) <= 2
+
+
+def test_solve_normalizes_once_per_recurrence_term(monkeypatch):
+    # (L - Z)(L + 2Z) has two lower terms: each extra row costs one
+    # normalize per term, plus at most one per block of denormalized rows
+    normalize = _count_calls(monkeypatch, K, "normalize")
+    P = (L - Z) * (L + Z.scale(2.0))
+    counts = []
+    for trunc_t in (50, 100):
+        need = required_z_truncation(P, 1, trunc_t)
+        prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1,
+                          data=geometric_data(2, need + 21), trunc_t=trunc_t)
+        normalize[0] = 0
+        solve_constant_leading(prob)
+        counts.append(normalize[0])
+    assert counts[1] - counts[0] <= 2 * 50 + 4
+
+
+def test_heat_grid_matches_exact_integers_at_depth():
+    # coefficient of t^j z^n is (2j+n)!/(j! n!), far past double range
+    trunc_t, width = 200, 21
+    need = required_z_truncation(L - Z**2, 1, trunc_t)
+    prob = PdeProblem(P=L - Z**2, m1=GAMMA_1, m2=GAMMA_1,
+                      data=geometric_data(1, need + width), trunc_t=trunc_t)
+    u = solve_constant_leading(prob)
+    assert u.mant.shape == (trunc_t + 1, width)
+    worst = 0.0
+    for j in range(trunc_t + 1):
+        for n in range(width):
+            exact = (math.factorial(2 * j + n)
+                     // (math.factorial(j) * math.factorial(n)))
+            m = complex(u.mant[j, n])
+            e = int(u.exp10[j, n])
+            got = Fraction(m.real) * Fraction(10) ** e
+            err = (abs(got - exact) / exact
+                   + abs(Fraction(m.imag)) * Fraction(10) ** e / exact)
+            worst = max(worst, float(err))
+    assert worst <= 1e-12
