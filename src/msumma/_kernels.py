@@ -148,8 +148,6 @@ def axpy_shift(acc_m, acc_e, src_m, src_e, sm, se, shift):
     """
     acc_m = np.array(acc_m, dtype=np.complex128, copy=True)
     acc_e = np.array(acc_e, dtype=np.int64, copy=True)
-    src_m = np.asarray(src_m, dtype=np.complex128)
-    src_e = np.asarray(src_e, dtype=np.int64)
     n = min(len(acc_m), len(src_m) - shift)
     if n <= 0 or sm == 0:
         return acc_m, acc_e
