@@ -100,7 +100,7 @@ def _denormalize(c: BiSeries, m1: MomentFunction, m2: MomentFunction
     exp = np.empty_like(c.exp10)
     for j0 in range(0, nt, _DENORM_ROWS):
         rows = slice(j0, j0 + _DENORM_ROWS)
-        nb = len(f1m[rows])
+        nb = min(_DENORM_ROWS, nt - j0)
         bm, be = K.mul((c.mant[rows] * f1m[rows, None]).ravel(),
                        (c.exp10[rows] + f1e[rows, None]).ravel(),
                        np.tile(f2m, nb), np.tile(f2e, nb))
