@@ -1,13 +1,16 @@
 """Timing of the scaled-arithmetic kernels and the moment tables.
 
 Runs each primitive of msumma._kernels on fixed seeded inputs and prints
-one time per kernel.  The last two rows are the moment tables of the
-operator layer: `MomentFunction.log_eval_array` over n arguments and
-`scaled.from_log10_array` over n decimal logs.
+one time per kernel.  Then come the moment tables of the operator layer,
+`MomentFunction.log_eval_array` over n arguments and
+`scaled.from_log10_array` over n decimal logs, and the text serializer
+`BiSeries.dumps` on a square grid of min(201, isqrt(n)) rows of the
+normalized inputs.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
 import argparse
+import math
 import time
 
 import numpy as np
@@ -21,6 +24,11 @@ def make_inputs(n, rng):
     return m1, e1, m2, e2
 
 
+def grid_side(n):
+    """Rows (and columns) of the BiSeries.dumps grid: at most 201x201."""
+    return min(201, math.isqrt(n))
+
+
 def bench(fn, reps):
     fn()  # warm up
     t0 = time.perf_counter()
@@ -30,6 +38,7 @@ def bench(fn, reps):
 
 
 def run(n, reps):
+    from msumma import BiSeries
     from msumma import _kernels as K
     from msumma.moments import MomentFunction
     from msumma.scaled import from_log10_array
@@ -54,6 +63,10 @@ def run(n, reps):
     logs = rng.uniform(-5000.0, 5000.0, size=n)
     results["log_eval_array"] = bench(lambda: m.log_eval_array(u), reps)
     results["from_log10_array"] = bench(lambda: from_log10_array(logs), reps)
+    side = grid_side(n)
+    grid = BiSeries(1, 1, nm1[:side * side].reshape(side, side),
+                    ne1[:side * side].reshape(side, side), normalized=True)
+    results["BiSeries.dumps"] = bench(grid.dumps, reps)
     return results
 
 
@@ -64,8 +77,9 @@ def main():
     args = ap.parse_args()
 
     results = run(args.n, args.reps)
-    print(f"array length {args.n} (eval_scaled: 400 terms), "
-          f"{args.reps} reps\n")
+    side = grid_side(args.n)
+    print(f"array length {args.n} (eval_scaled: 400 terms, "
+          f"BiSeries.dumps: {side}x{side} grid), {args.reps} reps\n")
     print(f"{'kernel':<16} {'ms':>10}")
     for key, t in results.items():
         print(f"{key:<16} {t * 1e3:>10.3f}")

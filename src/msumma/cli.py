@@ -99,8 +99,9 @@ def _run_record(out_dir, digest: str, report_json: str):
 
 def cmd_solve(pf, digest, args) -> int:
     _, u, _ = _diag_series(pf)
-    _write(args.out, "solution.biseries", u.dumps())
-    _run_record(args.out, digest, u.dumps())
+    text = u.dumps()
+    _write(args.out, "solution.biseries", text)
+    _run_record(args.out, digest, text)
     return EXIT_OK
 
 

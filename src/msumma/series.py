@@ -1,8 +1,8 @@
 """Truncated ramified formal power series in one and two variables.
 
 Coefficients are stored in decimal-scaled form (mantissa array + exponent
-array, see msumma.scaled); all arithmetic goes through the kernel layer so
-the compiled core is used when available.
+array, see msumma.scaled); all arithmetic goes through the array kernels of
+msumma._kernels.
 
 A RamifiedSeries with ramification kappa and truncation N represents
 sum_{j=0..N} c_j x^(j/kappa).  Binary operations follow the min-rule for
@@ -25,6 +25,28 @@ from .scaled import ScaledComplex
 
 class DivergentPartialSumWarning(UserWarning):
     """Partial sums appear to diverge at the requested radius."""
+
+
+def _reprs(a: np.ndarray) -> np.ndarray:
+    """Object array of repr(x) for every entry x of a float64/int64 array.
+
+    repr runs once per distinct bit pattern (so -0.0 and 0.0 stay apart);
+    grids repeat many values, e.g. an all-zero imaginary part.
+    """
+    keys = a.view(np.int64) if a.dtype == np.float64 else a
+    uniq, inv = np.unique(keys.ravel(), return_inverse=True)
+    strs = np.array(list(map(repr, uniq.view(a.dtype).tolist())), dtype=object)
+    return strs[inv].reshape(a.shape)
+
+
+def _line_parts(mids) -> list:
+    """Reusable parts of one text line per entry of `mids`:
+    [lead, mid, re, " ", im, " ", exp10, "\n"]; the caller fills the lead,
+    re, im and exp10 slots (0, 2, 4, 6) by slice assignment."""
+    parts = [" "] * (8 * len(mids))
+    parts[1::8] = mids
+    parts[7::8] = ["\n"] * len(mids)
+    return parts
 
 
 class RamifiedSeries:
@@ -213,11 +235,13 @@ class RamifiedSeries:
 
     def dumps(self) -> str:
         """Series literal format: header 'kappa N', lines 'j re im exp10'."""
-        lines = [f"{self.kappa} {self.trunc}"]
-        lines += [f"{j} {re!r} {im!r} {e}" for j, (re, im, e) in enumerate(
-            zip(self.mant.real.tolist(), self.mant.imag.tolist(),
-                self.exp10.tolist()))]
-        return "\n".join(lines) + "\n"
+        n = len(self)
+        parts = _line_parts([" "] * n)
+        parts[0::8] = map(str, range(n))
+        parts[2::8] = _reprs(self.mant.real).tolist()
+        parts[4::8] = _reprs(self.mant.imag).tolist()
+        parts[6::8] = _reprs(self.exp10).tolist()
+        return f"{self.kappa} {self.trunc}\n" + "".join(parts)
 
     @staticmethod
     def loads(text: str) -> "RamifiedSeries":
@@ -331,14 +355,22 @@ class BiSeries:
                         normalized=True)
 
     def dumps(self) -> str:
-        lines = [f"{self.kappa_t} {self.kappa_z} {self.trunc_t} {self.trunc_z}"]
-        # one row at a time: converting the whole grid to lists at once
-        # would keep a float object per entry alive and raise peak memory
-        for j, row in enumerate(self.mant):
-            lines += [f"{j} {n} {re!r} {im!r} {e}" for n, (re, im, e) in
-                      enumerate(zip(row.real.tolist(), row.imag.tolist(),
-                                    self.exp10[j].tolist()))]
-        return "\n".join(lines) + "\n"
+        """Grid literal format: header 'kappa_t kappa_z trunc_t trunc_z',
+        lines 'j n re im exp10' in row-major order."""
+        re, im, e = (_reprs(self.mant.real), _reprs(self.mant.imag),
+                     _reprs(self.exp10))
+        rows, cols = self.mant.shape
+        parts = _line_parts([f" {n} " for n in range(cols)])
+        # one row at a time: a whole-grid list of strings would raise
+        # peak memory
+        text = [f"{self.kappa_t} {self.kappa_z} {self.trunc_t} {self.trunc_z}\n"]
+        for j in range(rows):
+            parts[0::8] = [str(j)] * cols
+            parts[2::8] = re[j].tolist()
+            parts[4::8] = im[j].tolist()
+            parts[6::8] = e[j].tolist()
+            text.append("".join(parts))
+        return "".join(text)
 
     @staticmethod
     def loads(text: str) -> "BiSeries":

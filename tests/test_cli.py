@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -184,6 +185,24 @@ def test_report_solves_once(tmp_path, monkeypatch):
     bundle = json.loads((tmp_path / "report.json").read_text())
     sing = json.loads((tmp_path / "s" / "singularities.json").read_text())
     assert bundle["singularities"] == sing
+
+
+def test_solve_serializes_once(tmp_path, monkeypatch):
+    from msumma import BiSeries
+
+    calls = []
+    dumps = BiSeries.dumps
+
+    def counting(self):
+        calls.append(self)
+        return dumps(self)
+
+    monkeypatch.setattr(BiSeries, "dumps", counting)
+    assert run(["solve", WAVE, "--out", tmp_path]) == 0
+    assert len(calls) == 1
+    text = (tmp_path / "solution.biseries").read_text()
+    rec = json.loads((tmp_path / "run_record.json").read_text())
+    assert rec["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_seed_is_recorded(tmp_path, monkeypatch):

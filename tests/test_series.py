@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import msumma as ms
 from msumma import BiSeries, RamifiedSeries
+from msumma.solver import required_z_truncation
 
 from conftest import random_series
 
@@ -135,3 +138,122 @@ def test_tail_ratio_tracks_term_growth():
     assert div.tail_ratio(1.0) > 1.0
     with pytest.warns(ms.series.DivergentPartialSumWarning):
         div.sup_norm_on_circle(1.0)
+
+
+# -- text format, pinned against the per-cell formatter ----------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def percell_dumps(s):
+    """Reference formatter: one f-string and two float reprs per cell."""
+    if isinstance(s, RamifiedSeries):
+        lines = [f"{s.kappa} {s.trunc}"]
+        lines += [f"{j} {re!r} {im!r} {e}" for j, (re, im, e) in enumerate(
+            zip(s.mant.real.tolist(), s.mant.imag.tolist(),
+                s.exp10.tolist()))]
+        return "\n".join(lines) + "\n"
+    lines = [f"{s.kappa_t} {s.kappa_z} {s.trunc_t} {s.trunc_z}"]
+    for j, row in enumerate(s.mant):
+        lines += [f"{j} {n} {re!r} {im!r} {e}" for n, (re, im, e) in
+                  enumerate(zip(row.real.tolist(), row.imag.tolist(),
+                                s.exp10[j].tolist()))]
+    return "\n".join(lines) + "\n"
+
+
+def solved(name, trunc_t, width=201):
+    """tests/data/<name>.mpde solved at trunc_t with `width` output columns."""
+    text = (DATA / f"{name}.mpde").read_text(encoding="utf-8")
+    pf = ms.parse_problem(text)
+    need = required_z_truncation(pf.equation, pf.kappa, trunc_t)
+    text = re.sub(r"(?m)^trunc_t:.*$", f"trunc_t: {trunc_t};", text)
+    text = re.sub(r"(?m)^trunc_z:.*$", f"trunc_z: {need + width - 1};", text)
+    return ms.solve_constant_leading(ms.parse_problem(text).to_problem())
+
+
+def nan_with(sign, payload):
+    bits = (sign << 63) | (0x7FF << 52) | payload
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+SPECIALS = np.array([0.0, -0.0, nan_with(0, 1 << 51), nan_with(1, 1 << 51),
+                     nan_with(0, 1), nan_with(1, 12345), np.inf, -np.inf,
+                     5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1.1125369292536007e-308, 1.0, -9.999999999999998])
+
+
+def grid(re_part, im_part, exp10, kappa_t=1, kappa_z=2):
+    """BiSeries with the given component bits (no complex arithmetic)."""
+    mant = np.empty(re_part.shape, dtype=np.complex128)
+    mant.real = re_part
+    mant.imag = im_part
+    return BiSeries(kappa_t, kappa_z, mant, exp10, normalized=True)
+
+
+def special_grid(rows=50, cols=60, seed=3):
+    rng = np.random.default_rng(seed)
+    re_part = rng.normal(size=(rows, cols))
+    im_part = rng.normal(size=(rows, cols))
+    re_part.flat[::3] = np.resize(SPECIALS, re_part.flat[::3].shape)
+    im_part.flat[::4] = np.resize(SPECIALS[::-1], im_part.flat[::4].shape)
+    exp10 = rng.integers(-10, 10, size=(rows, cols))
+    exp10.flat[::5] = np.resize([10**15 - 1, -10**15 + 1, 10**15, -10**15,
+                                 2**62, -2**62, 0], exp10.flat[::5].shape)
+    return grid(re_part, im_part, exp10)
+
+
+def signed_zero_grid():
+    z = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]])
+    return grid(z, z[:, ::-1].copy(), np.zeros(z.shape, dtype=np.int64))
+
+
+def format_cases():
+    rng = np.random.default_rng(11)
+    sp = special_grid()
+    distinct = grid(rng.normal(size=(30, 40)), rng.normal(size=(30, 40)),
+                    rng.integers(-300, 300, size=(30, 40)))
+    repeated = grid(rng.choice([1.0, -0.0, 2.5], size=(40, 30)),
+                    np.zeros((40, 30)),
+                    rng.choice([0, 7], size=(40, 30)))
+    wave, heat = solved("wave", 200), solved("heat", 200)
+    return {
+        "specials": sp,
+        "signed_zeros": signed_zero_grid(),
+        "one_cell": grid(np.array([[-0.0]]), np.array([[np.nan]]),
+                         np.array([[-10**15]])),
+        "empty_series": RamifiedSeries(3, np.zeros(0, dtype=np.complex128),
+                                       np.zeros(0, dtype=np.int64),
+                                       normalized=True),
+        "truncate_to": sp.truncate_to(20, 33),
+        "extract_col": sp.extract_col(7),
+        "extract_row": sp.extract_row(5),
+        "all_distinct": distinct,
+        "repeated": repeated,
+        "wave@200": wave,
+        "heat@200": heat,
+        "wave_col": wave.extract_col(0),
+        "heat_view": heat.truncate_to(150, 120),
+    }
+
+
+def test_dumps_matches_percell_formatter():
+    for name, s in format_cases().items():
+        assert s.dumps() == percell_dumps(s), name
+
+
+def _bits_equal(a, b):
+    """Same mantissa bits and exponents; NaN components compare by isnan."""
+    for x, y in ((a.mant.real, b.mant.real), (a.mant.imag, b.mant.imag)):
+        nan = np.isnan(x)
+        assert np.array_equal(nan, np.isnan(y))
+        assert np.array_equal(x.view(np.int64)[~nan], y.view(np.int64)[~nan])
+    assert np.array_equal(a.exp10, b.exp10)
+
+
+def test_dumps_loads_is_bitwise():
+    heat, sp = solved("heat", 60, width=41), special_grid()
+    for s in (heat, signed_zero_grid(), sp, heat.extract_col(3),
+              sp.extract_row(2)):
+        back = type(s).loads(s.dumps())
+        assert back.mant.shape == s.mant.shape
+        _bits_equal(s, back)
