@@ -5,15 +5,21 @@ one time per kernel.  Then come the moment tables of the operator layer,
 `MomentFunction.log_eval_array` over n arguments and
 `scaled.from_log10_array` over n decimal logs, and the text serializer
 `BiSeries.dumps` on a square grid of min(201, isqrt(n)) rows of the
-normalized inputs.
+normalized inputs.  Last come the Pade layer's two costs, independent of
+n: `diagonal_pade` plus `significant_poles` at M = 110 on a seeded real
+series with a branch point at 1, and `integrate_segment` of that
+approximant's Laplace integrand along a ray.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
 import argparse
+import cmath
 import math
 import time
 
 import numpy as np
+
+PADE_M = 110
 
 
 def make_inputs(n, rng):
@@ -29,6 +35,14 @@ def grid_side(n):
     return min(201, math.isqrt(n))
 
 
+def pade_series(rng):
+    """Seeded real coefficients of (1 - x)^(-1/2), perturbed by 1%."""
+    j = np.arange(2 * PADE_M + 1)
+    lg = np.array([math.lgamma(2 * k + 1) - 2 * math.lgamma(k + 1)
+                   for k in j]) - j * math.log(4.0)
+    return np.exp(lg) * (1.0 + 0.01 * rng.standard_normal(len(j)))
+
+
 def bench(fn, reps):
     fn()  # warm up
     t0 = time.perf_counter()
@@ -41,6 +55,8 @@ def run(n, reps):
     from msumma import BiSeries
     from msumma import _kernels as K
     from msumma.moments import MomentFunction
+    from msumma.pade import diagonal_pade
+    from msumma.quadrature import integrate_segment
     from msumma.scaled import from_log10_array
 
     rng = np.random.default_rng(0)
@@ -67,6 +83,14 @@ def run(n, reps):
     grid = BiSeries(1, 1, nm1[:side * side].reshape(side, side),
                     ne1[:side * side].reshape(side, side), normalized=True)
     results["BiSeries.dumps"] = bench(grid.dumps, reps)
+    coeffs = pade_series(rng)
+    results[f"pade M={PADE_M}"] = bench(
+        lambda: diagonal_pade(coeffs, PADE_M).significant_poles(), reps)
+    ap = diagonal_pade(coeffs, PADE_M)
+    t = 0.05
+    results["integrate_segment"] = bench(
+        lambda: integrate_segment(lambda x: ap(x) * np.exp(-x / t) / t,
+                                  0.0, 1.5 * cmath.exp(0.5j)), reps)
     return results
 
 
@@ -79,7 +103,8 @@ def main():
     results = run(args.n, args.reps)
     side = grid_side(args.n)
     print(f"array length {args.n} (eval_scaled: 400 terms, "
-          f"BiSeries.dumps: {side}x{side} grid), {args.reps} reps\n")
+          f"BiSeries.dumps: {side}x{side} grid, Pade: {2 * PADE_M + 1} "
+          f"coefficients), {args.reps} reps\n")
     print(f"{'kernel':<16} {'ms':>10}")
     for key, t in results.items():
         print(f"{key:<16} {t * 1e3:>10.3f}")

@@ -113,10 +113,12 @@ def borel_singularities(a: RamifiedSeries, method: str = "pade_poles"
                         ) -> SingularitySet:
     """Singularities of the analytic continuation of a finite-radius series.
 
-    Diagonal Pade pole clusters stable across three consecutive orders are
-    reported; the ratio-test radius corroborates.  With no stable pole the
-    result is flagged inconclusive unless the coefficients decay (entire-
-    type growth), which is a no-singularity finding.
+    Diagonal Pade pole clusters that stable_poles finds stable are
+    reported: its three requests at N, N-1 and N-2 coefficients compare
+    only two distinct approximants.  The ratio-test radius corroborates.
+    With no stable pole the result is flagged inconclusive unless the
+    coefficients decay (entire-type growth), which is a no-singularity
+    finding.
     """
     if method not in ("pade_poles", "ratio_test"):
         raise ValueError(f"unknown method {method!r}")
@@ -153,9 +155,12 @@ def borel_singularities(a: RamifiedSeries, method: str = "pade_poles"
 # Directions and verdicts
 
 def _mod_2pi(d: float) -> float:
+    """d reduced into [0, 2 pi)."""
     out = math.fmod(d, 2.0 * math.pi)
     if out < 0:
         out += 2.0 * math.pi
+        if out == 2.0 * math.pi:  # a tiny negative d rounds up to 2 pi
+            out = 0.0
     return out
 
 

@@ -120,6 +120,14 @@ def test_singular_directions_square_root_level():
     assert any(abs(d) < 1e-9 or abs(d - 2 * math.pi) < 1e-9 for d in dirs)
 
 
+def test_mod_2pi_stays_below_two_pi():
+    # fmod(-1e-17, 2 pi) + 2 pi rounds to 2 pi, outside [0, 2 pi)
+    assert ms.analysis._mod_2pi(-1e-17) == 0.0
+    assert ms.analysis._mod_2pi(-1.0) == 2 * math.pi - 1.0
+    pts = (ms.analysis.SingularPoint(1.0 - 1e-16j, 1e-3),)
+    assert singular_directions_for_root(pts, Fraction(1), 1.0, 1) == [0.0]
+
+
 def test_singular_directions_rotated_root():
     # arg lam shifts every singular direction by -arg lam
     pts = (ms.analysis.SingularPoint(0.5 + 0j, 1e-3),)

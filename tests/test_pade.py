@@ -11,8 +11,8 @@ import pytest
 import msumma as ms
 from msumma import RamifiedSeries
 from msumma import pade
-from msumma.pade import (_scaled_coeffs, diagonal_pade, geometric_slope,
-                         ratio_radius, stable_poles)
+from msumma.pade import (_scaled_coeffs, _solve_pade, diagonal_pade,
+                         geometric_slope, ratio_radius, stable_poles)
 
 
 def test_geometric_pole_located():
@@ -66,6 +66,62 @@ def test_rotation_equivariance():
     p0 = stable_poles(c)[0][0]
     p1 = stable_poles(rotated)[0][0]
     assert abs(p1 - p0 / phase) < 1e-6 * abs(p0)
+
+
+def test_rotated_series_keeps_the_complex_path():
+    # complex coefficients: the denominator is rooted in complex arithmetic
+    # exactly as np.roots does it, and the stable pole is the one this
+    # series has always given, e^{-0.7i}/3 to 4e-16
+    c = np.array([3.0**j for j in range(36)], dtype=complex)
+    rotated = c * np.exp(1j * 0.7) ** np.arange(36)
+    ap = diagonal_pade(rotated, 18)
+    assert ap.den.coeffs.imag.any()
+    ref = np.roots(ap.den.coeffs) * ap.r
+    assert np.array_equal(ap.poles(), ref[np.argsort(np.abs(ref))])
+    p1 = stable_poles(rotated)[0][0]
+    known = 0.25494739576149617 - 0.2147392290792305j
+    assert abs(p1 - known) <= 1e-12 * abs(known)
+
+
+def bits(v):
+    return np.asarray(v).tobytes()
+
+
+@pytest.mark.parametrize("L, M", [(4, 7), (6, 6), (8, 3)])
+def test_call_matches_polyval(L, M):
+    # one stacked Horner loop gives what np.polyval gives per polynomial
+    c = two_pole_coeffs(L + M + 1) * np.exp(0.3j) ** np.arange(L + M + 1)
+    c = c + np.array([1.0 / math.factorial(j) for j in range(L + M + 1)])
+    ap = diagonal_pade(c, M, L)
+    assert ap.order == (L, M)
+    for x in (0.3 - 0.2j, np.array(0.4),
+              np.linspace(-0.6, 0.6, 12).reshape(3, 4) * (1 + 0.5j)):
+        y = np.asarray(x, dtype=np.complex128) / ap.r
+        ref = np.polyval(ap.num.coeffs, y) / np.polyval(ap.den.coeffs, y)
+        out = ap(x)
+        assert type(out) is type(ref)
+        assert np.shape(out) == np.shape(ref)
+        assert bits(out) == bits(ref)
+
+
+@pytest.mark.parametrize("coeffs, pole", [
+    ([4.0**j for j in range(40)], 0.25),
+    (np.ones(40), 1.0),
+])
+def test_real_series_gives_real_poles(coeffs, pole):
+    # real coefficients are rooted in real arithmetic; the solve itself
+    # stays complex and matches a complex128 solve bit for bit
+    ap = diagonal_pade(coeffs, 20)
+    for p in (ap.poles(), ap.significant_poles()):
+        assert p.dtype == np.complex128
+        assert not p.imag.any()
+    assert abs(ap.poles()[0] - pole) < 1e-12
+    d, _ = _scaled_coeffs(coeffs)
+    assert d.dtype == np.complex128
+    num, den = _solve_pade(d, *ap.order)
+    assert ap.num.coeffs.dtype == ap.den.coeffs.dtype == np.complex128
+    assert bits(ap.num.coeffs) == bits(num.coeffs)
+    assert bits(ap.den.coeffs) == bits(den.coeffs)
 
 
 def test_ratio_radius():
