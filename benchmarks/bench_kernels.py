@@ -5,10 +5,13 @@ one time per kernel.  Then come the moment tables of the operator layer,
 `MomentFunction.log_eval_array` over n arguments and
 `scaled.from_log10_array` over n decimal logs, and the text serializer
 `BiSeries.dumps` on a square grid of min(201, isqrt(n)) rows of the
-normalized inputs.  Last come the Pade layer's two costs, independent of
+normalized inputs.  Then come the Pade layer's two costs, independent of
 n: `diagonal_pade` plus `significant_poles` at M = 110 on a seeded real
 series with a branch point at 1, and `integrate_segment` of that
-approximant's Laplace integrand along a ray.
+approximant's Laplace integrand along a ray.  Last, also independent of n,
+comes `solve_constant_leading` on (L - 3Z)(L + 7Z) with data 1/(1-z) at
+trunc_t 200 and 21 output columns: its recurrence multiplies by s = -4 and
+21, so its rows grow out of the mantissa range and are renormalized.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
@@ -20,6 +23,7 @@ import time
 import numpy as np
 
 PADE_M = 110
+SOLVE_TRUNC_T = 200
 
 
 def make_inputs(n, rng):
@@ -43,6 +47,19 @@ def pade_series(rng):
     return np.exp(lg) * (1.0 + 0.01 * rng.standard_normal(len(j)))
 
 
+def recurrence_problem():
+    """(L - 3Z)(L + 7Z) with data 1/(1-z) in both rows, 21 output columns."""
+    from msumma import GAMMA_1, CharPolynomial, PdeProblem, RamifiedSeries
+    from msumma.solver import required_z_truncation
+
+    L, Z = CharPolynomial.lam(), CharPolynomial.zeta()
+    P = (L - Z.scale(3.0)) * (L + Z.scale(7.0))
+    nz = required_z_truncation(P, 1, SOLVE_TRUNC_T) + 21
+    data = tuple(RamifiedSeries.from_complex(1, np.ones(nz)) for _ in range(2))
+    return PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1, data=data,
+                      trunc_t=SOLVE_TRUNC_T)
+
+
 def bench(fn, reps):
     fn()  # warm up
     t0 = time.perf_counter()
@@ -58,6 +75,7 @@ def run(n, reps):
     from msumma.pade import diagonal_pade
     from msumma.quadrature import integrate_segment
     from msumma.scaled import from_log10_array
+    from msumma.solver import solve_constant_leading
 
     rng = np.random.default_rng(0)
     m1, e1, m2, e2 = make_inputs(n, rng)
@@ -91,6 +109,9 @@ def run(n, reps):
     results["integrate_segment"] = bench(
         lambda: integrate_segment(lambda x: ap(x) * np.exp(-x / t) / t,
                                   0.0, 1.5 * cmath.exp(0.5j)), reps)
+    prob = recurrence_problem()
+    results["solve_constant_leading"] = bench(
+        lambda: solve_constant_leading(prob), reps)
     return results
 
 
@@ -104,10 +125,11 @@ def main():
     side = grid_side(args.n)
     print(f"array length {args.n} (eval_scaled: 400 terms, "
           f"BiSeries.dumps: {side}x{side} grid, Pade: {2 * PADE_M + 1} "
-          f"coefficients), {args.reps} reps\n")
-    print(f"{'kernel':<16} {'ms':>10}")
+          f"coefficients, solve: trunc_t {SOLVE_TRUNC_T}), {args.reps} reps\n")
+    w = max(len(key) for key in results)
+    print(f"{'kernel':<{w}} {'ms':>10}")
     for key, t in results.items():
-        print(f"{key:<16} {t * 1e3:>10.3f}")
+        print(f"{key:<{w}} {t * 1e3:>10.3f}")
 
 
 if __name__ == "__main__":

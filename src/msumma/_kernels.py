@@ -12,6 +12,11 @@ Both rescale with the same table of libm powers of ten (numpy's vectorized
 power is an ulp off libm on some exponents), and `normalize` hands the
 entries next to a power of ten to `norm1`, so an array entry and a scalar
 come out bit for bit alike.
+
+Every array these kernels return is normalized.  The one exception is the
+private `_aligned_sum`, the first step of `add`: the solver's recurrence
+builds its rows with it and keeps them unnormalized while their mantissas
+stay in range (see `solver.solve_constant_leading`).
 """
 from __future__ import annotations
 
@@ -109,8 +114,12 @@ def normalize(mant, exp10):
     return m, e
 
 
-def add(m1, e1, m2, e2):
-    """Elementwise sum of two scaled arrays, normalized."""
+def _aligned_sum(m1, e1, m2, e2):
+    """Elementwise sum at the larger exponent of each pair, not normalized.
+
+    The operand with the smaller exponent is scaled down by a table power
+    of ten; a zero operand does not set the exponent.
+    """
     m1 = np.asarray(m1, dtype=np.complex128)
     m2 = np.asarray(m2, dtype=np.complex128)
     e1 = np.asarray(e1, dtype=np.int64)
@@ -121,7 +130,12 @@ def add(m1, e1, m2, e2):
     E = np.where(E == _MIN_EXP, 0, E)
     p1 = _POW10_ARRAY[_MAX_SHIFT + np.clip(e1f - E, -_MAX_SHIFT, 0)]
     p2 = _POW10_ARRAY[_MAX_SHIFT + np.clip(e2f - E, -_MAX_SHIFT, 0)]
-    return normalize(m1 * p1 + m2 * p2, E)
+    return m1 * p1 + m2 * p2, E
+
+
+def add(m1, e1, m2, e2):
+    """Elementwise sum of two scaled arrays, normalized."""
+    return normalize(*_aligned_sum(m1, e1, m2, e2))
 
 
 def mul(m1, e1, m2, e2):

@@ -49,7 +49,8 @@ class PadeApproximant:
         rows = self._horner_rows.reshape((-1, 2) + (1,) * np.ndim(y))
         acc = np.zeros((2,) + np.shape(y), dtype=np.complex128)
         for row in rows:
-            acc = acc * y + row
+            acc *= y
+            acc += row
         return acc[0] / acc[1]
 
     @cached_property
@@ -115,14 +116,22 @@ class PadeApproximant:
 def _scaled_coeffs(a) -> tuple[np.ndarray, float]:
     """Flatten |c_j| ~ 10^(s*j) to d_j = c_j * r^j with r = 10^(-s)."""
     if isinstance(a, RamifiedSeries):
-        logs = a.log10_abs()
-        slope = geometric_slope(logs)
+        slope = geometric_slope(a.log10_abs())
         out = np.zeros(len(a), dtype=np.complex128)
-        for j in range(len(a)):
-            c = a[j]
-            if c:
-                mag = 10.0 ** (c.log10_abs() - slope * j)
-                out[j] = mag * c.mantissa / abs(c.mantissa)
+        j = np.flatnonzero(a.mant)
+        m = a.mant[j]
+        # libm hypot, log10 and pow, as abs(complex), ScaledComplex.log10_abs
+        # and Python's float power: numpy's complex abs and its vectorized
+        # log10 and power are an ulp off on some entries
+        am = np.hypot(m.real, m.imag)
+        x = (np.fromiter(map(math.log10, am.tolist()), np.float64, len(j))
+             + a.exp10[j] - slope * j)
+        mag = np.fromiter((10.0 ** v for v in x.tolist()), np.float64, len(j))
+        t = mag * m
+        # the steps of Python's complex / float, a division by (am, 0.0):
+        # a plain t / am gives the other sign on some zero parts
+        out.real[j] = (t.real + t.imag * 0.0) / am
+        out.imag[j] = (t.imag - t.real * 0.0) / am
         return out, 10.0 ** (-slope)
     a = np.asarray(a, dtype=np.complex128)
     with np.errstate(divide="ignore"):

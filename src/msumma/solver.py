@@ -36,6 +36,11 @@ from .series import BiSeries, RamifiedSeries
 
 RECONSTRUCT_TOL = 1e-9  # relative; monomial-exactness of the factorization
 _DENORM_ROWS = 32  # rows per K.mul call in _denormalize; bounds its temporaries
+# Recurrence rows stay unnormalized while every nonzero |mantissa| lies in
+# this range.  From inside it, one more row (each term's |s mantissa| < 10),
+# the alignment of terms up to 10^400 apart and _denormalize's two table
+# factors all stay far from overflow and from subnormal mantissas.
+_ROW_MANT_MIN, _ROW_MANT_MAX = 1e-50, 1e50
 
 
 @dataclass(frozen=True)
@@ -73,40 +78,52 @@ class PdeProblem:
 
 def _normalized_data_row(phi: RamifiedSeries, m1: MomentFunction,
                          m2: MomentFunction) -> RamifiedSeries:
-    """c_{jn} = phi_n * m1(0) * m2(n/kappa) for a Cauchy row."""
+    """c_{jn} = phi_n * m1(0) * m2(n/kappa) for a Cauchy row.
+
+    m1(0) is folded into the m2 table, so the row is normalized once.
+    """
     fm, fe = from_log10_array(
         m2.log_eval_array(np.arange(len(phi)) / phi.kappa) * LOG10_E)
-    rm, re = K.mul(phi.mant, phi.exp10, fm, fe)
     m10 = m1.eval_scaled(0.0)
-    rm, re = K.scale(rm, re, m10.mantissa, m10.exp10)
+    rm, re = K.mul(phi.mant, phi.exp10, fm * m10.mantissa,
+                   fe + np.int64(m10.exp10))
     return RamifiedSeries(phi.kappa, rm, re, normalized=True)
 
 
-def _denormalize(c: BiSeries, m1: MomentFunction, m2: MomentFunction
-                 ) -> BiSeries:
-    """u_{jn} = c_{jn} / (m1(j) m2(n/kappa)).
+def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
+                 m1: MomentFunction, m2: MomentFunction) -> BiSeries:
+    """u_{jn} = c_{jn} / (m1(j) m2(n/kappa)) for the scaled grid (cm, ce).
 
-    The divisor is separable: one scaled table 1/m1(j) and one 1/m2(n/kappa),
-    each from one `from_log10_array` call.  Blocks of _DENORM_ROWS rows are
-    then multiplied by both tables in one `K.mul` call on raveled arrays, so
-    no grid-sized temporary is built and no work is done per cell in Python.
+    The grid need not be normalized: every output cell is normalized once,
+    by the `K.mul` of its block.  The divisor is separable: one scaled table
+    1/m1(j) and one 1/m2(n/kappa), each from one `from_log10_array` call.
+    Blocks of _DENORM_ROWS rows are then multiplied by both tables in one
+    `K.mul` call on raveled arrays, so no grid-sized temporary is built and
+    no work is done per cell in Python.
     """
-    nt, nz = c.mant.shape
+    nt, nz = cm.shape
     f1m, f1e = from_log10_array(
         -m1.log_eval_array(np.arange(nt, dtype=np.float64)) * LOG10_E)
     f2m, f2e = from_log10_array(
-        -m2.log_eval_array(np.arange(nz) / c.kappa_z) * LOG10_E)
-    mant = np.empty_like(c.mant)
-    exp = np.empty_like(c.exp10)
+        -m2.log_eval_array(np.arange(nz) / kappa) * LOG10_E)
+    mant = np.empty_like(cm)
+    exp = np.empty_like(ce)
     for j0 in range(0, nt, _DENORM_ROWS):
         rows = slice(j0, j0 + _DENORM_ROWS)
         nb = min(_DENORM_ROWS, nt - j0)
-        bm, be = K.mul((c.mant[rows] * f1m[rows, None]).ravel(),
-                       (c.exp10[rows] + f1e[rows, None]).ravel(),
+        bm, be = K.mul((cm[rows] * f1m[rows, None]).ravel(),
+                       (ce[rows] + f1e[rows, None]).ravel(),
                        np.tile(f2m, nb), np.tile(f2e, nb))
         mant[rows] = bm.reshape(nb, nz)
         exp[rows] = be.reshape(nb, nz)
-    return BiSeries(1, c.kappa_z, mant, exp, normalized=True)
+    return BiSeries(1, kappa, mant, exp, normalized=True)
+
+
+def _leaves_range(m: np.ndarray) -> bool:
+    """True when a nonzero |m| lies outside [_ROW_MANT_MIN, _ROW_MANT_MAX]."""
+    a = np.abs(m)
+    return bool(a.max() > _ROW_MANT_MAX
+                or a.min(where=a > 0.0, initial=np.inf) < _ROW_MANT_MIN)
 
 
 def required_z_truncation(P: CharPolynomial, kappa: int, trunc_t: int) -> int:
@@ -123,6 +140,14 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
     Row j + n_lam is solved from rows j..j+n_lam-1; every block of n_lam
     t-steps consumes max_b * kappa z-orders of the data, so the output is
     the rectangle trunc_z - required_z_truncation wide.
+
+    A row is the raw sum of its terms: each term is a source row times the
+    scaled scalar s, mantissas multiplied and exponents added, and further
+    terms join by the exponent alignment of `K.add` without its normalize.
+    The row is normalized only when a nonzero mantissa leaves
+    [_ROW_MANT_MIN, _ROW_MANT_MAX], so a recurrence with |s| = 1 normalizes
+    no row at all.  The unnormalized grid goes to `_denormalize`, which
+    normalizes every output cell once.
     """
     P, m1, m2 = prob.P, prob.m1, prob.m2
     p0 = P.leading_constant()
@@ -158,22 +183,20 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
                 f"data trunc_z >= {required_z_truncation(P, kappa, nt)} "
                 f"(got {nz_in})")
         (a, shift, s), *rest = lower
-        acc_m, acc_e = K.scale(cm[j + a, shift:shift + width],
-                               ce[j + a, shift:shift + width],
-                               s.mantissa, s.exp10)
+        acc_m = cm[j + a, shift:shift + width] * s.mantissa
+        acc_e = ce[j + a, shift:shift + width] + s.exp10
         for a, shift, s in rest:
-            acc_m, acc_e = K.axpy_shift(acc_m, acc_e,
-                                        cm[j + a, shift:shift + width],
-                                        ce[j + a, shift:shift + width],
-                                        s.mantissa, s.exp10, 0)
+            acc_m, acc_e = K._aligned_sum(
+                acc_m, acc_e, cm[j + a, shift:shift + width] * s.mantissa,
+                ce[j + a, shift:shift + width] + s.exp10)
+        if _leaves_range(acc_m):
+            acc_m, acc_e = K.normalize(acc_m, acc_e)
         cm[j2, :width] = acc_m
         ce[j2, :width] = acc_e
         valid[j2] = width
 
     nz_out = int(valid[:nt + 1].min()) - 1
-    c = BiSeries(1, kappa, cm[:, :nz_out + 1], ce[:, :nz_out + 1],
-                 normalized=True)
-    return _denormalize(c, m1, m2)
+    return _denormalize(cm[:, :nz_out + 1], ce[:, :nz_out + 1], kappa, m1, m2)
 
 
 def solve_simple(lam: complex, q, beta: int, m1: MomentFunction,

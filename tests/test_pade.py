@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -122,6 +123,64 @@ def test_real_series_gives_real_poles(coeffs, pole):
     assert ap.num.coeffs.dtype == ap.den.coeffs.dtype == np.complex128
     assert bits(ap.num.coeffs) == bits(num.coeffs)
     assert bits(ap.den.coeffs) == bits(den.coeffs)
+
+
+def scaled_coeffs_loop(a):
+    """Per-coefficient reference of _scaled_coeffs on a RamifiedSeries."""
+    slope = geometric_slope(a.log10_abs())
+    out = np.zeros(len(a), dtype=np.complex128)
+    for j in range(len(a)):
+        c = a[j]
+        if c:
+            mag = 10.0 ** (c.log10_abs() - slope * j)
+            out[j] = mag * c.mantissa / abs(c.mantissa)
+    return out, 10.0 ** (-slope)
+
+
+def pade_ladder_series():
+    """The series heat and divergent_data hand to Pade at trunc_t 60..200.
+
+    For each: the Borel transform of u(t, 0) at the problem's level, and
+    each Cauchy row as the verdict reads it (Borel transformed at
+    gevrey_s when the data diverge); 20 output columns, as in pipebench.
+    """
+    from msumma.characteristic import newton_polygon_roots, summability_levels
+    from msumma.moments import MomentFunction
+    from msumma.operators import borel
+    from msumma.solver import required_z_truncation
+
+    out = []
+    for name in ("heat", "divergent_data"):
+        pf = ms.dsl.parse_problem(
+            (Path(__file__).parent / "data" / f"{name}.mpde").read_text())
+        for trunc_t in (60, 120, 200):
+            need = required_z_truncation(pf.equation, pf.kappa, trunc_t)
+            prob = dataclasses.replace(pf, trunc_t=trunc_t,
+                                       trunc_z=need + 20).to_problem()
+            roots = newton_polygon_roots(prob.P)
+            (_, K), = summability_levels(roots, prob.m1.order(),
+                                         prob.m2.order(), prob.gevrey_s)
+            diag = ms.solve_constant_leading(prob).extract_col(0)
+            out.append(borel(MomentFunction.gamma(1 / K), diag))
+            for phi in prob.data:
+                s = prob.gevrey_s
+                out.append(borel(MomentFunction.gamma(s), phi) if s else phi)
+    return out
+
+
+def test_scaled_coeffs_matches_per_coefficient_loop():
+    # bit for bit, signed zeros included: negation gives the real series
+    # imaginary parts of -0.0; one series also has zero coefficients
+    series = pade_ladder_series()
+    series += [-a for a in series]
+    series.append(RamifiedSeries.from_complex(
+        1, two_pole_coeffs(30) * np.exp(0.4j) ** np.arange(30)
+        * (np.arange(30) % 3 != 1)))
+    for a in series:
+        d, r = _scaled_coeffs(a)
+        d_ref, r_ref = scaled_coeffs_loop(a)
+        assert bits(d) == bits(d_ref)
+        assert r == r_ref
 
 
 def test_ratio_radius():

@@ -226,7 +226,7 @@ def test_solve_moment_work_does_not_grow_with_grid(monkeypatch):
 
 
 def test_solve_normalizes_once_per_recurrence_term(monkeypatch):
-    # (L - Z)(L + 2Z) has two lower terms: each extra row costs one
+    # (L - Z)(L + 2Z) has two lower terms: each extra row costs at most one
     # normalize per term, plus at most one per block of denormalized rows
     normalize = _count_calls(monkeypatch, K, "normalize")
     P = (L - Z) * (L + Z.scale(2.0))
@@ -241,6 +241,39 @@ def test_solve_normalizes_once_per_recurrence_term(monkeypatch):
     assert counts[1] - counts[0] <= 2 * 50 + 4
 
 
+def test_heat_normalizes_only_its_denormalized_blocks(monkeypatch):
+    # heat's recurrence multiplies by s = 1, so its rows never leave the
+    # mantissa range: a deeper solve adds only _denormalize's K.mul blocks
+    normalize = _count_calls(monkeypatch, K, "normalize")
+    counts = {}
+    for trunc_t in (50, 200):
+        need = required_z_truncation(L - Z**2, 1, trunc_t)
+        prob = PdeProblem(P=L - Z**2, m1=GAMMA_1, m2=GAMMA_1,
+                          data=geometric_data(1, need + 21), trunc_t=trunc_t)
+        normalize[0] = 0
+        solve_constant_leading(prob)
+        counts[trunc_t] = normalize[0]
+    blocks = {t: -(-(t + 1) // ms.solver._DENORM_ROWS) for t in counts}
+    assert counts[200] - counts[50] == blocks[200] - blocks[50]
+
+
+def worst_error(u, exact):
+    """Largest |u_jn - exact(j, n)| / max(|exact(j, n)|, 1) over the grid.
+
+    Each cell is read as the exact rational mant * 10**exp10.
+    """
+    worst = 0.0
+    for j in range(u.mant.shape[0]):
+        for n in range(u.mant.shape[1]):
+            want = exact(j, n)
+            m = complex(u.mant[j, n])
+            p10 = Fraction(10) ** int(u.exp10[j, n])
+            err = (abs(Fraction(m.real) * p10 - want)
+                   + abs(Fraction(m.imag)) * p10) / max(abs(want), 1)
+            worst = max(worst, float(err))
+    return worst
+
+
 def test_heat_grid_matches_exact_integers_at_depth():
     # coefficient of t^j z^n is (2j+n)!/(j! n!), far past double range
     trunc_t, width = 200, 21
@@ -249,15 +282,50 @@ def test_heat_grid_matches_exact_integers_at_depth():
                       data=geometric_data(1, need + width), trunc_t=trunc_t)
     u = solve_constant_leading(prob)
     assert u.mant.shape == (trunc_t + 1, width)
-    worst = 0.0
-    for j in range(trunc_t + 1):
-        for n in range(width):
-            exact = (math.factorial(2 * j + n)
-                     // (math.factorial(j) * math.factorial(n)))
-            m = complex(u.mant[j, n])
-            e = int(u.exp10[j, n])
-            got = Fraction(m.real) * Fraction(10) ** e
-            err = (abs(got - exact) / exact
-                   + abs(Fraction(m.imag)) * Fraction(10) ** e / exact)
-            worst = max(worst, float(err))
-    assert worst <= 1e-12
+    assert worst_error(u, lambda j, n: math.factorial(2 * j + n)
+                       // (math.factorial(j) * math.factorial(n))) <= 1e-12
+
+
+def exact_normalized_rows(P, trunc_t, nz):
+    """Integer rows c_jn of the recurrence for data 1/(1-z) in every row.
+
+    With Gamma(1) moments a data row is c_jn = n!, and for P with integer
+    coefficients and P_0 = 1 each further row is an integer combination of
+    earlier ones; u_jn = c_jn / (j! n!).
+    """
+    n_lam = P.lam_degree
+    lower = [(a, b, -int(p.real)) for (a, b), p in P.coeffs.items()
+             if a < n_lam]
+    c = [[math.factorial(n) for n in range(nz)] for _ in range(n_lam)]
+    for j in range(trunc_t + 1 - n_lam):
+        w = min(len(c[j + a]) - b for a, b, _ in lower)
+        c.append([sum(p * c[j + a][n + b] for a, b, p in lower)
+                  for n in range(w)])
+    return c
+
+
+@pytest.mark.parametrize("P, rescued", [
+    # s = -4 and 21: mantissas grow until the row is renormalized
+    ((L - Z.scale(3.0)) * (L + Z.scale(7.0)), True),
+    # s = 2 and -1: cancelling terms, mantissas stay in range
+    ((L - Z) ** 2, False),
+], ids=["L-3Z_L+7Z", "L-Z_squared"])
+def test_recurrence_matches_exact_integer_recurrence(monkeypatch, P, rescued):
+    leaves = []
+    leaves_range = ms.solver._leaves_range
+
+    def recorded(m):
+        leaves.append(leaves_range(m))
+        return leaves[-1]
+
+    monkeypatch.setattr(ms.solver, "_leaves_range", recorded)
+    trunc_t, width = 200, 21
+    nz = required_z_truncation(P, 1, trunc_t) + width
+    prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1,
+                      data=geometric_data(2, nz), trunc_t=trunc_t)
+    u = solve_constant_leading(prob)
+    assert u.mant.shape == (trunc_t + 1, width)
+    assert any(leaves) == rescued
+    c = exact_normalized_rows(P, trunc_t, nz)
+    assert worst_error(u, lambda j, n: Fraction(
+        c[j][n], math.factorial(j) * math.factorial(n))) <= 1e-12
