@@ -5,10 +5,13 @@ one time per kernel.  Then come the moment tables of the operator layer,
 `MomentFunction.log_eval_array` over n arguments and
 `scaled.from_log10_array` over n decimal logs, and the text serializer
 `BiSeries.dumps` on a square grid of min(201, isqrt(n)) rows of the
-normalized inputs.  Then come the Pade layer's two costs, independent of
-n: `diagonal_pade` plus `significant_poles` at M = 110 on a seeded real
-series with a branch point at 1, and `integrate_segment` of that
-approximant's Laplace integrand along a ray.  Last, also independent of n,
+normalized inputs.  Then come the Pade layer's costs, independent of n:
+`diagonal_pade` plus `significant_poles` at M = 110 on a seeded real
+series with a branch point at 1; `diagonal_pade` of 421 ones at M = 210,
+whose singular solve jumps to the rank 1 of its denominator block, the
+path of the heat verdict's data row 1/(1-z); and `integrate_segment` of
+the M = 110 approximant's Laplace integrand along a ray.  Last, also
+independent of n,
 comes `solve_constant_leading` on (L - 3Z)(L + 7Z) with data 1/(1-z) at
 trunc_t 200 and 21 output columns: its recurrence multiplies by s = -4 and
 21, so its rows grow out of the mantissa range and are renormalized.
@@ -23,6 +26,7 @@ import time
 import numpy as np
 
 PADE_M = 110
+RANK_JUMP_M = 210
 SOLVE_TRUNC_T = 200
 
 
@@ -104,6 +108,9 @@ def run(n, reps):
     coeffs = pade_series(rng)
     results[f"pade M={PADE_M}"] = bench(
         lambda: diagonal_pade(coeffs, PADE_M).significant_poles(), reps)
+    ones = np.ones(2 * RANK_JUMP_M + 1)
+    results[f"pade rank jump M={RANK_JUMP_M}"] = bench(
+        lambda: diagonal_pade(ones, RANK_JUMP_M), reps)
     ap = diagonal_pade(coeffs, PADE_M)
     t = 0.05
     results["integrate_segment"] = bench(
@@ -124,8 +131,9 @@ def main():
     results = run(args.n, args.reps)
     side = grid_side(args.n)
     print(f"array length {args.n} (eval_scaled: 400 terms, "
-          f"BiSeries.dumps: {side}x{side} grid, Pade: {2 * PADE_M + 1} "
-          f"coefficients, solve: trunc_t {SOLVE_TRUNC_T}), {args.reps} reps\n")
+          f"BiSeries.dumps: {side}x{side} grid, Pade: {2 * PADE_M + 1} and "
+          f"{2 * RANK_JUMP_M + 1} coefficients, solve: trunc_t "
+          f"{SOLVE_TRUNC_T}), {args.reps} reps\n")
     w = max(len(key) for key in results)
     print(f"{'kernel':<{w}} {'ms':>10}")
     for key, t in results.items():

@@ -10,8 +10,8 @@ the Horner loop `eval_scaled` call them.  The array kernels `normalize`,
 `add`, `mul`, `scale` and `axpy_shift` apply the same rule to numpy arrays.
 Both rescale with the same table of libm powers of ten (numpy's vectorized
 power is an ulp off libm on some exponents), and `normalize` hands the
-entries next to a power of ten to `norm1`, so an array entry and a scalar
-come out bit for bit alike.
+entries next to a power of ten, but not an exact one on an axis, to
+`norm1`, so an array entry and a scalar come out bit for bit alike.
 
 Every array these kernels return is normalized.  The one exception is the
 private `_aligned_sum`, the first step of `add`: the solver's recurrence
@@ -30,8 +30,8 @@ BACKEND = "numpy"
 _MAX_SHIFT = 400
 _MIN_EXP = np.int64(-(10**9))
 
-# _POW10[k + _MAX_SHIFT] == 10.0 ** k for k in [-_MAX_SHIFT, 300]
-_POW10 = [10.0 ** k for k in range(-_MAX_SHIFT, 301)]
+# _POW10[k + _MAX_SHIFT] == 10.0 ** k for k in [-_MAX_SHIFT, 308]
+_POW10 = [10.0 ** k for k in range(-_MAX_SHIFT, 309)]
 _POW10_ARRAY = np.array(_POW10)
 
 
@@ -83,7 +83,13 @@ def normalize(mant, exp10):
     a = np.abs(m)
     nz = (a > 0) & np.isfinite(a)
     if np.any(nz):
-        d = np.floor(np.log10(a[nz])).astype(np.int64)
+        anz = a[nz]
+        d = np.floor(np.log10(anz)).astype(np.int64)
+        # an exact power of ten with one zero component, such as a data row
+        # of ones: its abs is exact and numpy's log10 gives it libm's decade
+        exact = np.zeros(m.shape, dtype=bool)
+        exact[nz] = (anz == _POW10_ARRAY[_MAX_SHIFT + d]) & (
+            (mant.real[nz] == 0.0) | (mant.imag[nz] == 0.0))
         big = np.abs(d) > 300
         mnz = m[nz]
         h = d[big] // 2
@@ -105,8 +111,9 @@ def normalize(mant, exp10):
         # np.abs and np.log10 can be an ulp off the libm hypot and log10 of
         # norm1.  That changes the decade or the correction only for a value
         # next to a power of ten, whose rescaled magnitude a2 then lies within
-        # 1e-12 relative of 1 or 10; entries in a wider band take norm1.
-        edge = np.abs((a2 - 1.0) * (a2 - 10.0)) < 1e-9
+        # 1e-12 relative of 1 or 10; entries in a wider band take norm1,
+        # except the exact powers of ten above.
+        edge = (np.abs((a2 - 1.0) * (a2 - 10.0)) < 1e-9) & ~exact
         for i in np.flatnonzero(edge).tolist():
             m.flat[i], e.flat[i] = norm1(complex(mant.flat[i]),
                                          int(exp10.flat[i]))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import RamifiedSeries
 
@@ -142,13 +143,32 @@ def _scaled_coeffs(a) -> tuple[np.ndarray, float]:
     return a * scale, 10.0 ** (-slope)
 
 
+def _denominator_block(c: np.ndarray, L: int, M: int) -> np.ndarray:
+    """The M x (M+1) Toeplitz block c_{L+1+i-k} of [L/M], c_j = 0 for j < 0.
+
+    Row i is the equation of x^(L+1+i), column k the factor of q_k.  It is
+    a read-only strided view of c behind M zeros: row i is c_{L+1+i-M} to
+    c_{L+1+i}, reversed.
+    """
+    padded = np.concatenate((np.zeros(M, dtype=c.dtype), c[:L + M + 1]))
+    return sliding_window_view(padded, M + 1)[L + 1:, ::-1]
+
+
 def _solve_pade(c: np.ndarray, L: int, M: int) -> tuple[np.poly1d, np.poly1d]:
     """[L/M] numerator and denominator of sum c_j x^j, normalized q(0) = 1.
 
-    The (L+M+1)-square system is the one scipy.interpolate.pade builds:
-    an identity block for the numerator coefficients, then the negated,
-    reversed coefficients c_{k-1-j} for the denominator ones.  Raises
-    np.linalg.LinAlgError when it is exactly singular.
+    Only the denominator block is solved: sum_{k=1..M} q_k c_{L+i-k} =
+    -c_{L+i} for i = 1..M, one M-square Toeplitz system.  The numerator is
+    then the truncated convolution p_i = sum_{k<=min(i,M)} q_k c_{i-k},
+    i = 0..L.  Raises np.linalg.LinAlgError when the block is exactly
+    singular.
+
+    That is the linearized (L+M+1)-square system of scipy.interpolate.pade
+    (Baker & Graves-Morris, Pade Approximants, 1996) with its numerator
+    unknowns eliminated.  In that system their columns are identity columns
+    with zeros below, so partial-pivot LU pivots on them with zero
+    multipliers and leaves the lower-right M-square block as it was: the
+    full system is exactly singular when this block is.
 
     The solve stays in complex128 even for real coefficients.  Which
     solution LAPACK returns for a numerically singular system, or whether
@@ -156,15 +176,10 @@ def _solve_pade(c: np.ndarray, L: int, M: int) -> tuple[np.poly1d, np.poly1d]:
     at M = 20, the real solver gives a leading denominator coefficient of
     6e-18 and a pole near -1.7e17, where the complex one gives 2.1.
     """
-    n = L + M + 1
-    c = c[:n]
-    system = np.zeros((n, n), dtype=c.dtype)
-    system[:L + 1, :L + 1] = np.eye(L + 1)
-    lag = np.arange(n)[:, None] - 1 - np.arange(M)[None, :]
-    system[:, L + 1:] = np.where(lag >= 0, -c[np.maximum(lag, 0)], 0.0)
-    pq = np.linalg.solve(system, c)
-    q = np.concatenate(([1.0], pq[L + 1:]))
-    return np.poly1d(pq[:L + 1][::-1]), np.poly1d(q[::-1])
+    block = _denominator_block(c, L, M)
+    q = np.concatenate(([1.0], np.linalg.solve(block[:, 1:], -block[:, 0])))
+    p = np.convolve(q, c[:L + 1])[:L + 1]
+    return np.poly1d(p[::-1]), np.poly1d(q[::-1])
 
 
 def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
@@ -179,9 +194,7 @@ def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
     """
     if not c.imag.any():
         c = c.real  # a real block takes the real SVD, about twice as fast
-    lag = L + 1 + np.arange(M)[:, None] - np.arange(M + 1)[None, :]
-    block = np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
-    sv = np.linalg.svd(block, compute_uv=False)
+    sv = np.linalg.svd(_denominator_block(c, L, M), compute_uv=False)
     tol = max(RANK_TOL * np.linalg.norm(c[:L + M + 1]),
               (M + 1) * np.finfo(float).eps * sv[0])
     return int(np.count_nonzero(sv > tol))

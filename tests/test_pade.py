@@ -110,8 +110,9 @@ def test_call_matches_polyval(L, M):
     (np.ones(40), 1.0),
 ])
 def test_real_series_gives_real_poles(coeffs, pole):
-    # real coefficients are rooted in real arithmetic; the solve itself
-    # stays complex and matches a complex128 solve bit for bit
+    # real coefficients are rooted in real arithmetic; the M-square
+    # denominator solve stays complex (a real one changes which near-singular
+    # blocks LAPACK reports) and matches a complex128 solve bit for bit
     ap = diagonal_pade(coeffs, 20)
     for p in (ap.poles(), ap.significant_poles()):
         assert p.dtype == np.complex128
@@ -123,6 +124,105 @@ def test_real_series_gives_real_poles(coeffs, pole):
     assert ap.num.coeffs.dtype == ap.den.coeffs.dtype == np.complex128
     assert bits(ap.num.coeffs) == bits(num.coeffs)
     assert bits(ap.den.coeffs) == bits(den.coeffs)
+
+
+def sqrt_series(n, rng):
+    """Seeded coefficients of (1 - x)^(-1/2), each perturbed by 1%."""
+    c = np.array([math.comb(2 * j, j) / 4.0**j for j in range(n)])
+    return c * (1.0 + 0.01 * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("M", [10, 30, 60])
+def test_solve_matches_mpmath_pade(M):
+    import mpmath
+    L = M - 1
+    c = sqrt_series(L + M + 1, np.random.default_rng(M))
+    with mpmath.workdps(80):
+        p, q = mpmath.pade([mpmath.mpf(v) for v in c.tolist()], L, M)
+    p = np.array([complex(v) for v in p])
+    q = np.array([complex(v) for v in q])
+    num, den = _solve_pade(c.astype(np.complex128), L, M)
+    assert num.order == L and den.order == M
+    for got, ref in ((num.coeffs[::-1], p), (den.coeffs[::-1], q)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def full_system_pade(c, L, M):
+    """[L/M] from the (L+M+1)-square linearized system, numerator unknowns kept.
+
+    The form scipy.interpolate.pade builds: an identity block for the
+    numerator coefficients, then the negated, shifted coefficients
+    c_{k-1-j} for the denominator ones.
+    """
+    n = L + M + 1
+    c = c[:n]
+    system = np.zeros((n, n), dtype=c.dtype)
+    system[:L + 1, :L + 1] = np.eye(L + 1)
+    lag = np.arange(n)[:, None] - 1 - np.arange(M)[None, :]
+    system[:, L + 1:] = np.where(lag >= 0, -c[np.maximum(lag, 0)], 0.0)
+    pq = np.linalg.solve(system, c)
+    q = np.concatenate(([1.0], pq[L + 1:]))
+    return np.poly1d(pq[:L + 1][::-1]), np.poly1d(q[::-1])
+
+
+def one_plus_x_over_one_plus_x2(n):
+    """Coefficients 1, 1, -1, -1, ... of (1 + x) / (1 + x^2), a [1/2] rational."""
+    return np.array([(1.0, 1.0, -1.0, -1.0)[j % 4] for j in range(n)])
+
+
+@pytest.mark.parametrize("c", [
+    np.zeros(30), np.ones(30), 4.0 ** np.arange(30),
+    one_plus_x_over_one_plus_x2(30),
+], ids=["zero", "ones", "4^j", "[1/2]"])
+def test_singular_where_full_system_is(c):
+    # the identity columns pivot with zero multipliers, so the full system
+    # is exactly singular when its denominator block is
+    c = c.astype(np.complex128)
+    for M in range(3, 10):
+        for L in (M - 1, M):
+            for solve in (_solve_pade, full_system_pade):
+                with pytest.raises(np.linalg.LinAlgError):
+                    solve(c, L, M)
+
+
+def test_rational_input_is_recovered_at_its_order():
+    c = one_plus_x_over_one_plus_x2(4).astype(np.complex128)
+    num, den = _solve_pade(c, 1, 2)
+    assert np.array_equal(num.coeffs, [1.0, 1.0])
+    assert np.array_equal(den.coeffs, [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("c, L, M", [
+    (sqrt_series(121, np.random.default_rng(1)), 59, 61),
+    (np.array([1.0 / math.factorial(j) for j in range(13)]), 6, 6),
+    (two_pole_coeffs(40) * np.exp(0.3j) ** np.arange(40)
+     + np.array([1.0 / math.factorial(j) for j in range(40)]), 21, 18),
+])
+def test_values_match_full_system(c, L, M):
+    # on the rescaled coefficients diagonal_pade solves, in its variable y
+    c, _ = _scaled_coeffs(c)
+    x = 0.7 * np.linspace(0.0, 1.0, 8)[:, None] * np.exp(
+        1j * np.linspace(0.0, 2 * np.pi, 24))[None, :]
+    num, den = _solve_pade(c, L, M)
+    rnum, rden = full_system_pade(c, L, M)
+    ref = rnum(x) / rden(x)
+    assert np.abs(num(x) / den(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_solve_is_the_m_square_block(monkeypatch):
+    shapes = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    for L, M in ((9, 10), (12, 5), (0, 7)):
+        _solve_pade(sqrt_series(L + M + 1, np.random.default_rng(0))
+                    .astype(np.complex128), L, M)
+        assert shapes[-1] == (M, M)
+    assert len(shapes) == 3
 
 
 def scaled_coeffs_loop(a):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 from hypothesis import given, settings
@@ -145,6 +146,39 @@ def test_array_and_scalar_rules_agree():
         acc = acc * w + ScaledComplex(complex(cm[j]), int(ce[j]))
     assert np.array_equal(_bits(got[0]), _bits(acc.mantissa))
     assert got[1] == acc.exp10
+
+
+def test_exact_powers_of_ten_skip_norm1(monkeypatch):
+    # +-10^k and +-i 10^k at every decade k in [-330, 310): subnormal below
+    # 1e-308, zero below 1e-323, inf at 1e309; the other component is 0.0
+    # or -0.0.  normalize matches norm1 bit for bit on Python's 10.0 ** k,
+    # the powers the rule rescales with, and hands none of the normal ones
+    # to norm1 (a subnormal power is rounded, and one near the band still
+    # takes it); the decimal literals 1ek, a few of them an ulp off
+    # 10.0 ** k, match as well.
+    norm1 = K.norm1
+    calls = []
+
+    def counted(m, e):
+        calls.append(m)
+        return norm1(m, e)
+
+    powers = [10.0 ** k if k < 309 else math.inf for k in range(-330, 310)]
+    literals = [float(f"1e{k}") for k in range(-330, 310)]
+    rng = np.random.default_rng(6)
+    for values in (powers, literals):
+        x = np.array([v for p in values for s in (p, -p) for z in (0.0, -0.0)
+                      for v in (complex(s, z), complex(z, s))])
+        e0 = rng.integers(-50, 50, x.size)
+        ref = [norm1(complex(v), int(k)) for v, k in zip(x.tolist(),
+                                                         e0.tolist())]
+        monkeypatch.setattr(K, "norm1", counted)
+        m, e = K.normalize(x, e0)
+        monkeypatch.setattr(K, "norm1", norm1)
+        assert np.array_equal(_bits(m), _bits([v for v, _ in ref]))
+        assert e.tolist() == [k for _, k in ref]
+        if values is powers:
+            assert all(abs(v) < sys.float_info.min for v in calls)
 
 
 def test_axpy_shift_one_normalize_matches_scale_then_add(monkeypatch):
