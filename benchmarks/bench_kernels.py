@@ -8,8 +8,10 @@ one time per kernel.  Then come the moment tables of the operator layer,
 normalized inputs.  Then come the Pade layer's costs, independent of n:
 `diagonal_pade` plus `significant_poles` at M = 110 on a seeded real
 series with a branch point at 1; `diagonal_pade` of 421 ones at M = 210,
-whose singular solve jumps to the rank 1 of its denominator block, the
-path of the heat verdict's data row 1/(1-z); and `integrate_segment` of
+whose denominator block has rank 1, the path of the heat verdict's data
+row 1/(1-z); the same on 421 seeded ones perturbed by 1e-15 relative,
+numerically rational with no exactly singular block, the path of the
+divergent_data Borel series; and `integrate_segment` of
 the M = 110 approximant's Laplace integrand along a ray.  Last, also
 independent of n,
 comes `solve_constant_leading` on (L - 3Z)(L + 7Z) with data 1/(1-z) at
@@ -111,6 +113,9 @@ def run(n, reps):
     ones = np.ones(2 * RANK_JUMP_M + 1)
     results[f"pade rank jump M={RANK_JUMP_M}"] = bench(
         lambda: diagonal_pade(ones, RANK_JUMP_M), reps)
+    noisy = ones * (1.0 + 1e-15 * rng.standard_normal(len(ones)))
+    results[f"pade numerically rational M={RANK_JUMP_M}"] = bench(
+        lambda: diagonal_pade(noisy, RANK_JUMP_M), reps)
     ap = diagonal_pade(coeffs, PADE_M)
     t = 0.05
     results["integrate_segment"] = bench(

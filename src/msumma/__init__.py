@@ -17,8 +17,9 @@ from .characteristic import (CharPolynomial, CharRoot, newton_polygon_roots,
 from .dsl import ProblemFile, parse_problem
 from .errors import (DecompositionError, GridError, KappaMismatchError,
                      MomentPoleError, MsummaError, ParseError, RayBlockedError,
-                     SectorError, SemanticError, TruncationError,
-                     UnsupportedKernelError, UnsupportedRangeError)
+                     ResummationError, SectorError, SemanticError,
+                     TruncationError, UnsupportedKernelError,
+                     UnsupportedRangeError)
 from .moments import (GAMMA_0, GAMMA_1, KernelPair, MomentFunction, gamma_s,
                       kernel_pair_for, mittag_leffler)
 from .operators import (borel, borel_bi, inverse_borel, moment_derivative,
@@ -47,6 +48,7 @@ __all__ = [
     "ProblemFile", "parse_problem",
     "MsummaError", "KappaMismatchError", "MomentPoleError",
     "UnsupportedKernelError", "UnsupportedRangeError", "GridError",
-    "TruncationError", "DecompositionError", "RayBlockedError", "SectorError",
+    "TruncationError", "DecompositionError", "RayBlockedError",
+    "ResummationError", "SectorError",
     "ParseError", "SemanticError",
 ]

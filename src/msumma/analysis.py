@@ -115,7 +115,11 @@ def borel_singularities(a: RamifiedSeries, method: str = "pade_poles"
 
     Diagonal Pade pole clusters that stable_poles finds stable are
     reported: its three requests at N, N-1 and N-2 coefficients compare
-    only two distinct approximants.  The ratio-test radius corroborates.
+    only two distinct approximants, and a numerically rational series
+    (its [lam/rho] reproduces all N coefficients to RANK_TOL) answers
+    all three at that verified type, so its poles are the exact ones to
+    rounding.  Each series takes one SVD of its denominator block, kept
+    with its approximants.  The ratio-test radius corroborates.
     With no stable pole the result is flagged inconclusive unless the
     coefficients decay (entire-type growth), which is a no-singularity
     finding.
@@ -363,19 +367,22 @@ def _verdict_problem(prob, directions) -> SummabilityReport:
     levels = tuple(summability_levels(roots, s1, s2, prob.gevrey_s))
     s = Fraction(prob.gevrey_s)
     bs = MomentFunction.gamma(s) if s != 0 else None
+    # each nonzero data row, Borel transformed at gevrey_s, with its
+    # singularities, found once for all levels; a problem with no level
+    # (every piece convergent) reads none
     data_borel = []
-    for phi in prob.data:
+    for phi in prob.data if levels else ():
         if np.all(phi.mant == 0):
             continue
-        data_borel.append(borel(bs, phi) if bs is not None else phi)
+        phi_b = borel(bs, phi) if bs is not None else phi
+        data_borel.append((phi_b, borel_singularities(phi_b)))
     all_dirs, all_verdicts, sets = [], [], []
     for q, K in levels:
         level_roots = [r for r in roots if r.q == q]
-        dirs, cones = [], []
+        dirs = []
         level_set = None
         growth = math.inf
-        for phi_b in data_borel:
-            sing = borel_singularities(phi_b)
+        for phi_b, sing in data_borel:
             if level_set is None or (level_set.inconclusive
                                      and not sing.inconclusive):
                 level_set = sing
@@ -385,9 +392,6 @@ def _verdict_problem(prob, directions) -> SummabilityReport:
                 for d in ds:
                     if all(_angular_gap(d, o) > 1e-9 for o in dirs):
                         dirs.append(d)
-                cones.extend(
-                    (p.location, p.radius / max(abs(p.location), 1e-300))
-                    for p in sing.points for _ in range(len(ds) or 1))
             qK = float(q * K)
             try:
                 g = fitted_growth_order(phi_b, qK)
@@ -400,13 +404,9 @@ def _verdict_problem(prob, directions) -> SummabilityReport:
             level_set = SingularitySet((), "pade_poles", 0, inconclusive=True,
                                        note="no nonzero data rows")
         dirs = sorted(dirs)
-        cone_pairs = list(zip([p.location for p in level_set.points]
-                              * max(1, len(dirs)),
-                              [p.radius / max(abs(p.location), 1e-300)
-                               for p in level_set.points]
-                              * max(1, len(dirs))))
         # align witness cones with directions; conservative: widest cone
-        wide = max((c for _, c in cone_pairs), default=0.0)
+        wide = max((p.radius / max(abs(p.location), 1e-300)
+                    for p in level_set.points), default=0.0)
         witness = level_set.points[0].location if level_set.points else None
         cones = [(witness, wide) for _ in dirs]
         per = [direction_verdict(d, dirs, cones, growth, float(q * K),

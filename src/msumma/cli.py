@@ -25,8 +25,9 @@ from .analysis import (borel_singularities, estimate_gevrey, _jsonable,
 from .characteristic import newton_polygon_roots, summability_levels
 from .dsl import parse_problem
 from .errors import (DecompositionError, GridError, KappaMismatchError,
-                     MsummaError, ParseError, RayBlockedError, SectorError,
-                     SemanticError, TruncationError, UnsupportedKernelError,
+                     MsummaError, ParseError, RayBlockedError,
+                     ResummationError, SectorError, SemanticError,
+                     TruncationError, UnsupportedKernelError,
                      UnsupportedRangeError)
 from .moments import MomentFunction, kernel_pair_for
 from .operators import borel
@@ -42,8 +43,8 @@ EXIT_INTERNAL = 5
 
 _SEMANTIC_ERRORS = (SemanticError, KappaMismatchError, GridError,
                     TruncationError, DecompositionError, SectorError,
-                    RayBlockedError, UnsupportedKernelError,
-                    UnsupportedRangeError)
+                    RayBlockedError, ResummationError,
+                    UnsupportedKernelError, UnsupportedRangeError)
 
 
 def _seed() -> int:

@@ -37,6 +37,10 @@ class RayBlockedError(MsummaError):
     """The integration ray passes through a detected singularity cone."""
 
 
+class ResummationError(MsummaError):
+    """The Laplace integral gave a value or an error that is not finite."""
+
+
 class SectorError(MsummaError):
     """Evaluation point lies outside the admissible sector."""
 

@@ -4,7 +4,9 @@ The Borel-plane function is only known through truncated Taylor
 coefficients; near-diagonal Pade is the numeric surrogate for its analytic
 continuation.  Coefficients are rescaled by the geometric slope of their
 magnitudes before solving the linear system, so series with radius far
-from 1 stay well conditioned; poles are mapped back afterwards.
+from 1 stay well conditioned; poles are mapped back afterwards.  A series
+that is rational to rounding is represented at its verified numerical
+type [lam/rho], found from one SVD of its denominator block.
 """
 from __future__ import annotations
 
@@ -44,7 +46,9 @@ class PadeApproximant:
         """num(y) / den(y) at y = x / r, both by one stacked Horner loop.
 
         Bit-identical to two np.polyval calls: the zero padding on top of
-        the shorter polynomial leaves its accumulator at exactly 0.
+        the shorter polynomial leaves its accumulator at exactly 0.  At a
+        zero of the denominator the value is inf or nan, with no warning;
+        laplace_resum refuses a sum that is not finite.
         """
         y = np.asarray(x, dtype=np.complex128) / self.r
         rows = self._horner_rows.reshape((-1, 2) + (1,) * np.ndim(y))
@@ -52,7 +56,8 @@ class PadeApproximant:
         for row in rows:
             acc *= y
             acc += row
-        return acc[0] / acc[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return acc[0] / acc[1]
 
     @cached_property
     def _horner_rows(self) -> np.ndarray:
@@ -191,6 +196,8 @@ def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
     of numpy.linalg.matrix_rank.  The floor matters for large M: sigma_max
     grows like M |c| but ||c||_2 only like sqrt(2M) |c|, and at M = 210
     the rounding noise of a rank-1 block already clears the GGT tolerance.
+    diagonal_pade takes it once per series, before its first solve (see
+    _numerical_type).
     """
     if not c.imag.any():
         c = c.real  # a real block takes the real SVD, about twice as fast
@@ -200,52 +207,130 @@ def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
     return int(np.count_nonzero(sv > tol))
 
 
+@dataclass(frozen=True)
+class _NumericalType:
+    """The numerical rank of the [L/M] block and, if verified, the series' type.
+
+    rational is the [min(L, rank-1)/rank] approximant when it reproduces
+    all N coefficients (see _numerical_type), else None.
+    """
+
+    L: int
+    M: int
+    rank: int
+    rational: PadeApproximant | None
+
+    def covers(self, L: int, M: int) -> bool:
+        """Whether the [L/M] block is a sub-block of the ranked one.
+
+        Its rank is then at most self.rank: row and column offsets a, b in
+        [0, self.M - M] with a - b = L - self.L place it inside.
+        """
+        return M <= self.M and abs(L - self.L) <= self.M - M
+
+
+def _numerical_type(c: np.ndarray, r: float, L: int, M: int) -> _NumericalType:
+    """Rank the [L/M] block once and verify a rank-deficient series' type.
+
+    With 1 <= rho < M, [lam/rho] with lam = min(L, rho - 1) is accepted as
+    the numerical type of the series only if its linearized residual over
+    all N coefficients, ||(q * c)_{0..N-1} - p||_2, is at most
+    RANK_TOL * ||c||_2: the series is then rational of that type to
+    rounding (1/(1-x) at N = 421 leaves about 2e-15 against 2e-13), and a
+    series that is merely close to one, such as a branch point's, fails
+    by orders of magnitude (heat's Borel series leave about 1e-8).
+    """
+    rho = _numerical_rank(c, L, M)
+    rational = None
+    if 1 <= rho < M:
+        lam = min(L, rho - 1)
+        try:
+            num, den = _solve_pade(c, lam, rho)
+        except np.linalg.LinAlgError:
+            num = None
+        if num is not None:
+            res = np.convolve(den.coeffs[::-1], c)[:len(c)]
+            res[:len(num.coeffs)] -= num.coeffs[::-1]
+            if np.linalg.norm(res) <= RANK_TOL * np.linalg.norm(c):
+                rational = PadeApproximant(num=num, den=den, r=r,
+                                           order=(lam, rho))
+    return _NumericalType(L, M, rho, rational)
+
+
+def _kept(ap: PadeApproximant) -> PadeApproximant:
+    """ap with read-only coefficients, to be shared by later requests."""
+    ap.num.coeffs.setflags(write=False)
+    ap.den.coeffs.setflags(write=False)
+    return ap
+
+
 def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
     """Near-diagonal [L/M] Pade (default L = M - 1) of a coefficient series.
 
     The rescaled coefficients d_j = c_j * r^j are O(1); the returned object
-    evaluates and reports poles in the original variable.  Exactly rational
-    input makes the system singular: the first singular solve jumps to the
-    numerical rank rho of the denominator block, [min(L, rho-1)/rho], and
-    the order steps down by one only while the system stays singular.
+    evaluates and reports poles in the original variable.
 
-    A RamifiedSeries keeps its approximants by requested (M, L), so repeat
-    requests on the same series object return the same approximant; plain
-    arrays are solved on every call, and failures are never kept.
+    Before any solve, one SVD gives the numerical rank rho of the [L/M]
+    denominator block (_numerical_type).  When 1 <= rho < M and [lam/rho],
+    lam = min(L, rho - 1), reproduces all N coefficients to RANK_TOL, the
+    series is numerically rational of that type and [lam/rho] is returned.
+    Otherwise [L/M] is solved; the first exactly singular solve jumps to
+    [min(L, rho-1)/rho] if rho < M, and the order then steps down by one
+    only while the system stays singular.
+
+    A RamifiedSeries keeps its approximants by requested (M, L), and its
+    numerical type under the key "type".  Every later request with M >= rho
+    and L >= lam on a verified series returns the same approximant with no
+    SVD or solve; a later request whose block is a sub-block of the ranked
+    one reuses rho, so the pipeline's requests (stable_poles' and
+    laplace_resum's, at decreasing diagonal M) take one SVD per series.
+    Plain arrays are ranked and solved on every call, and failures are
+    never kept.
     """
     if L is None:
         L = M - 1
-    key, memo = (M, L), None
+    need = L + M + 1
+    if len(a) < need:
+        raise ValueError(f"need {need} coefficients for [{L}/{M}], got {len(a)}")
+    key, memo, kind = (M, L), None, None
     if isinstance(a, RamifiedSeries):
         if a._pade_memo is None:
             a._pade_memo = {}
         memo = a._pade_memo
         if key in memo:
             return memo[key]
+        kind = memo.get("type")
+    if kind is not None and kind.rational is not None:
+        lam, rho = kind.rational.order
+        if M >= rho and L >= lam:
+            memo[key] = kind.rational
+            return kind.rational
     d, r = _scaled_coeffs(a)
-    need = L + M + 1
-    if len(d) < need:
-        raise ValueError(f"need {need} coefficients for [{L}/{M}], got {len(d)}")
-    rho = None  # numerical rank, taken at the first singular solve only
+    if kind is None or not kind.covers(L, M):
+        kind = _numerical_type(d, r, L, M)
+        if memo is not None:
+            memo["type"] = kind
+        if kind.rational is not None:
+            if memo is not None:
+                memo[key] = _kept(kind.rational)
+            return kind.rational
+    rho = kind.rank  # used at the first singular solve only
     while True:
         try:
             num, den = _solve_pade(d, L, M)
             break
         except np.linalg.LinAlgError:
-            if rho is None:
-                rho = _numerical_rank(d, L, M)
-                if 1 <= rho < M:
-                    M, L = rho, min(L, rho - 1)
-                    continue
-            M -= 1
-            L = min(L, max(M - 1, 0))
-            if M < 1:
-                raise
+            if 1 <= rho < M:
+                M, L = rho, min(L, rho - 1)
+            else:
+                M -= 1
+                L = min(L, max(M - 1, 0))
+                if M < 1:
+                    raise
+            rho = 0
     ap = PadeApproximant(num=num, den=den, r=r, order=(L, M))
     if memo is not None:
-        num.coeffs.setflags(write=False)  # shared by every later request
-        den.coeffs.setflags(write=False)
-        memo[key] = ap
+        memo[key] = _kept(ap)  # shared by every later request
     return ap
 
 
@@ -281,9 +366,13 @@ def stable_poles(a, n_coeffs: int | None = None):
     are not three different orders: at odd N, N//2 equals (N-1)//2, and at
     even N, (N-1)//2 equals (N-2)//2, so only two distinct approximants
     are compared.  On a RamifiedSeries the repeated request is answered
-    from the series' memo at no cost.  A pole counts as stable when each
-    order reproduces it within STABILITY_TOL relative.  Returns a list of
-    (location, confidence_radius) sorted by modulus.
+    from the series' memo at no cost, and the three requests take one SVD
+    between them (see diagonal_pade).  A numerically rational series of
+    verified type [lam/rho], rho < M, answers all three with that one
+    approximant: its poles are compared with themselves, which is exact
+    for such a series, not evidence across orders.  A pole counts as
+    stable when each order reproduces it within STABILITY_TOL relative.
+    Returns a list of (location, confidence_radius) sorted by modulus.
     """
     n = len(a) if n_coeffs is None else min(n_coeffs, len(a))
     if n < 8:

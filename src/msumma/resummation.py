@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels as K
-from .errors import (GridError, RayBlockedError, SectorError,
-                     UnsupportedRangeError)
+from .errors import (GridError, RayBlockedError, ResummationError,
+                     SectorError, UnsupportedRangeError)
 from .moments import (LOG10_E, KernelPair, MomentFunction, kernel_pair_for,
                       lgamma_array)
 from .pade import diagonal_pade, ratio_radius, stable_poles
@@ -52,7 +52,9 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
 
     Preconditions: arg t inside the flatness sector of direction d
     (|arg t - d| < pi/(2k) - margin) and no detected Borel singularity on
-    the ray within the angular tolerance.
+    the ray within the angular tolerance.  Raises ResummationError when the
+    value or its quadrature error is not finite, as when the ray meets a
+    zero of the Pade denominator that no stable pole announced.
     """
     if borel_series.kappa != 1:
         raise GridError("laplace_resum expects an unramified Borel series")
@@ -96,10 +98,16 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
     end = r_max * cmath.exp(1j * d)
     res1 = integrate_segment(f, 0.0, mid, tol)
     res2 = integrate_segment(f, mid, end, tol)
+    value, error = res1.value + res2.value, res1.error + res2.error
+    if not (cmath.isfinite(value) and math.isfinite(error)):
+        raise ResummationError(
+            f"Laplace integral along direction {d:.4f} at t = {t} is not "
+            f"finite (value {value}, quadrature error {error}) with the "
+            f"[{rep.order[0]}/{rep.order[1]}] Pade Borel sum")
     return ResummationResult(
-        value=res1.value + res2.value,
+        value=value,
         direction=d, t=t,
-        quadrature_error=max(res1.error + res2.error, 1e-300),
+        quadrature_error=max(error, 1e-300),
         pade_radius_used=nearest if math.isfinite(nearest)
         else ratio_radius(borel_series))
 

@@ -195,3 +195,31 @@ def test_verdict_from_plain_series():
 def test_all_clean_directions_summable():
     report = summability_verdict(heat_problem(), [math.pi / 2])
     assert report.overall() == "summable"
+
+
+@pytest.mark.parametrize("rows", [2, 1])
+def test_two_level_verdict_finds_each_rows_singularities_once(rows,
+                                                              monkeypatch):
+    # (L - Z^2)(L - Z^3) has two levels; each nonzero data row's
+    # singularities are found once and read at both
+    from msumma import analysis
+    from msumma.solver import required_z_truncation
+
+    P = (L - Z**2) * (L - Z**3)
+    nz = required_z_truncation(P, 1, 16) + 1
+    one = RamifiedSeries.from_complex(1, np.ones(nz))
+    zero = RamifiedSeries.from_complex(1, np.zeros(nz))
+    prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1,
+                      data=(one, one if rows == 2 else zero), trunc_t=16)
+    calls = []
+    find = analysis.borel_singularities
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return find(a, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "borel_singularities", counting)
+    report = summability_verdict(prob, [0.0, math.pi])
+    assert len(report.levels) == 2
+    assert len(calls) == rows
+    assert all(s.points for s in report.singularities)

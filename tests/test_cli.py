@@ -130,6 +130,20 @@ def test_blocked_ray_exit_3(capsys):
     assert "blocked" in capsys.readouterr().err
 
 
+def test_non_finite_resum_exit_3(tmp_path, capsys):
+    # heat with e^{z^3} data at trunc_t 30: laplace_resum refuses a nan sum
+    c = [0.0] * 63
+    c[::3] = [1.0 / math.factorial(k) for k in range(21)]
+    prob = tmp_path / "heat_exp3.mpde"
+    prob.write_text("equation: L - Z^2;\nm1: Gamma(1);\nm2: Gamma(1);\n"
+                    f"data: coeffs({', '.join(map(repr, c))});\n"
+                    "trunc_t: 30;\ntrunc_z: 62;\n")
+    assert run(["resum", prob, "--t", "0.2", "--d", "0",
+                "--out", tmp_path]) == 3
+    assert capsys.readouterr().err.startswith("error: Laplace integral")
+    assert not (tmp_path / "resummation.txt").exists()
+
+
 def test_missing_file_exit_3():
     assert run(["solve", "/nonexistent/x.mpde"]) == 3
 

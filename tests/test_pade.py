@@ -456,3 +456,150 @@ def test_failures_are_not_kept(monkeypatch):
         with pytest.raises(ValueError):
             diagonal_pade(short, 4)
     assert not short._pade_memo
+
+
+# -- numerical type: one SVD, a verified [lam/rho] ----------------------------
+
+def count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def noisy_geometric(base, n, seed):
+    """base^j (1 + 1e-15 N(0, 1)): 1/(1 - base x) with rounding-level noise."""
+    rng = np.random.default_rng(seed)
+    return base ** np.arange(n) * (1.0 + 1e-15 * rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("base, n", [(1.0, 421), (4.0, 40), (4.0, 421)])
+def test_noisy_rational_input_lands_on_its_type(base, n, monkeypatch):
+    # the noise keeps every block off exact singularity, so no solve ever
+    # fails; the verified type is [0/1] all the same
+    degrees = []
+    np_roots = np.roots
+
+    def spy(p):
+        degrees.append(len(p) - 1)
+        return np_roots(p)
+
+    monkeypatch.setattr(np, "roots", spy)
+    for seed in range(3):
+        c = noisy_geometric(base, n, seed)
+        ap = diagonal_pade(c, n // 2)
+        assert ap.order == (0, 1)
+        assert abs(ap.poles()[0] - 1.0 / base) < 1e-12
+        (loc, _), = stable_poles(c)
+        assert abs(loc - 1.0 / base) < 1e-12
+    assert degrees and max(degrees) == 1
+
+
+def heat_borel_series(trunc_t):
+    """Level-1 Borel transform of heat's u(t, 0) with data 1/(1-z)."""
+    from msumma.operators import borel
+    from msumma.solver import required_z_truncation
+
+    L, Z = ms.CharPolynomial.lam(), ms.CharPolynomial.zeta()
+    P = L - Z ** 2
+    nz = required_z_truncation(P, 1, trunc_t) + 1
+    prob = ms.PdeProblem(P=P, m1=ms.GAMMA_1, m2=ms.GAMMA_1,
+                         data=(RamifiedSeries.from_complex(1, np.ones(nz)),),
+                         trunc_t=trunc_t)
+    return borel(ms.GAMMA_1,
+                 ms.solve_constant_leading(prob).extract_col(0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RamifiedSeries.from_complex(1, np.ones(141)),
+    lambda: RamifiedSeries.from_complex(1, noisy_geometric(4.0, 81, 0)),
+    lambda: heat_borel_series(60),
+], ids=["ones", "noisy 4^j", "heat"])
+def test_one_svd_per_series(make, monkeypatch):
+    a = make()
+    svds = count_svds(monkeypatch)
+    poles = stable_poles(a)
+    assert poles
+    assert len(svds) == 1
+    m = len(a) // 2
+    assert svds[0] == (m, m + 1)
+    diagonal_pade(a, m)  # laplace_resum's request
+    stable_poles(a)
+    assert len(svds) == 1
+
+
+def test_verified_type_answers_every_larger_request(monkeypatch):
+    a = RamifiedSeries.from_complex(1, two_pole_coeffs(60))
+    ap = diagonal_pade(a, 25)
+    assert ap.order == (1, 2)
+    svds, solves = count_svds(monkeypatch), count_solves(monkeypatch)
+    for M, L in ((29, 28), (20, 30), (2, 1), (3, 1)):
+        assert diagonal_pade(a, M, L) is ap
+    assert not svds and not solves
+    # below the type the solve loop answers; a block inside the ranked one
+    # reuses its rank, another one is ranked on its own
+    assert diagonal_pade(a, 1).order == (0, 1)
+    assert not svds and len(solves) == 1
+    assert diagonal_pade(a, 2, 0).order == (0, 2)
+    assert svds == [(2, 3)] and len(solves) == 2
+
+
+def test_larger_block_is_ranked_again(monkeypatch):
+    # the rank of a block says nothing about a block that is not inside it
+    svds = count_svds(monkeypatch)
+    a = fresh_copy(heat_borel_series(60))
+    diagonal_pade(a, 10)
+    diagonal_pade(a, 8)
+    assert len(svds) == 1
+    diagonal_pade(a, 30)
+    diagonal_pade(a, 29)
+    diagonal_pade(a, 12)
+    assert svds == [(10, 11), (30, 31)]
+
+
+def step_down_pade(c, L, M):
+    """[L/M] by the solve/step-down loop alone, with no type check.
+
+    The rank jump is taken at the first exactly singular solve, from an SVD
+    of the block that failed, and the order then steps down by one.
+    """
+    rho = None
+    while True:
+        try:
+            return _solve_pade(c, L, M), (L, M)
+        except np.linalg.LinAlgError:
+            if rho is None:
+                rho = pade._numerical_rank(c, L, M)
+                if 1 <= rho < M:
+                    M, L = rho, min(L, rho - 1)
+                    continue
+            M -= 1
+            L = min(L, max(M - 1, 0))
+            if M < 1:
+                raise
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.array([float(math.comb(2 * j, j)) for j in range(40)]),
+    lambda: heat_borel_series(60),
+], ids=["C(2j,j)", "heat"])
+def test_rejected_type_keeps_the_step_down_approximant(make):
+    # branch points: the denominator block is numerically rank deficient,
+    # but no [lam/rho] reproduces the series, so the loop answers as before
+    a = make()
+    d, r = _scaled_coeffs(a)
+    n = len(d)
+    for M in (n // 2, (n - 1) // 2, (n - 2) // 2):
+        assert pade._numerical_rank(d, M - 1, M) < M
+        ap = diagonal_pade(a, M)
+        (num, den), order = step_down_pade(d, M - 1, M)
+        assert ap.order == order and ap.r == r
+        assert bits(ap.num.coeffs) == bits(num.coeffs)
+        assert bits(ap.den.coeffs) == bits(den.coeffs)
+    if isinstance(a, RamifiedSeries):
+        assert a._pade_memo["type"].rational is None

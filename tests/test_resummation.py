@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,29 @@ def test_shared_pole_search_is_bit_identical():
     got, ref = pade.stable_poles(bor), pade.stable_poles(fresh())
     assert np.array(got).tobytes() == np.array(ref).tobytes()
     assert abs(got[0][0] - 0.25) < 1e-3
+
+
+def exp_z3_coeffs(n):
+    """The first n Taylor coefficients of e^{z^3}."""
+    c = np.zeros(n)
+    c[::3] = [1.0 / math.factorial(k) for k in range(len(c[::3]))]
+    return c
+
+
+def test_non_finite_sum_is_refused():
+    # heat with e^{z^3} data at trunc_t 30: the [14/15] Borel sum has a
+    # zero of its denominator on the ray d = 0 that no stable pole
+    # announces; the integral is nan, so no ResummationResult is returned
+    prob = PdeProblem(P=CharPolynomial.lam() - CharPolynomial.zeta() ** 2,
+                      m1=GAMMA_1, m2=GAMMA_1,
+                      data=(RamifiedSeries.from_complex(1, exp_z3_coeffs(63)),),
+                      trunc_t=30)
+    bor = borel(GAMMA_1, solve_constant_leading(prob).extract_col(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ms.ResummationError, match="not finite"):
+            laplace_resum(bor, K1, 0.0, 0.2)
+    assert issubclass(ms.ResummationError, ms.MsummaError)
 
 
 # -- iterated-to-joint Borel bridge -----------------------------------------
