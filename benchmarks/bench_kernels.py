@@ -11,12 +11,13 @@ series with a branch point at 1; `diagonal_pade` of 421 ones at M = 210,
 whose denominator block has rank 1, the path of the heat verdict's data
 row 1/(1-z); the same on 421 seeded ones perturbed by 1e-15 relative,
 numerically rational with no exactly singular block, the path of the
-divergent_data Borel series; and `integrate_segment` of
-the M = 110 approximant's Laplace integrand along a ray.  Last, also
-independent of n,
-comes `solve_constant_leading` on (L - 3Z)(L + 7Z) with data 1/(1-z) at
-trunc_t 200 and 21 output columns: its recurrence multiplies by s = -4 and
-21, so its rows grow out of the mantissa range and are renormalized.
+divergent_data Borel series; the M = 110 approximant's two-level Horner
+evaluation on the 30 nodes of one bisection of a ray; and
+`integrate_segment` of its Laplace integrand along that ray.  Last, also
+independent of n, comes `solve_constant_leading` on (L - 3Z)(L + 7Z) with
+data 1/(1-z) at trunc_t 200 and 21 output columns: its recurrence
+multiplies by s = -4 and 21, so its rows grow out of the mantissa range
+and are renormalized.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
@@ -79,7 +80,7 @@ def run(n, reps):
     from msumma import _kernels as K
     from msumma.moments import MomentFunction
     from msumma.pade import diagonal_pade
-    from msumma.quadrature import integrate_segment
+    from msumma.quadrature import _nodes, integrate_segment
     from msumma.scaled import from_log10_array
     from msumma.solver import solve_constant_leading
 
@@ -117,10 +118,14 @@ def run(n, reps):
     results[f"pade numerically rational M={RANK_JUMP_M}"] = bench(
         lambda: diagonal_pade(noisy, RANK_JUMP_M), reps)
     ap = diagonal_pade(coeffs, PADE_M)
+    end = 1.5 * cmath.exp(0.5j)
+    nodes = np.concatenate((_nodes(0.0, 0.5 * end)[1],
+                            _nodes(0.5 * end, end)[1]))
+    results[f"pade eval M={PADE_M}"] = bench(lambda: ap(nodes), reps)
     t = 0.05
     results["integrate_segment"] = bench(
         lambda: integrate_segment(lambda x: ap(x) * np.exp(-x / t) / t,
-                                  0.0, 1.5 * cmath.exp(0.5j)), reps)
+                                  0.0, end), reps)
     prob = recurrence_problem()
     results["solve_constant_leading"] = bench(
         lambda: solve_constant_leading(prob), reps)

@@ -118,8 +118,9 @@ def borel_singularities(a: RamifiedSeries, method: str = "pade_poles"
     only two distinct approximants, and a numerically rational series
     (its [lam/rho] reproduces all N coefficients to RANK_TOL) answers
     all three at that verified type, so its poles are the exact ones to
-    rounding.  Each series takes one SVD of its denominator block, kept
-    with its approximants.  The ratio-test radius corroborates.
+    rounding.  Each series takes one SVD of its denominator block and one
+    clustering, kept with its approximants and shared with laplace_resum.
+    The ratio-test radius corroborates.
     With no stable pole the result is flagged inconclusive unless the
     coefficients decay (entire-type growth), which is a no-singularity
     finding.

@@ -43,35 +43,55 @@ class PadeApproximant:
     order: tuple
 
     def __call__(self, x):
-        """num(y) / den(y) at y = x / r, both by one stacked Horner loop.
+        """num(y) / den(y) at y = x / r, by one two-level Horner evaluator.
 
-        Bit-identical to two np.polyval calls: the zero padding on top of
-        the shorter polynomial leaves its accumulator at exactly 0.  At a
-        zero of the denominator the value is inf or nan, with no warning;
-        laplace_resum refuses a sum that is not finite.
+        Both polynomials, k coefficients each after zero padding, are cut
+        into blocks of B = isqrt(k) coefficients (_horner_blocks).  One
+        Horner pass in y evaluates every block of both at once, in B - 1
+        steps; a second Horner pass in y^B combines the blocks.  That is
+        about 2 sqrt(k) array steps instead of k, and as accurate as plain
+        Horner: within 1e-14 relative of 50-digit mpmath on heat's [99/100]
+        Borel sum (tests/test_pade.py).  The result has the type and shape
+        of np.polyval's.  At a zero of the denominator the value is inf or
+        nan, with no warning; laplace_resum refuses a sum that is not
+        finite.
         """
         y = np.asarray(x, dtype=np.complex128) / self.r
-        rows = self._horner_rows.reshape((-1, 2) + (1,) * np.ndim(y))
-        acc = np.zeros((2,) + np.shape(y), dtype=np.complex128)
-        for row in rows:
+        blocks = self._horner_blocks
+        steps = blocks.reshape(blocks.shape + (1,) * np.ndim(y))
+        acc = np.empty(blocks.shape[1:] + np.shape(y), dtype=np.complex128)
+        acc[...] = steps[0]
+        for row in steps[1:]:
             acc *= y
             acc += row
+        yb = y ** len(blocks)
+        out = acc[-1]
+        for block in acc[-2::-1]:
+            out *= yb
+            out += block
         with np.errstate(divide="ignore", invalid="ignore"):
-            return acc[0] / acc[1]
+            return out[0] / out[1]
 
     @cached_property
-    def _horner_rows(self) -> np.ndarray:
-        """(k, 2) table of numerator and denominator coefficients.
+    def _horner_blocks(self) -> np.ndarray:
+        """(B, nb, 2) table of numerator and denominator coefficient blocks.
 
-        Highest degree first, the shorter polynomial zero-padded on top.
+        With k the longer coefficient count, B = isqrt(k) and nb = ceil(k/B),
+        entry [s, j] holds the coefficients of degree j*B + B-1-s, zero
+        where that degree is k or more (or above the shorter polynomial's).
+        Row s is the s-th Horner step of every block at once.
         """
         num, den = self.num.coeffs, self.den.coeffs
         k = max(len(num), len(den))
-        rows = np.zeros((k, 2), dtype=np.complex128)
-        rows[k - len(num):, 0] = num
-        rows[k - len(den):, 1] = den
-        rows.setflags(write=False)
-        return rows
+        B = math.isqrt(k)
+        nb = -(-k // B)
+        rows = np.zeros((nb * B, 2), dtype=np.complex128)  # degree 0 first
+        rows[:len(num), 0] = num[::-1]
+        rows[:len(den), 1] = den[::-1]
+        blocks = np.ascontiguousarray(rows.reshape(nb, B, 2)[:, ::-1]
+                                      .transpose(1, 0, 2))
+        blocks.setflags(write=False)
+        return blocks
 
     @cached_property
     def _roots_residues(self) -> tuple[np.ndarray, np.ndarray]:
@@ -372,17 +392,27 @@ def stable_poles(a, n_coeffs: int | None = None):
     approximant: its poles are compared with themselves, which is exact
     for such a series, not evidence across orders.  A pole counts as
     stable when each order reproduces it within STABILITY_TOL relative.
-    Returns a list of (location, confidence_radius) sorted by modulus.
+    Returns a new list of (location, confidence_radius) sorted by modulus.
+
+    A RamifiedSeries also keeps the clusters in its memo, keyed by N, so
+    borel_singularities and every laplace_resum point on one Borel series
+    share one clustering.
     """
     n = len(a) if n_coeffs is None else min(n_coeffs, len(a))
     if n < 8:
         raise ValueError("need at least 8 coefficients for pole tracking")
+    key = ("stable_poles", n)
+    if isinstance(a, RamifiedSeries) and a._pade_memo and key in a._pade_memo:
+        return list(a._pade_memo[key])
     sets = []
     for nk in (n, n - 1, n - 2):
         m = nk // 2
         ap = diagonal_pade(a, m)
         sets.append(ap.significant_poles())
-    return _cluster(sets)
+    clusters = _cluster(sets)
+    if isinstance(a, RamifiedSeries):
+        a._pade_memo[key] = tuple(clusters)  # diagonal_pade created the memo
+    return clusters
 
 
 def ratio_radius(a) -> float:

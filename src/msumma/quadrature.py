@@ -86,31 +86,3 @@ def integrate_segment(f, a: complex, b: complex, tol: float = 1e-12,
         count += 1
     return QuadResult(value=complex(total_val), error=float(total_err),
                       panels=count)
-
-
-def integrate_path(f, points, tol: float = 1e-12,
-                   max_panels: int = 400) -> QuadResult:
-    """Integral along the polyline through `points`."""
-    total = 0j
-    err = 0.0
-    n = 0
-    for a, b in zip(points, points[1:]):
-        res = integrate_segment(f, a, b, tol, max_panels)
-        total += res.value
-        err += res.error
-        n += res.panels
-    return QuadResult(value=total, error=err, panels=n)
-
-
-def integrate_circle(f, center: complex, radius: float, samples: int = 256
-                     ) -> complex:
-    """Contour integral over |w - center| = radius by the trapezoid rule.
-
-    For analytic integrands the periodic trapezoid rule converges
-    geometrically, so a fixed sample count suffices at these radii.
-    """
-    th = 2.0 * np.pi * np.arange(samples) / samples
-    w = center + radius * np.exp(1j * th)
-    dw = 1j * radius * np.exp(1j * th)
-    y = np.asarray(f(w), dtype=np.complex128)
-    return complex(np.sum(y * dw) * (2.0 * np.pi / samples))

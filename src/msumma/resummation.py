@@ -39,6 +39,7 @@ class ResummationResult:
     t: complex
     quadrature_error: float
     pade_radius_used: float
+    panels: int  # adaptive panels over both Laplace segments
 
 
 def _angular_gap(d1: float, d2: float) -> float:
@@ -55,6 +56,11 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
     the ray within the angular tolerance.  Raises ResummationError when the
     value or its quadrature error is not finite, as when the ray meets a
     zero of the Pade denominator that no stable pole announced.
+
+    The Borel series' stable poles come from its memo after the first
+    stable_poles call, and each bisection of the two adaptive segments,
+    split at |t|, evaluates V once on its 30 nodes (PadeApproximant's
+    two-level Horner).  panels counts the panels of both segments.
     """
     if borel_series.kappa != 1:
         raise GridError("laplace_resum expects an unramified Borel series")
@@ -109,7 +115,8 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
         direction=d, t=t,
         quadrature_error=max(error, 1e-300),
         pade_radius_used=nearest if math.isfinite(nearest)
-        else ratio_radius(borel_series))
+        else ratio_radius(borel_series),
+        panels=res1.panels + res2.panels)
 
 
 def beta_bridge(v: BiSeries, s1, s2) -> BiSeries:

@@ -53,8 +53,9 @@ class RamifiedSeries:
     """Truncated series sum c_j x^(j/kappa), scaled complex coefficients."""
 
     # _pade_memo: Pade approximants of this series by (M, L) and its
-    # numerical type under "type", filled by pade.diagonal_pade; it lives
-    # and dies with the (read-only) series.
+    # numerical type under "type", filled by pade.diagonal_pade, and its
+    # stable pole clusters under ("stable_poles", N), filled by
+    # pade.stable_poles; it lives and dies with the (read-only) series.
     __slots__ = ("kappa", "mant", "exp10", "_pade_memo")
 
     def __init__(self, kappa: int, mant, exp10, normalized: bool = False):

@@ -88,21 +88,46 @@ def bits(v):
     return np.asarray(v).tobytes()
 
 
-@pytest.mark.parametrize("L, M", [(4, 7), (6, 6), (8, 3)])
-def test_call_matches_polyval(L, M):
-    # one stacked Horner loop gives what np.polyval gives per polynomial
-    c = two_pole_coeffs(L + M + 1) * np.exp(0.3j) ** np.arange(L + M + 1)
-    c = c + np.array([1.0 / math.factorial(j) for j in range(L + M + 1)])
-    ap = diagonal_pade(c, M, L)
+def mpmath_pade_value(ap, y):
+    """num(y) / den(y) of ap at the complex128 point y, in 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        num = [mpmath.mpc(complex(v)) for v in ap.num.coeffs]
+        den = [mpmath.mpc(complex(v)) for v in ap.den.coeffs]
+        y = mpmath.mpc(complex(y))
+        return complex(mpmath.polyval(num, y) / mpmath.polyval(den, y))
+
+
+def assert_matches_mpmath(ap, x):
+    y = np.asarray(x, dtype=np.complex128) / ap.r
+    ref = np.polyval(ap.num.coeffs, y) / np.polyval(ap.den.coeffs, y)
+    out = ap(x)
+    assert type(out) is type(ref)
+    assert np.shape(out) == np.shape(ref)
+    exact = np.array([mpmath_pade_value(ap, v) for v in np.ravel(y)])
+    err = np.abs(np.ravel(out) - exact)
+    assert np.all(err <= 1e-14 * np.abs(exact)), np.max(err / np.abs(exact))
+
+
+@pytest.mark.parametrize("L, M", [(4, 7), (6, 6), (8, 3), (99, 100)])
+def test_call_matches_mpmath(L, M):
+    # the two-level Horner evaluator keeps np.polyval's result type and
+    # shape, and is within 1e-14 relative of a 50-digit evaluation
+    if M == 100:
+        # heat's Borel sum on laplace_resum's ray d = pi/2 at t = 0.09i
+        ap = diagonal_pade(heat_borel_series(200), M)
+        points = [1j * np.linspace(0.0, 3.6, 31)[1:]]
+    else:
+        c = two_pole_coeffs(L + M + 1) * np.exp(0.3j) ** np.arange(L + M + 1)
+        c = c + np.array([1.0 / math.factorial(j) for j in range(L + M + 1)])
+        ap = diagonal_pade(c, M, L)
+        points = [0.3 - 0.2j, np.array(0.4),
+                  np.linspace(-0.6, 0.6, 12).reshape(3, 4) * (1 + 0.5j),
+                  np.zeros(0)]
     assert ap.order == (L, M)
-    for x in (0.3 - 0.2j, np.array(0.4),
-              np.linspace(-0.6, 0.6, 12).reshape(3, 4) * (1 + 0.5j)):
-        y = np.asarray(x, dtype=np.complex128) / ap.r
-        ref = np.polyval(ap.num.coeffs, y) / np.polyval(ap.den.coeffs, y)
-        out = ap(x)
-        assert type(out) is type(ref)
-        assert np.shape(out) == np.shape(ref)
-        assert bits(out) == bits(ref)
+    for x in points:
+        assert_matches_mpmath(ap, x)
 
 
 @pytest.mark.parametrize("coeffs, pole", [

@@ -7,7 +7,6 @@ import pytest
 
 from msumma.pade import diagonal_pade
 from msumma.quadrature import (_NODES, _WG_FULL, _WK, QuadResult,
-                               integrate_circle, integrate_path,
                                integrate_segment)
 
 
@@ -100,32 +99,9 @@ def test_complex_segment_direction():
     assert abs(res.value - (cmath.exp(1j) - 1.0)) < 1e-13
 
 
-def test_path_matches_antiderivative():
-    # analytic integrand: only the endpoints matter
-    pts = [0.0, 1.0, 1.0 + 1.0j]
-    res = integrate_path(lambda x: 3.0 * x**2, pts)
-    assert abs(res.value - (1.0 + 1.0j) ** 3) < 1e-12
-    assert res.panels >= 2
-
-
 def test_adaptive_refinement_on_peak():
     res = integrate_segment(lambda x: 1.0 / (1e-4 + x**2), -1.0, 1.0,
                             tol=1e-10)
     exact = 2.0 / 1e-2 * math.atan(1.0 / 1e-2)
     assert abs(res.value - exact) < 1e-8 * exact
     assert res.panels > 1
-
-
-def test_circle_residue():
-    val = integrate_circle(lambda w: 1.0 / w, 0.0, 1.0)
-    assert abs(val - 2j * math.pi) < 1e-12
-
-
-def test_circle_analytic_integrand_vanishes():
-    val = integrate_circle(lambda w: w**2 + 3.0, 0.5, 2.0)
-    assert abs(val) < 1e-12
-
-
-def test_circle_shifted_pole():
-    val = integrate_circle(lambda w: 1.0 / (w - 0.3j), 0.3j, 0.7)
-    assert abs(val - 2j * math.pi) < 1e-12

@@ -12,7 +12,7 @@ from msumma import (BiSeries, CharPolynomial, GAMMA_1, MomentFunction,
                     PdeProblem, RamifiedSeries, beta_bridge, borel,
                     kernel_pair_for, kernel_solution_quadrature,
                     laplace_resum, solve_constant_leading)
-from msumma import pade
+from msumma import pade, resummation
 from msumma.resummation import joint_borel_factors
 
 K1 = kernel_pair_for(GAMMA_1)
@@ -124,6 +124,60 @@ def test_shared_pole_search_is_bit_identical():
     got, ref = pade.stable_poles(bor), pade.stable_poles(fresh())
     assert np.array(got).tobytes() == np.array(ref).tobytes()
     assert abs(got[0][0] - 0.25) < 1e-3
+
+
+def test_stable_poles_clusters_once_per_series(monkeypatch):
+    clusterings = []
+    cluster = pade._cluster
+
+    def counting(pole_sets, *args, **kwargs):
+        clusterings.append(len(pole_sets))
+        return cluster(pole_sets, *args, **kwargs)
+
+    monkeypatch.setattr(pade, "_cluster", counting)
+    bor = heat_borel()
+    sing = ms.borel_singularities(bor)
+    for t in RESUM_TS:
+        laplace_resum(bor, K1, math.pi / 2, t)
+    assert clusterings == [3]
+    poles = pade.stable_poles(bor)
+    assert [(p.location, p.radius) for p in sing.points] == poles
+    # each call returns a new list
+    before = list(poles)
+    poles[0] = (0j, 0.0)
+    poles.append((1j, 1.0))
+    assert pade.stable_poles(bor) == before
+    assert len(clusterings) == 1
+    # another coefficient count is clustered, and kept, on its own
+    fewer = pade.stable_poles(bor, len(bor) - 10)
+    assert len(clusterings) == 2
+    assert pade.stable_poles(bor, len(bor) - 10) == fewer
+    assert len(clusterings) == 2
+    # plain arrays are clustered on every call
+    c = np.array([math.comb(2 * j, j) for j in range(40)], dtype=float)
+    assert pade.stable_poles(c) == pade.stable_poles(c)
+    assert len(clusterings) == 4
+
+
+def test_panels_count_both_segments(monkeypatch):
+    panels = []
+    segment = resummation.integrate_segment
+
+    def spy(*args, **kwargs):
+        res = segment(*args, **kwargs)
+        panels.append(res.panels)
+        return res
+
+    monkeypatch.setattr(resummation, "integrate_segment", spy)
+    bor = heat_borel()
+    for t in RESUM_TS:
+        panels.clear()
+        res = laplace_resum(bor, K1, math.pi / 2, t)
+        assert len(panels) == 2 and min(panels) >= 1
+        assert res.panels == sum(panels)
+    panels.clear()
+    res = laplace_resum(euler_borel(), K1, 0.0, 0.1)
+    assert res.panels == sum(panels) > 2
 
 
 def exp_z3_coeffs(n):
