@@ -5,7 +5,10 @@ one time per kernel.  Then come the moment tables of the operator layer,
 `MomentFunction.log_eval_array` over n arguments and
 `scaled.from_log10_array` over n decimal logs, and the text serializer
 `BiSeries.dumps` on a square grid of min(201, isqrt(n)) rows of the
-normalized inputs.  Then come the Pade layer's costs, independent of n:
+normalized inputs, whose complex cells have many components below 1 that
+go through repr, and, independent of n, on a seeded real 201x201 grid of
+normalized mantissas, which takes the writer's exact path as a solution
+grid does.  Then come the Pade layer's costs, independent of n:
 `diagonal_pade` plus `significant_poles` at M = 110 on a seeded real
 series with a branch point at 1; `diagonal_pade` of 421 ones at M = 210,
 whose denominator block has rank 1, the path of the heat verdict's data
@@ -29,6 +32,7 @@ import time
 import numpy as np
 
 PADE_M = 110
+REAL_GRID_SIDE = 201
 RANK_JUMP_M = 210
 SOLVE_TRUNC_T = 200
 
@@ -108,6 +112,15 @@ def run(n, reps):
     grid = BiSeries(1, 1, nm1[:side * side].reshape(side, side),
                     ne1[:side * side].reshape(side, side), normalized=True)
     results["BiSeries.dumps"] = bench(grid.dumps, reps)
+    # own generator: the inputs of the rows below stay as they were
+    real = np.random.default_rng(1)
+    shape = (REAL_GRID_SIDE, REAL_GRID_SIDE)
+    rm, re_ = K.normalize(real.normal(size=shape).ravel() + 0j,
+                          real.integers(-50, 50, size=shape).ravel())
+    real_grid = BiSeries(1, 1, rm.reshape(shape), re_.reshape(shape),
+                         normalized=True)
+    results[f"BiSeries.dumps real {REAL_GRID_SIDE}x{REAL_GRID_SIDE}"] = bench(
+        real_grid.dumps, reps)
     coeffs = pade_series(rng)
     results[f"pade M={PADE_M}"] = bench(
         lambda: diagonal_pade(coeffs, PADE_M).significant_poles(), reps)
@@ -141,7 +154,8 @@ def main():
     results = run(args.n, args.reps)
     side = grid_side(args.n)
     print(f"array length {args.n} (eval_scaled: 400 terms, "
-          f"BiSeries.dumps: {side}x{side} grid, Pade: {2 * PADE_M + 1} and "
+          f"BiSeries.dumps: {side}x{side} grid and a real "
+          f"{REAL_GRID_SIDE}x{REAL_GRID_SIDE} one, Pade: {2 * PADE_M + 1} and "
           f"{2 * RANK_JUMP_M + 1} coefficients, solve: trunc_t "
           f"{SOLVE_TRUNC_T}), {args.reps} reps\n")
     w = max(len(key) for key in results)

@@ -27,13 +27,13 @@ from .operators import (borel, borel_bi, inverse_borel, moment_derivative,
 from .resummation import (ResummationResult, beta_bridge,
                           kernel_solution_quadrature, laplace_resum)
 from .scaled import ScaledComplex
-from .series import BiSeries, GevreyNorm, RamifiedSeries, gevrey_norm
+from .series import BiSeries, RamifiedSeries
 from .solver import (PdeProblem, SimplePiece, decompose,
                      solve_constant_leading, solve_simple, sum_pieces)
 
 __all__ = [
     "BACKEND", "__version__",
-    "ScaledComplex", "RamifiedSeries", "BiSeries", "GevreyNorm", "gevrey_norm",
+    "ScaledComplex", "RamifiedSeries", "BiSeries",
     "MomentFunction", "KernelPair", "gamma_s", "kernel_pair_for",
     "mittag_leffler", "GAMMA_0", "GAMMA_1",
     "borel", "inverse_borel", "borel_bi", "moment_derivative",

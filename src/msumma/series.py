@@ -8,13 +8,21 @@ A RamifiedSeries with ramification kappa and truncation N represents
 sum_{j=0..N} c_j x^(j/kappa).  Binary operations follow the min-rule for
 truncations: coefficients beyond the shorter operand are unknown, never
 fabricated by zero padding.
+
+`dumps` writes one line per coefficient with repr text for each float.  A
+component in the scaled core's mantissa range [1, 10) is formatted by an
+exact vectorized path: its shortest round-trip digits follow from Dekker
+products x * 10^f for f = 14, 15 and 16 and a test against ulp(x)/2.
+Every other value, and any decision within 1e-9 of its boundary, goes
+through repr.  Each distinct value is formatted once into a NUL-padded
+byte row; lines are assembled 32 grid rows at a time as one byte matrix,
+whose padding is dropped before decoding.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,30 +31,159 @@ from .errors import KappaMismatchError
 from .scaled import ScaledComplex
 
 
-class DivergentPartialSumWarning(UserWarning):
-    """Partial sums appear to diverge at the requested radius."""
+_BLOCK_ROWS = 32  # grid rows per byte block in _lines; bounds its temporaries
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+# Rounding and round-trip decisions of the exact path closer than this to
+# their boundary (in units of the last digit) go to repr; the residuals it
+# compares are exact to about 1e-15.
+_MARGIN = 1e-9
+_EXPONENT = 0x7FF << 52  # exponent bits of a float64
 
 
-def _reprs(a: np.ndarray) -> np.ndarray:
-    """Object array of repr(x) for every entry x of a float64/int64 array.
+def _split(a):
+    """Veltkamp split a = hi + lo, each half with at most 26 bits."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
 
-    repr runs once per distinct bit pattern (so -0.0 and 0.0 stay apart);
-    grids repeat many values, e.g. an all-zero imaginary part.
+
+def _scaled_round(a, ah, al, f):
+    """Nearest integers D to a * 10^f (for 1 <= a < 10, f <= 16) and the
+    residuals a * 10^f - D.
+
+    Dekker's TwoProduct gives a * 10^f = hi + lo exactly (10^f is a
+    double); hi - rint(hi) is exact, so the residual carries one rounding
+    of a number below 9.
     """
-    keys = a.view(np.int64) if a.dtype == np.float64 else a
-    uniq, inv = np.unique(keys.ravel(), return_inverse=True)
-    strs = np.array(list(map(repr, uniq.view(a.dtype).tolist())), dtype=object)
-    return strs[inv].reshape(a.shape)
+    p = 10.0 ** f
+    ph, pl = _split(p)
+    hi = a * p
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    h0 = np.rint(hi)
+    r = (hi - h0) + lo
+    k = np.rint(r)
+    return h0.astype(np.int64) + k.astype(np.int64), r - k
 
 
-def _line_parts(mids) -> list:
-    """Reusable parts of one text line per entry of `mids`:
-    [lead, mid, re, " ", im, " ", exp10, "\n"]; the caller fills the lead,
-    re, im and exp10 slots (0, 2, 4, 6) by slice assignment."""
-    parts = [" "] * (8 * len(mids))
-    parts[1::8] = mids
-    parts[7::8] = ["\n"] * len(mids)
-    return parts
+@functools.cache
+def _quads() -> np.ndarray:
+    """S4 table: the 4 ASCII digits of k at k, and at 10^4 + k the same
+    with their trailing zeros as NUL (all four for k = 0)."""
+    k = np.arange(10_000)[:, None]
+    full = (k // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+    bare = full * (k % 10 ** np.arange(4, 0, -1) != 0)
+    table = np.concatenate((full, bare)).view("S4").ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _exact_digits(x):
+    """Digits of repr(x) for the entries the exact path can decide.
+
+    Returns (digits, ok).  Where ok, x is finite, 1 <= |x| < 10, and
+    repr(|x|) is the lead digit of `digits` (an int in [10^16, 10^17)), a
+    point and its other 16 digits less trailing zeros (but at least one).
+    A decimal of D digits round-trips when it lies within ulp(x)/2 of x,
+    so the nearest one round-trips if any does, and repr has the fewest
+    digits D <= 17 whose nearest decimal round-trips.  For D <= 15 that
+    decimal is the only one (ulp(x) * 10^14 < 1); for 16 and 17 it is the
+    nearest, which repr takes.  The powers of two in range, whose ulp
+    below is half the ulp above, are integers and so exact at D = 15.
+    Decisions within _MARGIN of a tie or of the half-ulp bound are not ok.
+    """
+    a = np.abs(x)
+    ok = (a >= 1.0) & (a < 10.0)
+    a = np.fmin(np.fmax(a, 1.0), 10.0)  # finite arithmetic off `ok`
+    half_ulp = ((a.view(np.int64) & _EXPONENT) - (53 << 52)).view(np.float64)
+    ah, al = _split(a)
+    digits, fits = 0, False
+    for f in (16, 15, 14):  # fewer digits replace more where they fit
+        d, r = _scaled_round(a, ah, al, f)
+        r = np.abs(r)
+        bound = half_ulp * 10.0 ** f
+        ok &= np.minimum(np.abs(r - 0.5), np.abs(r - bound)) > _MARGIN
+        passes = r < bound
+        digits = digits + passes * (d * 10 ** (16 - f) - digits)
+        fits = fits | passes
+    return digits, ok & fits
+
+
+def _float_table(x: np.ndarray, sep: str):
+    """(table, index) of the text of float64 array x.
+
+    `table` has one NUL-padded bytes row per distinct bit pattern (so -0.0
+    and 0.0 stay apart), holding repr(value) + sep; index[...] is the row
+    of x[...].  Rows the exact path decides are written from its digits
+    as sign (or NUL), lead digit, '.', 16 digits whose trailing zeros are
+    NUL (a group of four is read bare when every later group is 0) and
+    sep; every other value goes through repr.
+    """
+    uniq, inv = np.unique(x.view(np.int64), return_inverse=True)
+    vals = uniq.view(np.float64)
+    digits, ok = _exact_digits(vals)
+    slow = np.array([repr(v) + sep for v in vals[~ok].tolist()], dtype="S")
+    fast = ok.any()
+    width = max(20 if fast else 0, slow.itemsize)
+    table = np.zeros((len(vals), width), dtype=np.uint8)
+    if fast:
+        lead = digits // 10**16
+        high = digits // 10**8 - lead * 10**8
+        low = digits % 10**8
+        table[:, 0] = (vals < 0) * ord("-")
+        table[:, 1] = lead + ord("0")
+        table[:, 2] = ord(".")
+        quads = table[:, 3:19].view("S4")
+        later_zero = True
+        for i, q in ((3, low % 10**4), (2, low // 10**4),
+                     (1, high % 10**4), (0, high // 10**4)):
+            quads[:, i] = _quads()[q + 10**4 * later_zero]
+            later_zero = later_zero & (q == 0)
+        table[later_zero, 3] = ord("0")  # repr keeps one: 3.0
+        table[:, 19] = ord(sep)
+    table[~ok] = slow.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    return table.view(f"S{width}").ravel(), inv.reshape(x.shape)
+
+
+def _int_table(a: np.ndarray, sep: str):
+    """(table, index) of the text of int array a: one NUL-padded bytes
+    row str(value) + sep per distinct value, and the row of each entry.
+    When a's range holds no more values than a has entries, the table
+    covers the whole range and no sort is needed."""
+    lo, hi = int(a.min()), int(a.max())
+    if hi - lo < a.size:
+        vals, inv = range(lo, hi + 1), a - lo
+    else:
+        vals, inv = np.unique(a, return_inverse=True)
+        vals, inv = vals.tolist(), inv.reshape(a.shape)
+    return np.array([f"{v}{sep}" for v in vals], dtype="S"), inv
+
+
+def _lines(mant, exp10, coords) -> str:
+    """Lines 'coords... re im exp10' for the cells of a 2-D grid, in
+    row-major order; each of `coords` broadcasts to the grid's shape.
+
+    Each field of a line is a (table, index) pair from _float_table or
+    _int_table.  _BLOCK_ROWS grid rows at a time, the lines are gathered
+    as one record array of table rows, a NUL-padded (rows, cols, width)
+    byte matrix; one bytes.translate drops the padding and the rest is
+    decoded as ASCII.
+    """
+    if mant.size == 0:
+        return ""
+    fields = [*(_int_table(c, " ") for c in coords),
+              _float_table(mant.real, " "), _float_table(mant.imag, " "),
+              _int_table(exp10, "\n")]
+    line = np.dtype([(f"f{i}", t.dtype) for i, (t, _) in enumerate(fields)])
+    nrows, ncols = mant.shape
+    out = []
+    for j0 in range(0, nrows, _BLOCK_ROWS):
+        rows = slice(j0, j0 + _BLOCK_ROWS)
+        block = np.empty((min(_BLOCK_ROWS, nrows - j0), ncols), dtype=line)
+        for name, (table, index) in zip(line.names, fields):
+            # an index with one row (column numbers) serves every block
+            block[name] = table[index[rows] if len(index) > 1 else index]
+        out.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(out)
 
 
 class RamifiedSeries:
@@ -185,7 +322,7 @@ class RamifiedSeries:
 
     __rmul__ = __mul__
 
-    # -- evaluation and norms -------------------------------------------
+    # -- evaluation -----------------------------------------------------
 
     def _root(self, x: complex, branch: int) -> ScaledComplex:
         """x^(1/kappa), principal branch rotated by 2*pi*branch/kappa."""
@@ -209,41 +346,13 @@ class RamifiedSeries:
     def __call__(self, x: complex, branch: int = 0) -> complex:
         return self.eval(x, branch)
 
-    def tail_ratio(self, r: float) -> float:
-        """Crude growth ratio of consecutive terms at radius r (last quarter)."""
-        logs = self.log10_abs() + np.arange(len(self)) * math.log10(r) / self.kappa
-        logs = logs[np.isfinite(logs)]
-        if len(logs) < 4:
-            return 0.0
-        tail = logs[-max(4, len(logs) // 4):]
-        d = np.diff(tail)
-        return float(10.0 ** np.median(d))
-
-    def sup_norm_on_circle(self, r: float, samples: int = 64) -> float:
-        """max |series(x)| over equispaced x on |x| = r (all kappa branches)."""
-        if self.tail_ratio(r) > 1.0:
-            warnings.warn(
-                f"partial sums look divergent at r={r}",
-                DivergentPartialSumWarning, stacklevel=2)
-        best = -math.inf
-        for br in range(self.kappa):
-            for mth in range(samples):
-                x = r * cmath.exp(2j * math.pi * mth / samples)
-                v = self.eval_scaled(x, branch=br).log10_abs()
-                best = max(best, v)
-        return 10.0 ** best if math.isfinite(best) else 0.0
-
     # -- persistence ----------------------------------------------------
 
     def dumps(self) -> str:
         """Series literal format: header 'kappa N', lines 'j re im exp10'."""
-        n = len(self)
-        parts = _line_parts([" "] * n)
-        parts[0::8] = map(str, range(n))
-        parts[2::8] = _reprs(self.mant.real).tolist()
-        parts[4::8] = _reprs(self.mant.imag).tolist()
-        parts[6::8] = _reprs(self.exp10).tolist()
-        return f"{self.kappa} {self.trunc}\n" + "".join(parts)
+        return f"{self.kappa} {self.trunc}\n" + _lines(
+            self.mant[None, :], self.exp10[None, :],
+            (np.arange(len(self))[None, :],))
 
     @staticmethod
     def loads(text: str) -> "RamifiedSeries":
@@ -359,20 +468,11 @@ class BiSeries:
     def dumps(self) -> str:
         """Grid literal format: header 'kappa_t kappa_z trunc_t trunc_z',
         lines 'j n re im exp10' in row-major order."""
-        re, im, e = (_reprs(self.mant.real), _reprs(self.mant.imag),
-                     _reprs(self.exp10))
         rows, cols = self.mant.shape
-        parts = _line_parts([f" {n} " for n in range(cols)])
-        # one row at a time: a whole-grid list of strings would raise
-        # peak memory
-        text = [f"{self.kappa_t} {self.kappa_z} {self.trunc_t} {self.trunc_z}\n"]
-        for j in range(rows):
-            parts[0::8] = [str(j)] * cols
-            parts[2::8] = re[j].tolist()
-            parts[4::8] = im[j].tolist()
-            parts[6::8] = e[j].tolist()
-            text.append("".join(parts))
-        return "".join(text)
+        return (f"{self.kappa_t} {self.kappa_z} {self.trunc_t} "
+                f"{self.trunc_z}\n" + _lines(
+                    self.mant, self.exp10,
+                    (np.arange(rows)[:, None], np.arange(cols)[None, :])))
 
     @staticmethod
     def loads(text: str) -> "BiSeries":
@@ -394,24 +494,3 @@ class BiSeries:
     def load(path) -> "BiSeries":
         with open(path, encoding="utf-8") as fh:
             return BiSeries.loads(fh.read())
-
-
-@dataclass(frozen=True)
-class GevreyNorm:
-    """Sup of |B_{Gamma_s} phi| on |z| = r (the G_{s,1/kappa}(r) norm)."""
-
-    radius: float
-    value: float
-    diverging: bool = False
-
-
-def gevrey_norm(phi: RamifiedSeries, s, r: float, samples: int = 64) -> GevreyNorm:
-    from .moments import MomentFunction
-    from .operators import borel
-
-    b = borel(MomentFunction.gamma(s), phi)
-    diverging = b.tail_ratio(r) > 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DivergentPartialSumWarning)
-        val = b.sup_norm_on_circle(r, samples)
-    return GevreyNorm(radius=r, value=val, diverging=diverging)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import msumma as ms
 from msumma import BiSeries, RamifiedSeries
+from msumma.series import _exact_digits, _float_table
 from msumma.solver import required_z_truncation
 
 from conftest import random_series
@@ -122,24 +123,6 @@ def test_series_product():
     assert abs(p.coeff_complex(1)) < 1e-15
 
 
-def test_gevrey_norm_finite_for_convergent():
-    a = RamifiedSeries.from_complex(1, [1.0 / math.factorial(j)
-                                        for j in range(20)])
-    g = ms.gevrey_norm(a, 0, 0.5)
-    assert np.isfinite(g.value)
-    assert g.value > 0
-
-
-def test_tail_ratio_tracks_term_growth():
-    a = RamifiedSeries.from_complex(1, np.ones(40))  # radius 1
-    assert abs(a.tail_ratio(0.3) - 0.3) < 1e-12
-    div = RamifiedSeries.from_complex(
-        1, [math.factorial(j) for j in range(30)])
-    assert div.tail_ratio(1.0) > 1.0
-    with pytest.warns(ms.series.DivergentPartialSumWarning):
-        div.sup_norm_on_circle(1.0)
-
-
 # -- text format, pinned against the per-cell formatter ----------------------
 
 DATA = Path(__file__).parent / "data"
@@ -207,6 +190,26 @@ def signed_zero_grid():
     return grid(z, z[:, ::-1].copy(), np.zeros(z.shape, dtype=np.int64))
 
 
+# a normalized mantissa with |m| = 10.0 (see _kernels.norm1)
+TEN_MODULUS = 9.868755360228377 - 1.6148274334936463j
+
+
+def mixed_grid(rows=40, cols=50, seed=5):
+    """Complex mantissas of modulus in [1, 10) at random angles, with real
+    short and integer values mixed in: components in [1, 10) (those of
+    TEN_MODULUS among them) take the writer's exact path, components in
+    (-1, 1) and zeros go through repr."""
+    rng = np.random.default_rng(seed)
+    mant = rng.uniform(1, 10, (rows, cols)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, (rows, cols)))
+    mant.flat[::7] = np.round(mant.flat[::7].real, rng.integers(0, 15))
+    mant.flat[::11] = rng.choice([1.0, -2.0, 4.0, 8.0, 3.0, -7.0, 0.5],
+                                 mant.flat[::11].shape)
+    mant[0, 0], mant[0, 1] = TEN_MODULUS, -TEN_MODULUS
+    return grid(mant.real.copy(), mant.imag.copy(),
+                rng.integers(-300, 300, size=(rows, cols)))
+
+
 def format_cases():
     rng = np.random.default_rng(11)
     sp = special_grid()
@@ -215,6 +218,7 @@ def format_cases():
     repeated = grid(rng.choice([1.0, -0.0, 2.5], size=(40, 30)),
                     np.zeros((40, 30)),
                     rng.choice([0, 7], size=(40, 30)))
+    mixed = mixed_grid()
     wave, heat = solved("wave", 200), solved("heat", 200)
     return {
         "specials": sp,
@@ -229,6 +233,8 @@ def format_cases():
         "extract_row": sp.extract_row(5),
         "all_distinct": distinct,
         "repeated": repeated,
+        "mixed": mixed,
+        "mixed_row": mixed.extract_row(3),
         "wave@200": wave,
         "heat@200": heat,
         "wave_col": wave.extract_col(0),
@@ -257,3 +263,55 @@ def test_dumps_loads_is_bitwise():
         back = type(s).loads(s.dumps())
         assert back.mant.shape == s.mant.shape
         _bits_equal(s, back)
+
+
+# -- the writer's float rows, pinned against repr ----------------------------
+
+
+def assert_reprs(x):
+    """The writer's float rows for x equal repr entry by entry; returns how
+    many distinct values its exact path formatted."""
+    x = np.asarray(x, dtype=np.float64)
+    table, index = _float_table(x, " ")
+    rows = [row.replace(b"\0", b"").decode("ascii")[:-1]
+            for row in table.tolist()]
+    assert [rows[k] for k in index.ravel()] == [repr(v) for v in x.tolist()]
+    _, exact = _exact_digits(np.unique(x.view(np.int64)).view(np.float64))
+    return int(exact.sum())
+
+
+@given(st.lists(st.tuples(st.booleans(),
+                          st.floats(min_value=1.0, max_value=10.0,
+                                    exclude_max=True)), min_size=1))
+@settings(max_examples=200, deadline=None)
+def test_float_rows_match_repr_hypothesis(signed):
+    assert_reprs([-v if neg else v for neg, v in signed])
+
+
+def test_float_rows_match_repr_on_random_bits():
+    rng = np.random.default_rng(14)
+    n = 200_000
+    bits = rng.integers(np.float64(1.0).view(np.int64),
+                        np.float64(10.0).view(np.int64), n)
+    x = bits.view(np.float64) * rng.choice([-1.0, 1.0], n)
+    # all but the near-ties take the exact path
+    assert assert_reprs(x) >= len(np.unique(x)) - 10
+
+
+def test_float_rows_match_repr_on_boundaries():
+    rng = np.random.default_rng(15)
+    x = rng.uniform(1, 10, 3000)
+    nearest = [np.array([float(f"{v:.{d}f}") for v in x.tolist()])
+               for d in (14, 15, 16)]  # 15, 16 and 17 digits
+    family = [v for z in nearest
+              for v in (z, np.nextafter(z, 0.0), np.nextafter(z, 20.0))]
+    short = np.array([float(f"{v:.{d - 1}f}") for v in x.tolist()
+                      for d in range(1, 16)])
+    digits = {len(repr(v).replace(".", "").rstrip("0"))
+              for v in short.tolist()}
+    assert digits == set(range(1, 16))
+    pinned = np.array([1.0, 2.0, 4.0, 8.0, 1.0000000000000002,
+                       9.999999999999998, 3.0, 9.0, 2.5])
+    values = np.concatenate(family + [short, pinned])
+    assert assert_reprs(np.concatenate((values, -values))) > 0.99 * 2 * len(
+        np.unique(values))
