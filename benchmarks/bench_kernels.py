@@ -20,7 +20,10 @@ evaluation on the 30 nodes of one bisection of a ray; and
 independent of n, comes `solve_constant_leading` on (L - 3Z)(L + 7Z) with
 data 1/(1-z) at trunc_t 200 and 21 output columns: its recurrence
 multiplies by s = -4 and 21, so its rows grow out of the mantissa range
-and are renormalized.
+and are renormalized, and as a two-term recurrence it scans every row.
+The same on heat's L - Z^2 takes the bound-certified path: its one term
+has |s| = 1, so no row is scanned.  Last come `BiSeries.dumps` of that
+201x21 heat grid and `BiSeries.loads` of the real 201x201 grid's text.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
@@ -58,15 +61,17 @@ def pade_series(rng):
     return np.exp(lg) * (1.0 + 0.01 * rng.standard_normal(len(j)))
 
 
-def recurrence_problem():
-    """(L - 3Z)(L + 7Z) with data 1/(1-z) in both rows, 21 output columns."""
+def recurrence_problem(heat=False):
+    """(L - 3Z)(L + 7Z), or heat's L - Z^2, with data 1/(1-z) in every
+    row and 21 output columns."""
     from msumma import GAMMA_1, CharPolynomial, PdeProblem, RamifiedSeries
     from msumma.solver import required_z_truncation
 
     L, Z = CharPolynomial.lam(), CharPolynomial.zeta()
-    P = (L - Z.scale(3.0)) * (L + Z.scale(7.0))
+    P = L - Z**2 if heat else (L - Z.scale(3.0)) * (L + Z.scale(7.0))
     nz = required_z_truncation(P, 1, SOLVE_TRUNC_T) + 21
-    data = tuple(RamifiedSeries.from_complex(1, np.ones(nz)) for _ in range(2))
+    data = tuple(RamifiedSeries.from_complex(1, np.ones(nz))
+                 for _ in range(P.lam_degree))
     return PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1, data=data,
                       trunc_t=SOLVE_TRUNC_T)
 
@@ -142,6 +147,15 @@ def run(n, reps):
     prob = recurrence_problem()
     results["solve_constant_leading"] = bench(
         lambda: solve_constant_leading(prob), reps)
+    heat = recurrence_problem(heat=True)
+    results[f"solve L-Z^2 trunc_t {SOLVE_TRUNC_T}"] = bench(
+        lambda: solve_constant_leading(heat), reps)
+    heat_grid = solve_constant_leading(heat)
+    rows, cols = heat_grid.mant.shape
+    results[f"BiSeries.dumps {rows}x{cols}"] = bench(heat_grid.dumps, reps)
+    text = real_grid.dumps()
+    results[f"BiSeries.loads {REAL_GRID_SIDE}x{REAL_GRID_SIDE}"] = bench(
+        lambda: BiSeries.loads(text), reps)
     return results
 
 

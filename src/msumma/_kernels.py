@@ -26,6 +26,9 @@ import numpy as np
 
 BACKEND = "numpy"
 
+# cells per block of a grid loop (32 rows of a 201-column grid): bounds the
+# temporaries of solver._denormalize and series._lines
+BLOCK_CELLS = 32 * 201
 # exponent alignment beyond this underflows double anyway
 _MAX_SHIFT = 400
 _MIN_EXP = np.int64(-(10**9))
@@ -33,6 +36,12 @@ _MIN_EXP = np.int64(-(10**9))
 # _POW10[k + _MAX_SHIFT] == 10.0 ** k for k in [-_MAX_SHIFT, 308]
 _POW10 = [10.0 ** k for k in range(-_MAX_SHIFT, 309)]
 _POW10_ARRAY = np.array(_POW10)
+
+
+def block_rows(ncols: int) -> int:
+    """Rows of an ncols-column grid (ncols >= 1) per block of BLOCK_CELLS
+    cells, at least one."""
+    return max(1, BLOCK_CELLS // ncols)
 
 
 def norm1(m: complex, e: int) -> tuple[complex, int]:

@@ -42,7 +42,9 @@ def _log_window(a: RamifiedSeries, window):
     logs = a.log10_abs() / math.log10(math.e)  # natural logs
     j0, j1 = (2, a.trunc) if window is None else window
     j0 = max(j0, 2)
-    idx = np.array([j for j in range(j0, j1 + 1) if math.isfinite(logs[j])])
+    if j1 > a.trunc:
+        raise ValueError(f"window end {j1} is past the truncation {a.trunc}")
+    idx = j0 + np.flatnonzero(np.isfinite(logs[j0:j1 + 1]))
     if len(idx) == 0:
         raise SemanticError("all coefficients vanish in the requested window")
     if len(idx) < 8:
@@ -118,8 +120,10 @@ def borel_singularities(a: RamifiedSeries, method: str = "pade_poles"
     only two distinct approximants, and a numerically rational series
     (its [lam/rho] reproduces all N coefficients to RANK_TOL) answers
     all three at that verified type, so its poles are the exact ones to
-    rounding.  Each series takes one SVD of its denominator block and one
-    clustering, kept with its approximants and shared with laplace_resum.
+    rounding.  Each series is ranked once, a rational one by the leading
+    sub-block of its denominator block that certifies its type, and
+    clustered once; both are kept with its approximants and shared with
+    laplace_resum.
     The ratio-test radius corroborates.
     With no stable pole the result is flagged inconclusive unless the
     coefficients decay (entire-type growth), which is a no-singularity

@@ -6,7 +6,9 @@ continuation.  Coefficients are rescaled by the geometric slope of their
 magnitudes before solving the linear system, so series with radius far
 from 1 stay well conditioned; poles are mapped back afterwards.  A series
 that is rational to rounding is represented at its verified numerical
-type [lam/rho], found from one SVD of its denominator block.
+type [lam/rho].  Its rank is read from growing leading sub-blocks of the
+denominator block, and the smallest that certifies the type ends the
+search; a series that is not rational is ranked on its full block.
 """
 from __future__ import annotations
 
@@ -216,8 +218,8 @@ def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
     of numpy.linalg.matrix_rank.  The floor matters for large M: sigma_max
     grows like M |c| but ||c||_2 only like sqrt(2M) |c|, and at M = 210
     the rounding noise of a rank-1 block already clears the GGT tolerance.
-    diagonal_pade takes it once per series, before its first solve (see
-    _numerical_type).
+    _numerical_type takes it on growing leading blocks of a series'
+    requested block, before diagonal_pade's first solve.
     """
     if not c.imag.any():
         c = c.real  # a real block takes the real SVD, about twice as fast
@@ -229,10 +231,11 @@ def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
 
 @dataclass(frozen=True)
 class _NumericalType:
-    """The numerical rank of the [L/M] block and, if verified, the series' type.
+    """A numerical rank for the [L/M] block and, if verified, the series' type.
 
     rational is the [min(L, rank-1)/rank] approximant when it reproduces
-    all N coefficients (see _numerical_type), else None.
+    all N coefficients (see _numerical_type), else None.  rank is that of
+    the leading block that certified it, or else of the full [L/M] block.
     """
 
     L: int
@@ -249,32 +252,50 @@ class _NumericalType:
         return M <= self.M and abs(L - self.L) <= self.M - M
 
 
-def _numerical_type(c: np.ndarray, r: float, L: int, M: int) -> _NumericalType:
-    """Rank the [L/M] block once and verify a rank-deficient series' type.
+def _verified_type(c: np.ndarray, r: float, L: int,
+                   rho: int) -> PadeApproximant | None:
+    """[lam/rho], lam = min(L, rho - 1), if it reproduces all N coefficients.
 
-    With 1 <= rho < M, [lam/rho] with lam = min(L, rho - 1) is accepted as
-    the numerical type of the series only if its linearized residual over
-    all N coefficients, ||(q * c)_{0..N-1} - p||_2, is at most
-    RANK_TOL * ||c||_2: the series is then rational of that type to
-    rounding (1/(1-x) at N = 421 leaves about 2e-15 against 2e-13), and a
-    series that is merely close to one, such as a branch point's, fails
-    by orders of magnitude (heat's Borel series leave about 1e-8).
+    Accepted when its linearized residual over all N coefficients,
+    ||(q * c)_{0..N-1} - p||_2, is at most RANK_TOL * ||c||_2: the series
+    is then rational of that type to rounding (1/(1-x) at N = 421 leaves
+    about 2e-15 against 2e-13), and a series that is merely close to one,
+    such as a branch point's, fails by orders of magnitude (heat's Borel
+    series leave about 1e-8).
     """
-    rho = _numerical_rank(c, L, M)
-    rational = None
-    if 1 <= rho < M:
-        lam = min(L, rho - 1)
-        try:
-            num, den = _solve_pade(c, lam, rho)
-        except np.linalg.LinAlgError:
-            num = None
-        if num is not None:
-            res = np.convolve(den.coeffs[::-1], c)[:len(c)]
-            res[:len(num.coeffs)] -= num.coeffs[::-1]
-            if np.linalg.norm(res) <= RANK_TOL * np.linalg.norm(c):
-                rational = PadeApproximant(num=num, den=den, r=r,
-                                           order=(lam, rho))
-    return _NumericalType(L, M, rho, rational)
+    lam = min(L, rho - 1)
+    try:
+        num, den = _solve_pade(c, lam, rho)
+    except np.linalg.LinAlgError:
+        return None
+    res = np.convolve(den.coeffs[::-1], c)[:len(c)]
+    res[:len(num.coeffs)] -= num.coeffs[::-1]
+    if np.linalg.norm(res) > RANK_TOL * np.linalg.norm(c):
+        return None
+    return PadeApproximant(num=num, den=den, r=r, order=(lam, rho))
+
+
+def _numerical_type(c: np.ndarray, r: float, L: int, M: int) -> _NumericalType:
+    """Rank growing leading blocks of [L/M] until one certifies the type.
+
+    The leading k x (k+1) sub-block of the [L/M] denominator block is the
+    [L/k] block.  It is ranked for k = 8, 32, 128, ..., capped at M, by the
+    rule of _numerical_rank.  At each k with 1 <= rho_k < k, [lam/rho_k],
+    lam = min(L, rho_k - 1), is tried against all N coefficients
+    (_verified_type), and the first type that passes is the series'.  A
+    series rational to rounding is certified by its smallest block: 421
+    ones by one 8 x 9 SVD instead of a 210 x 211 one.  Otherwise the last
+    step ranks the full [L/M] block, and the outcome is that block's rank
+    and its verified type, if any.  The result keeps the requested (L, M),
+    so covers() still speaks of the full block.
+    """
+    k = min(8, M)
+    while True:
+        rho = _numerical_rank(c, L, k)
+        rational = _verified_type(c, r, L, rho) if 1 <= rho < k else None
+        if rational is not None or k == M:
+            return _NumericalType(L, M, rho, rational)
+        k = min(4 * k, M)
 
 
 def _kept(ap: PadeApproximant) -> PadeApproximant:
@@ -290,22 +311,26 @@ def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
     The rescaled coefficients d_j = c_j * r^j are O(1); the returned object
     evaluates and reports poles in the original variable.
 
-    Before any solve, one SVD gives the numerical rank rho of the [L/M]
-    denominator block (_numerical_type).  When 1 <= rho < M and [lam/rho],
-    lam = min(L, rho - 1), reproduces all N coefficients to RANK_TOL, the
-    series is numerically rational of that type and [lam/rho] is returned.
-    Otherwise [L/M] is solved; the first exactly singular solve jumps to
-    [min(L, rho-1)/rho] if rho < M, and the order then steps down by one
-    only while the system stays singular.
+    Before any solve, _numerical_type ranks growing leading sub-blocks of
+    the [L/M] denominator block.  When one of rank rho with 1 <= rho < k
+    gives a [lam/rho], lam = min(L, rho - 1), that reproduces all N
+    coefficients to RANK_TOL, the series is numerically rational of that
+    type and [lam/rho] is returned.  Otherwise the full block's rank rho
+    decides: its [lam/rho] is returned if verified, else [L/M] is solved;
+    the first exactly singular solve jumps to [min(L, rho-1)/rho] if
+    rho < M, and the order then steps down by one only while the system
+    stays singular.
 
     A RamifiedSeries keeps its approximants by requested (M, L), and its
     numerical type under the key "type".  Every later request with M >= rho
     and L >= lam on a verified series returns the same approximant with no
     SVD or solve; a later request whose block is a sub-block of the ranked
-    one reuses rho, so the pipeline's requests (stable_poles' and
-    laplace_resum's, at decreasing diagonal M) take one SVD per series.
-    Plain arrays are ranked and solved on every call, and failures are
-    never kept.
+    one reuses rho.  So the pipeline's requests (stable_poles' and
+    laplace_resum's, at decreasing diagonal M) rank each series once: a
+    rational series by the small block that certifies its type, any
+    other by its full block after the smaller leading ones (8 x 9 and
+    32 x 33 for heat's M = 100).  Plain arrays are ranked and solved on
+    every call, and failures are never kept.
     """
     if L is None:
         L = M - 1
@@ -386,11 +411,11 @@ def stable_poles(a, n_coeffs: int | None = None):
     are not three different orders: at odd N, N//2 equals (N-1)//2, and at
     even N, (N-1)//2 equals (N-2)//2, so only two distinct approximants
     are compared.  On a RamifiedSeries the repeated request is answered
-    from the series' memo at no cost, and the three requests take one SVD
-    between them (see diagonal_pade).  A numerically rational series of
-    verified type [lam/rho], rho < M, answers all three with that one
-    approximant: its poles are compared with themselves, which is exact
-    for such a series, not evidence across orders.  A pole counts as
+    from the series' memo at no cost, and the three requests rank the
+    series once between them (see diagonal_pade).  A numerically rational
+    series of verified type [lam/rho], rho < M, answers all three with
+    that one approximant: its poles are compared with themselves, which
+    is exact for such a series, not evidence across orders.  A pole counts as
     stable when each order reproduces it within STABILITY_TOL relative.
     Returns a new list of (location, confidence_radius) sorted by modulus.
 

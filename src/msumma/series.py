@@ -15,8 +15,8 @@ exact vectorized path: its shortest round-trip digits follow from Dekker
 products x * 10^f for f = 14, 15 and 16 and a test against ulp(x)/2.
 Every other value, and any decision within 1e-9 of its boundary, goes
 through repr.  Each distinct value is formatted once into a NUL-padded
-byte row; lines are assembled 32 grid rows at a time as one byte matrix,
-whose padding is dropped before decoding.
+byte row; lines are assembled as one byte matrix per block of about
+_kernels.BLOCK_CELLS cells, whose padding is dropped before decoding.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .errors import KappaMismatchError
 from .scaled import ScaledComplex
 
 
-_BLOCK_ROWS = 32  # grid rows per byte block in _lines; bounds its temporaries
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 # Rounding and round-trip decisions of the exact path closer than this to
 # their boundary (in units of the last digit) go to repr; the residuals it
@@ -163,10 +162,10 @@ def _lines(mant, exp10, coords) -> str:
     row-major order; each of `coords` broadcasts to the grid's shape.
 
     Each field of a line is a (table, index) pair from _float_table or
-    _int_table.  _BLOCK_ROWS grid rows at a time, the lines are gathered
-    as one record array of table rows, a NUL-padded (rows, cols, width)
-    byte matrix; one bytes.translate drops the padding and the rest is
-    decoded as ASCII.
+    _int_table.  `K.block_rows` grid rows at a time, about K.BLOCK_CELLS
+    cells, the lines are gathered as one record array of table rows, a
+    NUL-padded (rows, cols, width) byte matrix; one bytes.translate drops
+    the padding and the rest is decoded as ASCII.
     """
     if mant.size == 0:
         return ""
@@ -176,14 +175,58 @@ def _lines(mant, exp10, coords) -> str:
     line = np.dtype([(f"f{i}", t.dtype) for i, (t, _) in enumerate(fields)])
     nrows, ncols = mant.shape
     out = []
-    for j0 in range(0, nrows, _BLOCK_ROWS):
-        rows = slice(j0, j0 + _BLOCK_ROWS)
-        block = np.empty((min(_BLOCK_ROWS, nrows - j0), ncols), dtype=line)
+    step = K.block_rows(ncols)
+    for j0 in range(0, nrows, step):
+        rows = slice(j0, j0 + step)
+        block = np.empty((min(step, nrows - j0), ncols), dtype=line)
         for name, (table, index) in zip(line.names, fields):
             # an index with one row (column numbers) serves every block
             block[name] = table[index[rows] if len(index) > 1 else index]
         out.append(block.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(out)
+
+
+def _parse_literal(text: str, nhead: int, nfields: int):
+    """Header ints and field columns of a series or grid literal.
+
+    The first non-blank line is the header of nhead ints; every later
+    non-blank line holds nfields fields.  One split tokenizes the text,
+    and the token counts are checked against the line count.  Returns the
+    header as a list and the body as nfields lists of strings, one per
+    field.  Raises ValueError on any other shape.
+    """
+    lines = text.splitlines()
+    head = next((ln.split() for ln in lines if ln.strip()), [])
+    nlines = len(lines) - lines.count("") - sum(map(str.isspace, lines))
+    tokens = text.split()
+    if len(head) != nhead or len(tokens) != nhead + nfields * (nlines - 1):
+        raise ValueError(f"expected a header of {nhead} fields and lines of "
+                         f"{nfields} fields")
+    header = [int(v) for v in head]
+    body = tokens[nhead:]
+    return header, [body[i::nfields] for i in range(nfields)]
+
+
+def _parse_index(col, n: int) -> np.ndarray:
+    """The int column col as an array of indices in [0, n]."""
+    idx = np.fromiter(map(int, col), np.int64, len(col))
+    if len(idx) and (idx.min() < 0 or idx.max() > n):
+        raise ValueError(f"coefficient index outside [0, {n}]")
+    return idx
+
+
+def _parse_cells(cols, shape, where):
+    """Mantissa and exponent arrays of `shape` with the cells of the
+    re, im and exp10 columns `cols` stored at the index tuple `where`."""
+    mant = np.zeros(shape, dtype=np.complex128)
+    exp = np.zeros(shape, dtype=np.int64)
+    k = len(cols[0])
+    # stored by component, bits as parsed: re + 1j*im would make
+    # 1j*inf a nan and lose the sign of a zero
+    mant.real[where] = np.fromiter(map(float, cols[0]), np.float64, k)
+    mant.imag[where] = np.fromiter(map(float, cols[1]), np.float64, k)
+    exp[where] = np.fromiter(map(int, cols[2]), np.int64, k)
+    return mant, exp
 
 
 class RamifiedSeries:
@@ -356,14 +399,9 @@ class RamifiedSeries:
 
     @staticmethod
     def loads(text: str) -> "RamifiedSeries":
-        rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-        kappa, n = int(rows[0][0]), int(rows[0][1])
-        mant = np.zeros(n + 1, dtype=np.complex128)
-        exp = np.zeros(n + 1, dtype=np.int64)
-        for row in rows[1:]:
-            j = int(row[0])
-            mant[j] = complex(float(row[1]), float(row[2]))
-            exp[j] = int(row[3])
+        """Read the `dumps` format; ValueError on malformed text."""
+        (kappa, n), cols = _parse_literal(text, 2, 4)
+        mant, exp = _parse_cells(cols[1:], n + 1, _parse_index(cols[0], n))
         # mantissas were written normalized; renormalizing could flip
         # entries whose modulus sits within an ulp of the decade boundary
         return RamifiedSeries(kappa, mant, exp, normalized=True)
@@ -476,14 +514,10 @@ class BiSeries:
 
     @staticmethod
     def loads(text: str) -> "BiSeries":
-        rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-        kt, kz, nt, nz = (int(v) for v in rows[0])
-        mant = np.zeros((nt + 1, nz + 1), dtype=np.complex128)
-        exp = np.zeros((nt + 1, nz + 1), dtype=np.int64)
-        for row in rows[1:]:
-            j, n = int(row[0]), int(row[1])
-            mant[j, n] = complex(float(row[2]), float(row[3]))
-            exp[j, n] = int(row[4])
+        """Read the `dumps` format; ValueError on malformed text."""
+        (kt, kz, nt, nz), cols = _parse_literal(text, 4, 5)
+        where = (_parse_index(cols[0], nt), _parse_index(cols[1], nz))
+        mant, exp = _parse_cells(cols[2:], (nt + 1, nz + 1), where)
         return BiSeries(kt, kz, mant, exp, normalized=True)
 
     def save(self, path):

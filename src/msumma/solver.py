@@ -35,7 +35,6 @@ from .scaled import ScaledComplex, from_log10_array
 from .series import BiSeries, RamifiedSeries
 
 RECONSTRUCT_TOL = 1e-9  # relative; monomial-exactness of the factorization
-_DENORM_ROWS = 32  # rows per K.mul call in _denormalize; bounds its temporaries
 # Recurrence rows stay unnormalized while every nonzero |mantissa| lies in
 # this range.  From inside it, one more row (each term's |s mantissa| < 10),
 # the alignment of terms up to 10^400 apart and _denormalize's two table
@@ -97,7 +96,8 @@ def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
     The grid need not be normalized: every output cell is normalized once,
     by the `K.mul` of its block.  The divisor is separable: one scaled table
     1/m1(j) and one 1/m2(n/kappa), each from one `from_log10_array` call.
-    Blocks of _DENORM_ROWS rows are then multiplied by both tables in one
+    Blocks of `K.block_rows` rows, about K.BLOCK_CELLS cells each (one
+    block for a 201 x 21 grid), are then multiplied by both tables in one
     `K.mul` call on raveled arrays, so no grid-sized temporary is built and
     no work is done per cell in Python.
     """
@@ -108,9 +108,10 @@ def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
         -m2.log_eval_array(np.arange(nz) / kappa) * LOG10_E)
     mant = np.empty_like(cm)
     exp = np.empty_like(ce)
-    for j0 in range(0, nt, _DENORM_ROWS):
-        rows = slice(j0, j0 + _DENORM_ROWS)
-        nb = min(_DENORM_ROWS, nt - j0)
+    step = K.block_rows(nz)
+    for j0 in range(0, nt, step):
+        rows = slice(j0, j0 + step)
+        nb = min(step, nt - j0)
         bm, be = K.mul((cm[rows] * f1m[rows, None]).ravel(),
                        (ce[rows] + f1e[rows, None]).ravel(),
                        np.tile(f2m, nb), np.tile(f2e, nb))
@@ -119,11 +120,19 @@ def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
     return BiSeries(1, kappa, mant, exp, normalized=True)
 
 
+def _row_bounds(m: np.ndarray) -> tuple[float, float]:
+    """(smallest nonzero |m|, largest |m|): inf and 0.0 for a zero row.
+
+    A NaN entry makes the upper bound NaN.
+    """
+    a = np.abs(m)
+    return float(a.min(where=a > 0.0, initial=np.inf)), float(a.max())
+
+
 def _leaves_range(m: np.ndarray) -> bool:
     """True when a nonzero |m| lies outside [_ROW_MANT_MIN, _ROW_MANT_MAX]."""
-    a = np.abs(m)
-    return bool(a.max() > _ROW_MANT_MAX
-                or a.min(where=a > 0.0, initial=np.inf) < _ROW_MANT_MIN)
+    lo, hi = _row_bounds(m)
+    return hi > _ROW_MANT_MAX or lo < _ROW_MANT_MIN
 
 
 def required_z_truncation(P: CharPolynomial, kappa: int, trunc_t: int) -> int:
@@ -144,10 +153,23 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
     A row is the raw sum of its terms: each term is a source row times the
     scaled scalar s, mantissas multiplied and exponents added, and further
     terms join by the exponent alignment of `K.add` without its normalize.
-    The row is normalized only when a nonzero mantissa leaves
-    [_ROW_MANT_MIN, _ROW_MANT_MAX], so a recurrence with |s| = 1 normalizes
-    no row at all.  The unnormalized grid goes to `_denormalize`, which
-    normalizes every output cell once.
+    The row is written in place and normalized only when a nonzero
+    mantissa leaves [_ROW_MANT_MIN, _ROW_MANT_MAX].  The unnormalized grid
+    goes to `_denormalize`, which normalizes every output cell once.
+
+    Whether a row of a single-term recurrence leaves the range is decided
+    from bounds on the nonzero |mantissa| of each row, carried as Python
+    floats: a row's are its source row's times |s|, the upper one times
+    (1 + 1e-14) and the lower one times (1 - 1e-14).  The margins cover
+    the rounding of the complex product and of the bounds themselves.
+    Only a row whose bounds do not place it inside the range (a NaN bound
+    never does) is scanned by `_leaves_range`, and a scanned row takes its
+    bounds from its actual mantissas, after any normalize.  So the scans
+    skipped are exactly those that would have found the row inside, and
+    the grid is the one a scan of every row gives.  A recurrence with
+    |s| = 1, such as heat's, scans and normalizes no row at all.  The rows
+    of a multi-term recurrence can cancel, so they have no lower bound and
+    every one is scanned.
     """
     P, m1, m2 = prob.P, prob.m1, prob.m2
     p0 = P.leading_constant()
@@ -163,17 +185,24 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
 
     cm = np.zeros((nt + 1, nz_in + 1), dtype=np.complex128)
     ce = np.zeros((nt + 1, nz_in + 1), dtype=np.int64)
-    valid = np.zeros(nt + 1, dtype=np.int64)  # per-row valid length
+    valid = [0] * (nt + 1)  # per-row valid length
+    lo = [math.nan] * (nt + 1)  # bounds on each row's nonzero |mantissa|
+    hi = [math.nan] * (nt + 1)
     for j in range(min(n_lam, nt + 1)):
         row = _normalized_data_row(prob.data[j], m1, m2)
         cm[j, :len(row)] = row.mant
         ce[j, :len(row)] = row.exp10
         valid[j] = nz_in + 1
+        lo[j], hi[j] = _row_bounds(row.mant)
 
     inv_p0 = ScaledComplex.from_complex(-1.0 / p0)
     # each term (a, b) reads row j+a shifted by b*kappa columns, times s
     lower = [(a, b * kappa, inv_p0 * p_ab)
              for (a, b), p_ab in P.coeffs.items() if a < n_lam]
+    # a multi-term row can cancel and is always scanned: bounds are carried
+    # for a single-term recurrence only
+    single = len(lower) == 1
+    s_abs = abs(lower[0][2].mantissa)
     for j2 in range(n_lam, nt + 1):
         j = j2 - n_lam
         width = min(valid[j + a] - shift for a, shift, _ in lower)
@@ -182,20 +211,26 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
                 f"z-truncation exhausted at t-row {j2}; the recurrence needs "
                 f"data trunc_z >= {required_z_truncation(P, kappa, nt)} "
                 f"(got {nz_in})")
+        out_m, out_e = cm[j2, :width], ce[j2, :width]
         (a, shift, s), *rest = lower
-        acc_m = cm[j + a, shift:shift + width] * s.mantissa
-        acc_e = ce[j + a, shift:shift + width] + s.exp10
+        np.multiply(cm[j + a, shift:shift + width], s.mantissa, out=out_m)
+        np.add(ce[j + a, shift:shift + width], s.exp10, out=out_e)
         for a, shift, s in rest:
-            acc_m, acc_e = K._aligned_sum(
-                acc_m, acc_e, cm[j + a, shift:shift + width] * s.mantissa,
+            out_m[:], out_e[:] = K._aligned_sum(
+                out_m, out_e, cm[j + a, shift:shift + width] * s.mantissa,
                 ce[j + a, shift:shift + width] + s.exp10)
-        if _leaves_range(acc_m):
-            acc_m, acc_e = K.normalize(acc_m, acc_e)
-        cm[j2, :width] = acc_m
-        ce[j2, :width] = acc_e
         valid[j2] = width
+        if single:
+            lo[j2] = s_abs * lo[j + a] * (1.0 - 1e-14)
+            hi[j2] = s_abs * hi[j + a] * (1.0 + 1e-14)
+            if lo[j2] >= _ROW_MANT_MIN and hi[j2] <= _ROW_MANT_MAX:
+                continue
+        if _leaves_range(out_m):
+            out_m[:], out_e[:] = K.normalize(out_m, out_e)
+        if single:
+            lo[j2], hi[j2] = _row_bounds(out_m)
 
-    nz_out = int(valid[:nt + 1].min()) - 1
+    nz_out = min(valid) - 1
     return _denormalize(cm[:, :nz_out + 1], ce[:, :nz_out + 1], kappa, m1, m2)
 
 

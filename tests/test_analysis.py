@@ -58,6 +58,19 @@ def test_gevrey_window_too_small():
         estimate_gevrey(RamifiedSeries.from_complex(1, [1.0, 2.0, 3.0]))
 
 
+def test_gevrey_window_matches_the_finite_coefficients():
+    c = [float(math.factorial(j)) if j % 3 else 0.0 for j in range(40)]
+    a = RamifiedSeries.from_complex(1, c)
+    logs = a.log10_abs() / math.log10(math.e)
+    for window in (None, (0, 39), (5, 30), (7, 7 + 12)):
+        idx, L, (j0, j1) = ms.analysis._log_window(a, window)
+        want = [j for j in range(j0, j1 + 1) if math.isfinite(logs[j])]
+        assert idx.tolist() == want
+        assert L.tobytes() == logs[want].tobytes()
+    with pytest.raises(ValueError):
+        estimate_gevrey(a, window=(2, 40))
+
+
 def test_heat_diagonal_is_gevrey_one():
     prob = heat_problem()
     from msumma import solve_constant_leading

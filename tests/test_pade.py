@@ -540,22 +540,28 @@ def heat_borel_series(trunc_t):
                  ms.solve_constant_leading(prob).extract_col(0))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: RamifiedSeries.from_complex(1, np.ones(141)),
-    lambda: RamifiedSeries.from_complex(1, noisy_geometric(4.0, 81, 0)),
-    lambda: heat_borel_series(60),
-], ids=["ones", "noisy 4^j", "heat"])
-def test_one_svd_per_series(make, monkeypatch):
+@pytest.mark.parametrize("make, ranked", [
+    (lambda: RamifiedSeries.from_complex(1, np.ones(141)), [(8, 9)]),
+    (lambda: RamifiedSeries.from_complex(1, noisy_geometric(4.0, 81, 0)),
+     [(8, 9)]),
+    (lambda: heat_borel_series(60), [(8, 9), (30, 31)]),
+    (lambda: RamifiedSeries.from_complex(1, ring_pole_coeffs(12, 121, 0)),
+     [(8, 9), (32, 33)]),
+], ids=["ones", "noisy 4^j", "heat", "12 poles"])
+def test_one_svd_per_series(make, ranked, monkeypatch):
+    # a rational series is ranked only on the leading block that certifies
+    # its type; any other takes one full-size SVD, after smaller leading
+    # ones; later requests take no further SVD
     a = make()
     svds = count_svds(monkeypatch)
     poles = stable_poles(a)
     assert poles
-    assert len(svds) == 1
+    assert svds == ranked
     m = len(a) // 2
-    assert svds[0] == (m, m + 1)
+    assert svds.count((m, m + 1)) == (a._pade_memo["type"].rational is None)
     diagonal_pade(a, m)  # laplace_resum's request
     stable_poles(a)
-    assert len(svds) == 1
+    assert svds == ranked
 
 
 def test_verified_type_answers_every_larger_request(monkeypatch):
@@ -580,11 +586,85 @@ def test_larger_block_is_ranked_again(monkeypatch):
     a = fresh_copy(heat_borel_series(60))
     diagonal_pade(a, 10)
     diagonal_pade(a, 8)
-    assert len(svds) == 1
+    assert svds == [(8, 9), (10, 11)]
     diagonal_pade(a, 30)
     diagonal_pade(a, 29)
     diagonal_pade(a, 12)
-    assert svds == [(10, 11), (30, 31)]
+    # heat's leading 8 x 9 block certifies no type, so each full block
+    # follows it
+    assert svds == [(8, 9), (10, 11), (8, 9), (30, 31)]
+
+
+def full_block_type(c, r, L, M):
+    """The numerical type from the full [L/M] block alone.
+
+    One SVD of the whole block gives rho; [min(L, rho-1)/rho] is then
+    verified over all N coefficients, as _numerical_type does at its last
+    step.
+    """
+    rho = pade._numerical_rank(c, L, M)
+    rational = pade._verified_type(c, r, L, rho) if 1 <= rho < M else None
+    return pade._NumericalType(L, M, rho, rational)
+
+
+def pole_sum_coeffs(n_poles, n, seed):
+    """sum_i w_i p_i^(-j): n_poles seeded poles with 1 <= |p| <= 3."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(1.0, 3.0, n_poles) * np.exp(2j * np.pi
+                                                * rng.uniform(size=n_poles))
+    w = rng.standard_normal(n_poles) + 1j * rng.standard_normal(n_poles)
+    return (w[None, :] * p[None, :] ** -np.arange(n)[:, None]).sum(axis=1)
+
+
+def ring_pole_coeffs(n_poles, n, seed):
+    """sum_i w_i p_i^(-j): one seeded pole on the unit circle in each of
+    n_poles equal sectors, weights in [1, 2)."""
+    rng = np.random.default_rng(seed)
+    p = np.exp(2j * np.pi * (np.arange(n_poles) + 0.5 * rng.uniform(
+        size=n_poles)) / n_poles)
+    w = 1.0 + rng.uniform(size=n_poles)
+    return (w[None, :] * p[None, :] ** -np.arange(n)[:, None]).sum(axis=1)
+
+
+def type_families():
+    """Series on which the growing leading blocks must decide as the full
+    block does: rational ones, rational ones with a polynomial part, and
+    branch points."""
+    fams = {"ones 421": np.ones(421),
+            "C(2j,j)": np.array([float(math.comb(2 * j, j))
+                                 for j in range(40)])}
+    for seed in range(3):
+        fams[f"noisy ones 421 seed {seed}"] = noisy_geometric(1.0, 421, seed)
+    for k in range(1, 13):
+        fams[f"{k} poles"] = pole_sum_coeffs(k, 121, k)
+    for k in (9, 12, 20):
+        fams[f"ring of {k} poles"] = ring_pole_coeffs(k, 121, 0)
+    for n in (40, 121):
+        for d in range(6):
+            c = np.ones(n)
+            c[d] += 1.0
+            fams[f"1/(1-x) + x^{d} N={n}"] = c
+    for t in (60, 120, 200):
+        fams[f"heat {t}"] = heat_borel_series(t)
+    return fams
+
+
+@pytest.mark.parametrize("name", list(type_families()))
+def test_numerical_type_matches_the_full_block(name):
+    d, r = _scaled_coeffs(type_families()[name])
+    n = len(d)
+    for M in (n // 2, (n - 1) // 2, (n - 2) // 2):
+        got, want = pade._numerical_type(d, r, M - 1, M), full_block_type(
+            d, r, M - 1, M)
+        assert (got.L, got.M, got.rank) == (want.L, want.M, want.rank)
+        assert (got.rational is None) == (want.rational is None)
+        if want.rational is not None:
+            assert got.rational.order == want.rational.order
+            assert got.rational.r == want.rational.r
+            assert bits(got.rational.num.coeffs) == bits(
+                want.rational.num.coeffs)
+            assert bits(got.rational.den.coeffs) == bits(
+                want.rational.den.coeffs)
 
 
 def step_down_pade(c, L, M):

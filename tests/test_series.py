@@ -265,6 +265,42 @@ def test_dumps_loads_is_bitwise():
         _bits_equal(s, back)
 
 
+def test_dumps_loads_round_trips_a_wide_grid():
+    wave = solved("wave", 200)
+    assert wave.mant.shape == (201, 201)
+    back = BiSeries.loads(wave.dumps())
+    _bits_equal(wave, back)
+    assert back.dumps() == wave.dumps()
+
+
+def test_loads_reads_lines_in_any_order_and_skips_blank_lines():
+    s = RamifiedSeries.from_complex(2, [1.0, -2.5j, 0.0, 3.0 + 4.0j])
+    head, *lines = s.dumps().splitlines()
+    text = "\n\n".join([head, *lines[::-1]]) + "\n   \n"
+    _bits_equal(s, RamifiedSeries.loads(text))
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n  \n", "1\n0 1.0 0.0 0\n", "1 1 7\n0 1.0 0.0 0\n",
+    "1 1\n0 1.0 0.0\n", "1 1\n0 1.0 0.0 0 0\n", "1 1\n0 1.0 0.0\n1 2.0\n",
+    "1 1\n2 1.0 0.0 0\n", "1 1\n-1 1.0 0.0 0\n", "1 1\n0 x 0.0 0\n",
+    "1 1\n0 1.0 0.0 0.5\n", "a 1\n0 1.0 0.0 0\n",
+])
+def test_series_loads_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        RamifiedSeries.loads(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "1 1 1\n", "1 1 1 1 1\n0 0 1.0 0.0 0\n",
+    "1 1 1 1\n0 0 1.0 0.0\n", "1 1 1 1\n0 2 1.0 0.0 0\n",
+    "1 1 1 1\n2 0 1.0 0.0 0\n", "1 1 1 1\n0 0 1.0 nope 0\n",
+])
+def test_grid_loads_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        BiSeries.loads(text)
+
+
 # -- the writer's float rows, pinned against repr ----------------------------
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -243,7 +245,8 @@ def test_solve_normalizes_once_per_recurrence_term(monkeypatch):
 
 def test_heat_normalizes_only_its_denormalized_blocks(monkeypatch):
     # heat's recurrence multiplies by s = 1, so its rows never leave the
-    # mantissa range: a deeper solve adds only _denormalize's K.mul blocks
+    # mantissa range: a deeper solve adds only _denormalize's K.mul blocks,
+    # each of at most K.BLOCK_CELLS cells
     normalize = _count_calls(monkeypatch, K, "normalize")
     counts = {}
     for trunc_t in (50, 200):
@@ -253,8 +256,143 @@ def test_heat_normalizes_only_its_denormalized_blocks(monkeypatch):
         normalize[0] = 0
         solve_constant_leading(prob)
         counts[trunc_t] = normalize[0]
-    blocks = {t: -(-(t + 1) // ms.solver._DENORM_ROWS) for t in counts}
+    blocks = {t: -(-(t + 1) // K.block_rows(21)) for t in counts}
+    assert blocks == {50: 1, 200: 1}
     assert counts[200] - counts[50] == blocks[200] - blocks[50]
+
+
+def test_grid_blocks_are_sized_by_cells():
+    assert K.block_rows(21) > 200  # a 201 x 21 grid is one block
+    assert K.block_rows(201) == 32
+    assert K.block_rows(K.BLOCK_CELLS + 1) == 1
+
+
+def scan_every_row_solve(prob):
+    """solve_constant_leading's recurrence with no carried bounds.
+
+    Each row is built as a new array from its terms, and a scan of its
+    mantissas decides on every row whether it is normalized.
+    """
+    P, m1, m2, kappa = prob.P, prob.m1, prob.m2, prob.kappa
+    n_lam, nt, nz_in = P.lam_degree, prob.trunc_t, prob.trunc_z
+    cm = np.zeros((nt + 1, nz_in + 1), dtype=np.complex128)
+    ce = np.zeros((nt + 1, nz_in + 1), dtype=np.int64)
+    valid = np.zeros(nt + 1, dtype=np.int64)
+    for j in range(n_lam):
+        row = ms.solver._normalized_data_row(prob.data[j], m1, m2)
+        cm[j, :len(row)] = row.mant
+        ce[j, :len(row)] = row.exp10
+        valid[j] = nz_in + 1
+    inv_p0 = ScaledComplex.from_complex(-1.0 / P.leading_constant())
+    lower = [(a, b * kappa, inv_p0 * p_ab)
+             for (a, b), p_ab in P.coeffs.items() if a < n_lam]
+    for j2 in range(n_lam, nt + 1):
+        j = j2 - n_lam
+        width = min(valid[j + a] - shift for a, shift, _ in lower)
+        (a, shift, s), *rest = lower
+        acc_m = cm[j + a, shift:shift + width] * s.mantissa
+        acc_e = ce[j + a, shift:shift + width] + s.exp10
+        for a, shift, s in rest:
+            acc_m, acc_e = K._aligned_sum(
+                acc_m, acc_e, cm[j + a, shift:shift + width] * s.mantissa,
+                ce[j + a, shift:shift + width] + s.exp10)
+        mag = np.abs(acc_m)
+        if (mag.max() > ms.solver._ROW_MANT_MAX
+                or mag.min(where=mag > 0.0, initial=np.inf)
+                < ms.solver._ROW_MANT_MIN):
+            acc_m, acc_e = K.normalize(acc_m, acc_e)
+        cm[j2, :width] = acc_m
+        ce[j2, :width] = acc_e
+        valid[j2] = width
+    nz = int(valid.min())
+    return ms.solver._denormalize(cm[:, :nz], ce[:, :nz], kappa, m1, m2)
+
+
+GAMMA_2 = MomentFunction.gamma(2)
+
+
+def data_file_problem(name, m2, trunc_t, width=21):
+    """tests/data/<name>.mpde at trunc_t with moment m2 and `width` columns."""
+    from pathlib import Path
+
+    text = (Path(__file__).parent / "data" / f"{name}.mpde").read_text(
+        encoding="utf-8")
+    prob = ms.parse_problem(text).to_problem()
+    need = required_z_truncation(prob.P, prob.kappa, trunc_t) + width
+    text = re.sub(r"(?m)^trunc_t:.*$", f"trunc_t: {trunc_t};", text)
+    text = re.sub(r"(?m)^trunc_z:.*$", f"trunc_z: {need - 1};", text)
+    return dataclasses.replace(ms.parse_problem(text).to_problem(), m2=m2)
+
+
+def equation_problem(P, m2, trunc_t=200, width=21, nan_at=None):
+    """P with data 1/(1-z) in every row, `width` output columns; nan_at
+    puts a NaN into the first row's datum at that index."""
+    nz = required_z_truncation(P, 1, trunc_t) + width
+    data = list(geometric_data(P.lam_degree, nz))
+    if nan_at is not None:
+        c = np.ones(nz, dtype=np.complex128)
+        c[nan_at] = np.nan
+        data[0] = RamifiedSeries.from_complex(1, c)
+    return PdeProblem(P=P, m1=GAMMA_1, m2=m2, data=tuple(data),
+                      trunc_t=trunc_t)
+
+
+BOUND_CASES = {
+    "heat": lambda m2: data_file_problem("heat", m2, 200),
+    "wave": lambda m2: data_file_problem("wave", m2, 200, width=201),
+    "divergent_data": lambda m2: data_file_problem("divergent_data", m2, 200),
+    "(L-3Z)(L+7Z)": lambda m2: equation_problem(
+        (L - Z.scale(3.0)) * (L + Z.scale(7.0)), m2),
+    "L-1e7Z": lambda m2: equation_problem(L - Z.scale(1e7), m2),
+    "L-(2+3i)Z^2": lambda m2: equation_problem(L - (Z**2).scale(2 + 3j), m2),
+    "L-1e-9Z": lambda m2: equation_problem(L - Z.scale(1e-9), m2),
+    "(L-Z)(L+2Z)(L-(1+i)Z)": lambda m2: equation_problem(
+        (L - Z) * (L + Z.scale(2.0)) * (L - Z.scale(1 + 1j)), m2, trunc_t=120),
+    "L-3Z with a NaN datum": lambda m2: equation_problem(
+        L - Z.scale(3.0), m2, nan_at=150),
+}
+
+
+@pytest.mark.parametrize("m2", [GAMMA_1, GAMMA_2],
+                         ids=["Gamma(1)", "Gamma(2)"])
+@pytest.mark.parametrize("name", list(BOUND_CASES))
+def test_carried_bounds_give_the_scanned_grid(name, m2):
+    # rows whose bounds certify them inside the range skip the scan; the
+    # grid is bit for bit the one a scan of every row gives
+    prob = BOUND_CASES[name](m2)
+    u, ref = solve_constant_leading(prob), scan_every_row_solve(prob)
+    assert u.mant.shape == ref.mant.shape
+    assert u.mant.tobytes() == ref.mant.tobytes()
+    assert np.array_equal(u.exp10, ref.exp10)
+
+
+def test_heat_scans_no_row(monkeypatch):
+    scans = _count_calls(monkeypatch, ms.solver, "_leaves_range")
+    solve_constant_leading(data_file_problem("heat", GAMMA_1, 200))
+    assert scans[0] == 0
+
+
+def test_single_term_rows_are_scanned_only_near_the_range_edge(monkeypatch):
+    # |s| = 3.6 takes about 90 rows from a normalized row out of the range;
+    # a scanned row's bounds come from its mantissas, so the rows after a
+    # normalize skip the scan again
+    scans = _count_calls(monkeypatch, ms.solver, "_leaves_range")
+    solve_constant_leading(equation_problem(L - (Z**2).scale(2 + 3j),
+                                            GAMMA_1))
+    assert 1 <= scans[0] <= 4
+
+
+def test_large_unit_mantissa_keeps_its_normalizes(monkeypatch):
+    # s = 1e7 has mantissa 1: no row is scanned, and the normalize count is
+    # that of a scan of every row
+    prob = equation_problem(L - Z.scale(1e7), GAMMA_1)
+    normalize = _count_calls(monkeypatch, K, "normalize")
+    scan_every_row_solve(prob)
+    want, normalize[0] = normalize[0], 0
+    scans = _count_calls(monkeypatch, ms.solver, "_leaves_range")
+    solve_constant_leading(prob)
+    assert normalize[0] == want
+    assert scans[0] == 0
 
 
 def worst_error(u, exact):
