@@ -15,8 +15,12 @@ whose denominator block has rank 1, the path of the heat verdict's data
 row 1/(1-z); the same on 421 seeded ones perturbed by 1e-15 relative,
 numerically rational with no exactly singular block, the path of the
 divergent_data Borel series; the M = 110 approximant's two-level Horner
-evaluation on the 30 nodes of one bisection of a ray; and
-`integrate_segment` of its Laplace integrand along that ray.  Last, also
+evaluation on the 122 nodes of one bisection of a ray;
+`integrate_segment` of its Laplace integrand along that ray and, as a
+case that bisects, of the peak 1/(1e-4 + x^2) on [-1, 1] at tol 1e-10;
+and `laplace_resum` of heat's Borel series at trunc_t 60 on the ray
+pi/2 at the five points t = 0.03i .. 0.09i, whose Pade sum and stable
+poles are memoized on the series after the warm-up.  Last, also
 independent of n, comes `solve_constant_leading` on (L - 3Z)(L + 7Z) with
 data 1/(1-z) at trunc_t 200 and 21 output columns: its recurrence
 multiplies by s = -4 and 21, so its rows grow out of the mantissa range
@@ -38,6 +42,8 @@ PADE_M = 110
 REAL_GRID_SIDE = 201
 RANK_JUMP_M = 210
 SOLVE_TRUNC_T = 200
+RESUM_TRUNC_T = 60
+RESUM_TS = (0.03j, 0.045j, 0.06j, 0.075j, 0.09j)
 
 
 def make_inputs(n, rng):
@@ -76,6 +82,20 @@ def recurrence_problem(heat=False):
                       trunc_t=SOLVE_TRUNC_T)
 
 
+def heat_borel():
+    """Borel transform of heat's u(t, 0) with data 1/(1-z) at trunc_t 60."""
+    from msumma import GAMMA_1, CharPolynomial, PdeProblem, RamifiedSeries
+    from msumma.operators import borel
+    from msumma.solver import required_z_truncation, solve_constant_leading
+
+    L, Z = CharPolynomial.lam(), CharPolynomial.zeta()
+    nz = required_z_truncation(L - Z**2, 1, RESUM_TRUNC_T) + 1
+    prob = PdeProblem(P=L - Z**2, m1=GAMMA_1, m2=GAMMA_1,
+                      data=(RamifiedSeries.from_complex(1, np.ones(nz)),),
+                      trunc_t=RESUM_TRUNC_T)
+    return borel(GAMMA_1, solve_constant_leading(prob).extract_col(0))
+
+
 def bench(fn, reps):
     fn()  # warm up
     t0 = time.perf_counter()
@@ -85,11 +105,12 @@ def bench(fn, reps):
 
 
 def run(n, reps):
-    from msumma import BiSeries
+    from msumma import GAMMA_1, BiSeries
     from msumma import _kernels as K
-    from msumma.moments import MomentFunction
+    from msumma.moments import MomentFunction, kernel_pair_for
     from msumma.pade import diagonal_pade
     from msumma.quadrature import _nodes, integrate_segment
+    from msumma.resummation import laplace_resum
     from msumma.scaled import from_log10_array
     from msumma.solver import solve_constant_leading
 
@@ -144,6 +165,13 @@ def run(n, reps):
     results["integrate_segment"] = bench(
         lambda: integrate_segment(lambda x: ap(x) * np.exp(-x / t) / t,
                                   0.0, end), reps)
+    results["integrate_segment peak"] = bench(
+        lambda: integrate_segment(lambda x: 1.0 / (1e-4 + x**2), -1.0, 1.0,
+                                  1e-10), reps)
+    bor, kernel = heat_borel(), kernel_pair_for(GAMMA_1)
+    results[f"laplace_resum heat trunc_t {RESUM_TRUNC_T} x{len(RESUM_TS)}"] = (
+        bench(lambda: [laplace_resum(bor, kernel, math.pi / 2, t)
+                       for t in RESUM_TS], reps))
     prob = recurrence_problem()
     results["solve_constant_leading"] = bench(
         lambda: solve_constant_leading(prob), reps)

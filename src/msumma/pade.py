@@ -31,8 +31,53 @@ def geometric_slope(log10_abs: np.ndarray) -> float:
     idx = np.nonzero(finite)[0]
     if len(idx) < 2:
         return 0.0
-    d = np.diff(log10_abs[idx]) / np.diff(idx)
-    return float(np.median(d))
+    d = np.sort(np.diff(log10_abs[idx]) / np.diff(idx))
+    # np.median's value bit for bit, without the numpy.ma import that its
+    # first call costs: the middle element, or the two middle ones' mean
+    h = len(d) // 2
+    return float(d[h] if len(d) % 2 else (d[h - 1] + d[h]) / 2.0)
+
+
+def _horner_table(*polys: np.ndarray) -> np.ndarray:
+    """(B, nb, p) coefficient-block table of p polynomials for _horner.
+
+    Each polynomial is a coefficient array, highest degree first.  With k
+    the longest coefficient count, B = isqrt(k) and nb = ceil(k/B), entry
+    [s, j, i] holds polynomial i's coefficient of degree j*B + B-1-s, zero
+    where that degree is k or more (or above that polynomial's degree).
+    Row s is the s-th Horner step of every block at once.
+    """
+    k = max(len(c) for c in polys)
+    B = math.isqrt(k)
+    nb = -(-k // B)
+    rows = np.zeros((nb * B, len(polys)), dtype=np.complex128)
+    for i, c in enumerate(polys):
+        rows[:len(c), i] = c[::-1]  # degree 0 first
+    blocks = np.ascontiguousarray(rows.reshape(nb, B, len(polys))[:, ::-1]
+                                  .transpose(1, 0, 2))
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _horner(blocks: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every polynomial of the _horner_table `blocks` at the points y.
+
+    One Horner pass in y evaluates every block of every polynomial at
+    once, in B - 1 steps; a second Horner pass in y^B combines the blocks.
+    Returns shape (p,) + y.shape, complex128.
+    """
+    steps = blocks.reshape(blocks.shape + (1,) * np.ndim(y))
+    acc = np.empty(blocks.shape[1:] + np.shape(y), dtype=np.complex128)
+    acc[...] = steps[0]
+    for row in steps[1:]:
+        acc *= y
+        acc += row
+    yb = y ** len(blocks)
+    out = acc[-1]
+    for block in acc[-2::-1]:
+        out *= yb
+        out += block
+    return out
 
 
 @dataclass(frozen=True)
@@ -45,55 +90,26 @@ class PadeApproximant:
     order: tuple
 
     def __call__(self, x):
-        """num(y) / den(y) at y = x / r, by one two-level Horner evaluator.
+        """num(y) / den(y) at y = x / r, by the two-level Horner evaluator.
 
-        Both polynomials, k coefficients each after zero padding, are cut
-        into blocks of B = isqrt(k) coefficients (_horner_blocks).  One
-        Horner pass in y evaluates every block of both at once, in B - 1
-        steps; a second Horner pass in y^B combines the blocks.  That is
-        about 2 sqrt(k) array steps instead of k, and as accurate as plain
-        Horner: within 1e-14 relative of 50-digit mpmath on heat's [99/100]
-        Borel sum (tests/test_pade.py).  The result has the type and shape
-        of np.polyval's.  At a zero of the denominator the value is inf or
+        Both polynomials are evaluated together by _horner on the block
+        table _horner_blocks: about 2 sqrt(k) array steps for k
+        coefficients instead of k, and as accurate as plain Horner: within
+        1e-14 relative of 50-digit mpmath on heat's [99/100] Borel sum
+        (tests/test_pade.py).  The result has the type and shape of
+        np.polyval's.  At a zero of the denominator the value is inf or
         nan, with no warning; laplace_resum refuses a sum that is not
         finite.
         """
-        y = np.asarray(x, dtype=np.complex128) / self.r
-        blocks = self._horner_blocks
-        steps = blocks.reshape(blocks.shape + (1,) * np.ndim(y))
-        acc = np.empty(blocks.shape[1:] + np.shape(y), dtype=np.complex128)
-        acc[...] = steps[0]
-        for row in steps[1:]:
-            acc *= y
-            acc += row
-        yb = y ** len(blocks)
-        out = acc[-1]
-        for block in acc[-2::-1]:
-            out *= yb
-            out += block
+        out = _horner(self._horner_blocks,
+                      np.asarray(x, dtype=np.complex128) / self.r)
         with np.errstate(divide="ignore", invalid="ignore"):
             return out[0] / out[1]
 
     @cached_property
     def _horner_blocks(self) -> np.ndarray:
-        """(B, nb, 2) table of numerator and denominator coefficient blocks.
-
-        With k the longer coefficient count, B = isqrt(k) and nb = ceil(k/B),
-        entry [s, j] holds the coefficients of degree j*B + B-1-s, zero
-        where that degree is k or more (or above the shorter polynomial's).
-        Row s is the s-th Horner step of every block at once.
-        """
-        num, den = self.num.coeffs, self.den.coeffs
-        k = max(len(num), len(den))
-        B = math.isqrt(k)
-        nb = -(-k // B)
-        rows = np.zeros((nb * B, 2), dtype=np.complex128)  # degree 0 first
-        rows[:len(num), 0] = num[::-1]
-        rows[:len(den), 1] = den[::-1]
-        blocks = np.ascontiguousarray(rows.reshape(nb, B, 2)[:, ::-1]
-                                      .transpose(1, 0, 2))
-        blocks.setflags(write=False)
-        return blocks
+        """_horner's block table of the numerator and the denominator."""
+        return _horner_table(self.num.coeffs, self.den.coeffs)
 
     @cached_property
     def _roots_residues(self) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +118,9 @@ class PadeApproximant:
         Computed once per approximant and read-only; the pole methods
         return new arrays built from it.  A denominator with imaginary
         parts all exactly zero is rooted in real arithmetic, about twice
-        as fast; its roots are cast back to complex128 either way.
+        as fast; its roots are cast back to complex128 either way.  The
+        residues num(y) / den'(y) come from __call__'s two-level Horner
+        evaluator.
         """
         q = self.den.coeffs
         if not q.imag.any():
@@ -110,9 +128,11 @@ class PadeApproximant:
         y = np.roots(q).astype(np.complex128)
         res = np.empty(0)
         if len(y):
-            dden = self.den.deriv()
+            table = _horner_table(self.num.coeffs,
+                                  np.polyder(self.den.coeffs))
+            vals = _horner(table, y)
             with np.errstate(divide="ignore", invalid="ignore"):
-                res = np.abs(self.num(y) / dden(y))
+                res = np.abs(vals[0] / vals[1])
             res = np.where(np.isfinite(res), res, np.inf)
         y.setflags(write=False)
         res.setflags(write=False)

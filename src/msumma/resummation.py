@@ -58,9 +58,11 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
     zero of the Pade denominator that no stable pole announced.
 
     The Borel series' stable poles come from its memo after the first
-    stable_poles call, and each bisection of the two adaptive segments,
-    split at |t|, evaluates V once on its 30 nodes (PadeApproximant's
-    two-level Horner).  panels counts the panels of both segments.
+    stable_poles call.  The path is split at |t| into two adaptive G30/K61
+    segments; each evaluates V (PadeApproximant's two-level Horner) once
+    on its 61 nodes and once more, on 122 nodes, per bisection.  V is
+    analytic near the path, so a segment mostly takes one panel.  panels
+    counts the panels of both segments.
     """
     if borel_series.kappa != 1:
         raise GridError("laplace_resum expects an unramified Borel series")

@@ -115,9 +115,15 @@ def _float_table(x: np.ndarray, sep: str):
     of x[...].  Rows the exact path decides are written from its digits
     as sign (or NUL), lead digit, '.', 16 digits whose trailing zeros are
     NUL (a group of four is read bare when every later group is 0) and
-    sep; every other value goes through repr.
+    sep; every other value goes through repr.  A field whose cells share
+    one bit pattern, as a real grid's imaginary parts do, takes a one-row
+    table without the sort.
     """
-    uniq, inv = np.unique(x.view(np.int64), return_inverse=True)
+    bits = x.view(np.int64)
+    if bits.size and bits.min() == bits.max():
+        uniq, inv = bits.flat[:1], np.zeros(x.shape, dtype=np.intp)
+    else:
+        uniq, inv = np.unique(bits, return_inverse=True)
     vals = uniq.view(np.float64)
     digits, ok = _exact_digits(vals)
     slow = np.array([repr(v) + sep for v in vals[~ok].tolist()], dtype="S")

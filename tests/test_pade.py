@@ -130,6 +130,83 @@ def test_call_matches_mpmath(L, M):
         assert_matches_mpmath(ap, x)
 
 
+def test_residues_match_mpmath():
+    # |num(y) / den'(y)| at each root, from the two-level Horner evaluator,
+    # against 50 digits on heat's [99/100] Borel sum: within 1e-10
+    # relative, or, where num or den' has a Horner condition number
+    # sum |c_i| |y|^i / |p(y)| above about 1e5 (roots near the branch
+    # point, y ~ 1), within 4 eps times the condition number, the accuracy
+    # np.polyval has there too
+    import mpmath
+
+    ap = diagonal_pade(heat_borel_series(200), 100)
+    assert ap.order == (99, 100)
+    y, res = ap._roots_residues
+    keep = res > 1e-8 * res.max()
+    assert 0 < keep.sum() < len(y)
+    eps = np.finfo(float).eps
+    polys = (ap.num.coeffs, np.polyder(ap.den.coeffs))
+    with mpmath.workdps(50):
+        polys = [[mpmath.mpc(complex(v)) for v in p] for p in polys]
+        for yk, rk in zip(y[keep].tolist(), res[keep].tolist()):
+            yk = mpmath.mpc(yk)
+            vals = [mpmath.polyval(p, yk) for p in polys]
+            cond = sum(mpmath.polyval([abs(c) for c in p], abs(yk)) / abs(v)
+                       for p, v in zip(polys, vals))
+            exact = abs(vals[0] / vals[1])
+            tol = max(1e-10, 4 * eps * cond)
+            assert abs(rk - exact) <= tol * exact, (yk, rk, exact, cond)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 40, 41])
+def test_geometric_slope_is_np_median(n):
+    rng = np.random.default_rng(n)
+    logs = np.cumsum(rng.normal(size=n + 1))
+    logs[rng.integers(0, n + 1, size=n // 8)] = -np.inf  # zero coefficients
+    idx = np.nonzero(np.isfinite(logs))[0]
+    d = np.diff(logs[idx]) / np.diff(idx)
+    want = float(np.median(d))
+    assert bits(pade.geometric_slope(logs)) == bits(want)
+    # ties: equal neighbours and an even count of equal middle values
+    flat = np.repeat(logs[: (n + 2) // 2], 2)
+    idx = np.nonzero(np.isfinite(flat))[0]
+    want = float(np.median(np.diff(flat[idx]) / np.diff(idx)))
+    assert bits(pade.geometric_slope(flat)) == bits(want)
+
+
+def test_heat_op_does_not_import_numpy_ma():
+    # np.median's first call imports numpy.ma; one heat pipeline op at
+    # trunc_t 60 (solve, Gevrey fit, verdicts, dumps, singularities and
+    # resummation) must not
+    src = str(Path(ms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    heat = Path(__file__).parent / "data" / "heat.mpde"
+    code = f"""
+import math, re, sys
+from pathlib import Path
+import msumma as ms
+text = Path({str(heat)!r}).read_text()
+text = re.sub(r"(?m)^trunc_t:.*$", "trunc_t: 60;", text)
+text = re.sub(r"(?m)^trunc_z:.*$", "trunc_z: 130;", text)
+prob = ms.dsl.parse_problem(text).to_problem()
+u = ms.solve_constant_leading(prob)
+diag = u.extract_col(0)
+ms.estimate_gevrey(diag)
+report = ms.summability_verdict(prob, (0.0, math.pi / 2))
+u.dumps(), report.to_json()
+bor = ms.borel(ms.GAMMA_1, diag)
+ms.borel_singularities(bor)
+for t in (0.03j, 0.06j, 0.09j):
+    ms.laplace_resum(bor, ms.kernel_pair_for(ms.GAMMA_1), math.pi / 2, t)
+print([m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("coeffs, pole", [
     ([4.0**j for j in range(40)], 0.25),
     (np.ones(40), 1.0),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import exp1
+from scipy.special import erfc, exp1
 
 import msumma as ms
 from msumma import (BiSeries, CharPolynomial, GAMMA_1, MomentFunction,
@@ -175,9 +175,45 @@ def test_panels_count_both_segments(monkeypatch):
         res = laplace_resum(bor, K1, math.pi / 2, t)
         assert len(panels) == 2 and min(panels) >= 1
         assert res.panels == sum(panels)
+    # a point where one segment bisects
     panels.clear()
-    res = laplace_resum(euler_borel(), K1, 0.0, 0.1)
+    res = laplace_resum(euler_borel(), K1, 0.0, 1.0)
     assert res.panels == sum(panels) > 2
+
+
+def heat_resum_closed_form(t):
+    """(1/t) int_0^{inf e^{i pi/2}} (1 - 4x)^{-1/2} e^{-x/t} dx for t on
+    the positive imaginary axis: with s = 1/t and r = sqrt(-s), it is
+    -s sqrt(pi) / (2r) e^{-s/4} erfc(r/2)."""
+    s = 1.0 / t
+    r = cmath.sqrt(-s)
+    return (-s * math.sqrt(math.pi) / (2.0 * r) * cmath.exp(-s / 4.0)
+            * erfc(r / 2.0))
+
+
+def test_heat_resum_takes_one_panel_per_segment(monkeypatch):
+    # the Pade Borel sum is analytic near both segments, so one K61 panel
+    # each suffices, except at 0.09j: the segment from 0.09i to 3.6i is
+    # long next to its distance 0.25 from the branch point, and bisects once
+    panels = []
+    segment = resummation.integrate_segment
+
+    def spy(*args, **kwargs):
+        res = segment(*args, **kwargs)
+        panels.append(res.panels)
+        return res
+
+    monkeypatch.setattr(resummation, "integrate_segment", spy)
+    bor = heat_borel(60)
+    per_point = []
+    for t in RESUM_TS:
+        panels.clear()
+        res = laplace_resum(bor, K1, math.pi / 2, t)
+        per_point.append(list(panels))
+        exact = heat_resum_closed_form(t)
+        # the Pade limit at trunc_t 60: 3e-16 at 0.03j, 5.5e-12 at 0.09j
+        assert abs(res.value - exact) < 1e-11 * abs(exact), t
+    assert per_point == [[1, 1]] * 4 + [[1, 2]]
 
 
 def exp_z3_coeffs(n):

@@ -351,3 +351,29 @@ def test_float_rows_match_repr_on_boundaries():
     values = np.concatenate(family + [short, pinned])
     assert assert_reprs(np.concatenate((values, -values))) > 0.99 * 2 * len(
         np.unique(values))
+
+
+@pytest.mark.parametrize("fill", [[0.0], [-0.0], [0.0, -0.0], [np.nan]],
+                         ids=["zero", "negative zero", "mixed zeros", "nan"])
+def test_constant_fields_skip_the_sort(fill, monkeypatch):
+    # the imaginary field of a 4x5 grid; a field with one bit pattern takes
+    # a one-row table and no np.unique call, mixed +-0.0 keeps two rows
+    im = np.resize(np.array(fill), (4, 5))
+    re_part = np.arange(20.0).reshape(4, 5) + 1.5
+    s = grid(re_part, im, np.zeros((4, 5), dtype=np.int64))
+    expected = percell_dumps(s)
+    calls = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    table, index = _float_table(s.mant.imag, " ")
+    assert len(table) == len(fill) and index.shape == (4, 5)
+    assert len(calls) == (len(fill) > 1)
+    assert_reprs(s.mant.imag.ravel())
+    calls.clear()
+    assert s.dumps() == expected
+    assert len(calls) == 1 + (len(fill) > 1)  # the real field sorts
