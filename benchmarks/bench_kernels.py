@@ -8,7 +8,9 @@ one time per kernel.  Then come the moment tables of the operator layer,
 normalized inputs, whose complex cells have many components below 1 that
 go through repr, and, independent of n, on a seeded real 201x201 grid of
 normalized mantissas, which takes the writer's exact path as a solution
-grid does.  Then come the Pade layer's costs, independent of n:
+grid does.  Then come the Pade layer's costs, independent of n, each
+call on a fresh RamifiedSeries built before the timed region, so that no
+approximant or numerical type memoized on a series answers it:
 `diagonal_pade` plus `significant_poles` at M = 110 on a seeded real
 series with a branch point at 1; `diagonal_pade` of 421 ones at M = 210,
 whose denominator block has rank 1, the path of the heat verdict's data
@@ -104,8 +106,22 @@ def bench(fn, reps):
     return (time.perf_counter() - t0) / reps
 
 
+def bench_fresh(fn, make, reps):
+    """bench of fn(x), each call, warm-up included, on its own x = make().
+
+    Every x is built before the timed region, so a Pade memo kept on one
+    series never answers a timed call.
+    """
+    xs = [make() for _ in range(reps + 1)]
+    fn(xs[0])  # warm up
+    t0 = time.perf_counter()
+    for x in xs[1:]:
+        fn(x)
+    return (time.perf_counter() - t0) / reps
+
+
 def run(n, reps):
-    from msumma import GAMMA_1, BiSeries
+    from msumma import GAMMA_1, BiSeries, RamifiedSeries
     from msumma import _kernels as K
     from msumma.moments import MomentFunction, kernel_pair_for
     from msumma.pade import diagonal_pade
@@ -147,16 +163,21 @@ def run(n, reps):
                          normalized=True)
     results[f"BiSeries.dumps real {REAL_GRID_SIDE}x{REAL_GRID_SIDE}"] = bench(
         real_grid.dumps, reps)
+
+    def series(c):
+        return lambda: RamifiedSeries.from_complex(1, c)
+
     coeffs = pade_series(rng)
-    results[f"pade M={PADE_M}"] = bench(
-        lambda: diagonal_pade(coeffs, PADE_M).significant_poles(), reps)
+    results[f"pade M={PADE_M}"] = bench_fresh(
+        lambda a: diagonal_pade(a, PADE_M).significant_poles(),
+        series(coeffs), reps)
     ones = np.ones(2 * RANK_JUMP_M + 1)
-    results[f"pade rank jump M={RANK_JUMP_M}"] = bench(
-        lambda: diagonal_pade(ones, RANK_JUMP_M), reps)
+    results[f"pade rank jump M={RANK_JUMP_M}"] = bench_fresh(
+        lambda a: diagonal_pade(a, RANK_JUMP_M), series(ones), reps)
     noisy = ones * (1.0 + 1e-15 * rng.standard_normal(len(ones)))
-    results[f"pade numerically rational M={RANK_JUMP_M}"] = bench(
-        lambda: diagonal_pade(noisy, RANK_JUMP_M), reps)
-    ap = diagonal_pade(coeffs, PADE_M)
+    results[f"pade numerically rational M={RANK_JUMP_M}"] = bench_fresh(
+        lambda a: diagonal_pade(a, RANK_JUMP_M), series(noisy), reps)
+    ap = diagonal_pade(RamifiedSeries.from_complex(1, coeffs), PADE_M)
     end = 1.5 * cmath.exp(0.5j)
     nodes = np.concatenate((_nodes(0.0, 0.5 * end)[1],
                             _nodes(0.5 * end, end)[1]))

@@ -22,10 +22,9 @@ from .errors import (DecompositionError, GridError, KappaMismatchError,
                      UnsupportedRangeError)
 from .moments import (GAMMA_0, GAMMA_1, KernelPair, MomentFunction, gamma_s,
                       kernel_pair_for, mittag_leffler)
-from .operators import (borel, borel_bi, inverse_borel, moment_derivative,
-                        monomial_pseudo)
-from .resummation import (ResummationResult, beta_bridge,
-                          kernel_solution_quadrature, laplace_resum)
+from .operators import borel, inverse_borel, moment_derivative, monomial_pseudo
+from .resummation import (ResummationResult, kernel_solution_quadrature,
+                          laplace_resum)
 from .scaled import ScaledComplex
 from .series import BiSeries, RamifiedSeries
 from .solver import (PdeProblem, SimplePiece, decompose,
@@ -36,14 +35,14 @@ __all__ = [
     "ScaledComplex", "RamifiedSeries", "BiSeries",
     "MomentFunction", "KernelPair", "gamma_s", "kernel_pair_for",
     "mittag_leffler", "GAMMA_0", "GAMMA_1",
-    "borel", "inverse_borel", "borel_bi", "moment_derivative",
+    "borel", "inverse_borel", "moment_derivative",
     "monomial_pseudo",
     "CharPolynomial", "CharRoot", "newton_polygon_roots", "summability_levels",
     "PdeProblem", "SimplePiece", "solve_constant_leading", "solve_simple",
     "decompose", "sum_pieces",
     "GevreyEstimate", "SingularitySet", "SummabilityReport", "estimate_gevrey",
     "borel_singularities", "summability_verdict",
-    "ResummationResult", "laplace_resum", "beta_bridge",
+    "ResummationResult", "laplace_resum",
     "kernel_solution_quadrature",
     "ProblemFile", "parse_problem",
     "MsummaError", "KappaMismatchError", "MomentPoleError",

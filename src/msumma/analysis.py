@@ -38,22 +38,19 @@ class GevreyEstimate:
     method: str
 
 
-def _log_window(a: RamifiedSeries, window):
+def _log_window(a: RamifiedSeries):
+    """Nonzero indices j >= 2, their natural logs and the window (2, trunc)."""
     logs = a.log10_abs() / math.log10(math.e)  # natural logs
-    j0, j1 = (2, a.trunc) if window is None else window
-    j0 = max(j0, 2)
-    if j1 > a.trunc:
-        raise ValueError(f"window end {j1} is past the truncation {a.trunc}")
-    idx = j0 + np.flatnonzero(np.isfinite(logs[j0:j1 + 1]))
+    idx = 2 + np.flatnonzero(np.isfinite(logs[2:]))
     if len(idx) == 0:
-        raise SemanticError("all coefficients vanish in the requested window")
+        raise SemanticError("all coefficients from j = 2 vanish")
     if len(idx) < 8:
         raise SemanticError(
-            f"need at least 8 nonzero coefficients in the window, got {len(idx)}")
-    return idx, logs[idx], (j0, j1)
+            f"need at least 8 nonzero coefficients from j = 2, got {len(idx)}")
+    return idx, logs[idx], (2, a.trunc)
 
 
-def estimate_gevrey(a: RamifiedSeries, window=None) -> GevreyEstimate:
+def estimate_gevrey(a: RamifiedSeries) -> GevreyEstimate:
     """Gevrey order sigma of |c_j| ~ C^j Gamma(1 + sigma j).
 
     Regression of log|c_j| on (j log j, j, log j, 1) gives the estimate;
@@ -61,7 +58,7 @@ def estimate_gevrey(a: RamifiedSeries, window=None) -> GevreyEstimate:
     in 1/log j, is the consistency check folded into the stderr.  Zero
     coefficients are thinned out of the window automatically.
     """
-    idx, L, win = _log_window(a, window)
+    idx, L, win = _log_window(a)
     jj = idx.astype(float)
     X = np.stack([jj * np.log(jj), jj, np.log(jj), np.ones_like(jj)], axis=1)
     coef, res, _, _ = np.linalg.lstsq(X, L, rcond=None)
@@ -111,8 +108,7 @@ class SingularitySet:
         return math.inf
 
 
-def borel_singularities(a: RamifiedSeries, method: str = "pade_poles"
-                        ) -> SingularitySet:
+def borel_singularities(a: RamifiedSeries) -> SingularitySet:
     """Singularities of the analytic continuation of a finite-radius series.
 
     Diagonal Pade pole clusters that stable_poles finds stable are
@@ -123,22 +119,14 @@ def borel_singularities(a: RamifiedSeries, method: str = "pade_poles"
     rounding.  Each series is ranked once, a rational one by the leading
     sub-block of its denominator block that certifies its type, and
     clustered once; both are kept with its approximants and shared with
-    laplace_resum.
-    The ratio-test radius corroborates.
+    laplace_resum.  The ratio-test radius is reported alongside as
+    ratio_modulus.
     With no stable pole the result is flagged inconclusive unless the
     coefficients decay (entire-type growth), which is a no-singularity
     finding.
     """
-    if method not in ("pade_poles", "ratio_test"):
-        raise ValueError(f"unknown method {method!r}")
+    method = "pade_poles"
     rr = ratio_radius(a)
-    if method == "ratio_test":
-        if math.isfinite(rr):
-            pts = (SingularPoint(location=complex(rr), radius=0.5 * rr),)
-            return SingularitySet(pts, method, a.trunc, ratio_modulus=rr,
-                                  note="modulus only; phase unknown")
-        return SingularitySet((), method, a.trunc, inconclusive=True,
-                              ratio_modulus=rr, note="no finite ratio limit")
     try:
         entire = estimate_gevrey(a).order_hat < -0.25
     except SemanticError:
@@ -351,10 +339,17 @@ def _verdict_series(a: RamifiedSeries, directions, levels) -> SummabilityReport:
     for q, K in levels:
         bor = borel(MomentFunction.gamma(1 / K), a)
         sing = borel_singularities(bor)
-        dirs = singular_directions_for_root(sing.points, Fraction(1), 1.0,
-                                            a.kappa)
-        cones = [(p.location, p.radius / max(abs(p.location), 1e-300))
-                 for p in sing.points for _ in (0,)]
+        # (direction, witness, cone), the nearest pole's for each direction
+        found = []
+        for p in sing.points:
+            cone = p.radius / max(abs(p.location), 1e-300)
+            for d in singular_directions_for_root((p,), Fraction(1), 1.0,
+                                                  a.kappa):
+                if all(_angular_gap(d, o) > 1e-9 for o, _, _ in found):
+                    found.append((d, p.location, cone))
+        found.sort(key=lambda f: f[0])
+        dirs = [d for d, _, _ in found]
+        cones = [(w, c) for _, w, c in found]
         qK = float(q * K)
         growth = (fitted_growth_order(bor, qK)
                   if sing.points or not sing.inconclusive else math.inf)

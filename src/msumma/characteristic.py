@@ -92,10 +92,6 @@ class CharPolynomial:
     def __call__(self, lam: complex, zeta: complex) -> complex:
         return sum(c * lam**a * zeta**b for (a, b), c in self.coeffs.items())
 
-    def largest_monomial(self, lam: complex, zeta: complex) -> float:
-        return max(abs(c) * abs(lam)**a * abs(zeta)**b
-                   for (a, b), c in self.coeffs.items())
-
     def __repr__(self) -> str:  # pragma: no cover
         terms = [f"{c:g}*L^{a}*Z^{b}" for (a, b), c in sorted(self.coeffs.items())]
         return " + ".join(terms) or "0"

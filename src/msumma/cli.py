@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 parse error, 3 semantic error, 4 only
 inconclusive numeric verdicts, 5 internal error.  Reports are byte-stable
-for a fixed input and seed; the timestamp lives in the separate run
-record, never in a report file.
+for a fixed input; the timestamp lives in the separate run record, never
+in a report file.
 """
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +43,6 @@ _SEMANTIC_ERRORS = (SemanticError, KappaMismatchError, GridError,
                     TruncationError, DecompositionError, SectorError,
                     RayBlockedError, ResummationError,
                     UnsupportedKernelError, UnsupportedRangeError)
-
-
-def _seed() -> int:
-    return int(os.environ.get("MSUMMA_SEED", "0"))
 
 
 def _load(path: str):
@@ -91,7 +85,6 @@ def _run_record(out_dir, digest: str, report_json: str):
     rec = {
         "input_sha256": digest,
         "version": __version__,
-        "seed": _seed(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "report_sha256": hashlib.sha256(report_json.encode()).hexdigest(),
     }
@@ -156,11 +149,15 @@ def cmd_singular(pf, digest, args) -> int:
     return EXIT_OK
 
 
-def _parse_directions(spec: str):
+def _parse_directions(spec: str, flag: str = "--directions"):
+    """Comma-separated finite angles; anything else is a SemanticError."""
     try:
-        return [float(x) for x in spec.split(",") if x.strip()]
+        dirs = [float(x) for x in spec.split(",") if x.strip()]
     except ValueError as exc:
-        raise SemanticError(f"bad --directions list {spec!r}: {exc}") from exc
+        raise SemanticError(f"bad {flag} list {spec!r}: {exc}") from exc
+    if not all(math.isfinite(d) for d in dirs):
+        raise SemanticError(f"bad {flag} list {spec!r}: non-finite angle")
+    return dirs
 
 
 def cmd_verdict(pf, digest, args) -> int:
@@ -191,7 +188,10 @@ def cmd_resum(pf, digest, args) -> int:
         t = complex(args.t)
     except ValueError as exc:
         raise SemanticError(f"bad --t value {args.t!r}") from exc
-    d = float(args.d) if args.d is not None else 0.0
+    dirs = [0.0] if args.d is None else _parse_directions(args.d, "--d")
+    if len(dirs) != 1:
+        raise SemanticError(f"--d takes one direction, got {args.d!r}")
+    d = dirs[0]
     _, _, diag = _diag_series(pf)
     (q, K) = _first_level(pf)[0]
     bor = borel(MomentFunction.gamma(1 / K), diag)
@@ -217,7 +217,6 @@ def cmd_report(pf, digest, args) -> int:
 
     bundle = {
         "schema": "msumma_report.v1",
-        "seed": _seed(),
         "input_sha256": digest,
         "gevrey": {"order_hat": est.order_hat, "stderr": est.stderr,
                    "window": list(est.window), "method": est.method},

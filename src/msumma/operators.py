@@ -50,18 +50,6 @@ def inverse_borel(m: MomentFunction, a: RamifiedSeries) -> RamifiedSeries:
     return RamifiedSeries(a.kappa, rm, re, normalized=True)
 
 
-def borel_bi(m_t: MomentFunction, m_z: MomentFunction, u) -> "BiSeries":
-    """Apply the t-Borel and z-Borel transforms to a BiSeries."""
-    from .series import BiSeries
-
-    rows = [borel(m_z, u.extract_row(j)) for j in range(u.trunc_t + 1)]
-    v = BiSeries.from_rows(u.kappa_t, rows)
-    cols = [borel(m_t, v.extract_col(n)) for n in range(v.trunc_z + 1)]
-    mant = np.stack([c.mant for c in cols], axis=1)
-    exp = np.stack([c.exp10 for c in cols], axis=1)
-    return BiSeries(u.kappa_t, u.kappa_z, mant, exp, normalized=True)
-
-
 def moment_derivative(m: MomentFunction, power: int, a: RamifiedSeries
                       ) -> RamifiedSeries:
     """power-fold m-moment derivative; truncation drops by kappa per step."""
@@ -164,22 +152,4 @@ def check_commutation(m: MomentFunction, m_prime: MomentFunction,
     """Deviation of B_{m'} d_m a from d_{mm'} B_{m'} a (0 when exact)."""
     lhs = borel(m_prime, moment_derivative(m, 1, a))
     rhs = moment_derivative(m * m_prime, 1, borel(m_prime, a))
-    return max_relative_deviation(lhs, rhs)
-
-
-def check_commutation_poly(poly, m: MomentFunction, m_prime: MomentFunction,
-                           a: RamifiedSeries) -> float:
-    """Same check for P(d_m) with constant coefficients poly[k] * lambda^k."""
-    def apply_poly(mm: MomentFunction, x: RamifiedSeries) -> RamifiedSeries:
-        deg = len(poly) - 1
-        out = RamifiedSeries.zero(x.kappa, x.trunc - deg * x.kappa)
-        for k, c in enumerate(poly):
-            if c == 0:
-                continue
-            term = moment_derivative(mm, k, x)
-            out = out + term.scale(c)
-        return out
-
-    lhs = borel(m_prime, apply_poly(m, a))
-    rhs = apply_poly(m * m_prime, borel(m_prime, a))
     return max_relative_deviation(lhs, rhs)

@@ -9,6 +9,8 @@ that is rational to rounding is represented at its verified numerical
 type [lam/rho].  Its rank is read from growing leading sub-blocks of the
 denominator block, and the smallest that certifies the type ends the
 search; a series that is not rational is ranked on its full block.
+Every entry point takes a RamifiedSeries, which keeps its approximants,
+its numerical type and its stable poles.
 """
 from __future__ import annotations
 
@@ -161,33 +163,25 @@ class PadeApproximant:
         return p[np.argsort(np.abs(p))]
 
 
-def _scaled_coeffs(a) -> tuple[np.ndarray, float]:
+def _scaled_coeffs(a: RamifiedSeries) -> tuple[np.ndarray, float]:
     """Flatten |c_j| ~ 10^(s*j) to d_j = c_j * r^j with r = 10^(-s)."""
-    if isinstance(a, RamifiedSeries):
-        slope = geometric_slope(a.log10_abs())
-        out = np.zeros(len(a), dtype=np.complex128)
-        j = np.flatnonzero(a.mant)
-        m = a.mant[j]
-        # libm hypot, log10 and pow, as abs(complex), ScaledComplex.log10_abs
-        # and Python's float power: numpy's complex abs and its vectorized
-        # log10 and power are an ulp off on some entries
-        am = np.hypot(m.real, m.imag)
-        x = (np.fromiter(map(math.log10, am.tolist()), np.float64, len(j))
-             + a.exp10[j] - slope * j)
-        mag = np.fromiter((10.0 ** v for v in x.tolist()), np.float64, len(j))
-        t = mag * m
-        # the steps of Python's complex / float, a division by (am, 0.0):
-        # a plain t / am gives the other sign on some zero parts
-        out.real[j] = (t.real + t.imag * 0.0) / am
-        out.imag[j] = (t.imag - t.real * 0.0) / am
-        return out, 10.0 ** (-slope)
-    a = np.asarray(a, dtype=np.complex128)
-    with np.errstate(divide="ignore"):
-        logs = np.where(a != 0, np.log10(np.abs(np.where(a != 0, a, 1.0))),
-                        -np.inf)
-    slope = geometric_slope(logs)
-    scale = 10.0 ** (-slope * np.arange(len(a)))
-    return a * scale, 10.0 ** (-slope)
+    slope = geometric_slope(a.log10_abs())
+    out = np.zeros(len(a), dtype=np.complex128)
+    j = np.flatnonzero(a.mant)
+    m = a.mant[j]
+    # libm hypot, log10 and pow, as abs(complex), ScaledComplex.log10_abs
+    # and Python's float power: numpy's complex abs and its vectorized
+    # log10 and power are an ulp off on some entries
+    am = np.hypot(m.real, m.imag)
+    x = (np.fromiter(map(math.log10, am.tolist()), np.float64, len(j))
+         + a.exp10[j] - slope * j)
+    mag = np.fromiter((10.0 ** v for v in x.tolist()), np.float64, len(j))
+    t = mag * m
+    # the steps of Python's complex / float, a division by (am, 0.0):
+    # a plain t / am gives the other sign on some zero parts
+    out.real[j] = (t.real + t.imag * 0.0) / am
+    out.imag[j] = (t.imag - t.real * 0.0) / am
+    return out, 10.0 ** (-slope)
 
 
 def _denominator_block(c: np.ndarray, L: int, M: int) -> np.ndarray:
@@ -325,7 +319,8 @@ def _kept(ap: PadeApproximant) -> PadeApproximant:
     return ap
 
 
-def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
+def diagonal_pade(a: RamifiedSeries, M: int,
+                  L: int | None = None) -> PadeApproximant:
     """Near-diagonal [L/M] Pade (default L = M - 1) of a coefficient series.
 
     The rescaled coefficients d_j = c_j * r^j are O(1); the returned object
@@ -341,7 +336,7 @@ def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
     rho < M, and the order then steps down by one only while the system
     stays singular.
 
-    A RamifiedSeries keeps its approximants by requested (M, L), and its
+    The series keeps its approximants by requested (M, L), and its
     numerical type under the key "type".  Every later request with M >= rho
     and L >= lam on a verified series returns the same approximant with no
     SVD or solve; a later request whose block is a sub-block of the ranked
@@ -349,22 +344,20 @@ def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
     laplace_resum's, at decreasing diagonal M) rank each series once: a
     rational series by the small block that certifies its type, any
     other by its full block after the smaller leading ones (8 x 9 and
-    32 x 33 for heat's M = 100).  Plain arrays are ranked and solved on
-    every call, and failures are never kept.
+    32 x 33 for heat's M = 100).  Failures are never kept.
     """
     if L is None:
         L = M - 1
     need = L + M + 1
     if len(a) < need:
         raise ValueError(f"need {need} coefficients for [{L}/{M}], got {len(a)}")
-    key, memo, kind = (M, L), None, None
-    if isinstance(a, RamifiedSeries):
-        if a._pade_memo is None:
-            a._pade_memo = {}
-        memo = a._pade_memo
-        if key in memo:
-            return memo[key]
-        kind = memo.get("type")
+    key = (M, L)
+    if a._pade_memo is None:
+        a._pade_memo = {}
+    memo = a._pade_memo
+    if key in memo:
+        return memo[key]
+    kind = memo.get("type")
     if kind is not None and kind.rational is not None:
         lam, rho = kind.rational.order
         if M >= rho and L >= lam:
@@ -373,11 +366,9 @@ def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
     d, r = _scaled_coeffs(a)
     if kind is None or not kind.covers(L, M):
         kind = _numerical_type(d, r, L, M)
-        if memo is not None:
-            memo["type"] = kind
+        memo["type"] = kind
         if kind.rational is not None:
-            if memo is not None:
-                memo[key] = _kept(kind.rational)
+            memo[key] = _kept(kind.rational)
             return kind.rational
     rho = kind.rank  # used at the first singular solve only
     while True:
@@ -394,8 +385,7 @@ def diagonal_pade(a, M: int, L: int | None = None) -> PadeApproximant:
                     raise
             rho = 0
     ap = PadeApproximant(num=num, den=den, r=r, order=(L, M))
-    if memo is not None:
-        memo[key] = _kept(ap)  # shared by every later request
+    memo[key] = _kept(ap)  # shared by every later request
     return ap
 
 
@@ -424,52 +414,40 @@ def _cluster(pole_sets, tol=STABILITY_TOL):
     return out
 
 
-def stable_poles(a, n_coeffs: int | None = None):
+def stable_poles(a: RamifiedSeries):
     """Poles persisting across the Pade orders requested for N, N-1, N-2.
 
-    The requests are [M-1/M] with M = n//2 for n in {N, N-1, N-2}.  They
-    are not three different orders: at odd N, N//2 equals (N-1)//2, and at
-    even N, (N-1)//2 equals (N-2)//2, so only two distinct approximants
-    are compared.  On a RamifiedSeries the repeated request is answered
-    from the series' memo at no cost, and the three requests rank the
-    series once between them (see diagonal_pade).  A numerically rational
-    series of verified type [lam/rho], rho < M, answers all three with
-    that one approximant: its poles are compared with themselves, which
-    is exact for such a series, not evidence across orders.  A pole counts as
-    stable when each order reproduces it within STABILITY_TOL relative.
-    Returns a new list of (location, confidence_radius) sorted by modulus.
+    The requests are [M-1/M] with M = n//2 for n in {N, N-1, N-2}, N the
+    series' coefficient count.  They are not three different orders: at
+    odd N, N//2 equals (N-1)//2, and at even N, (N-1)//2 equals (N-2)//2,
+    so only two distinct approximants are compared.  The repeated request
+    is answered from the series' memo at no cost, and the three requests
+    rank the series once between them (see diagonal_pade).  A numerically
+    rational series of verified type [lam/rho], rho < M, answers all three
+    with that one approximant: its poles are compared with themselves,
+    which is exact for such a series, not evidence across orders.  A pole
+    counts as stable when each order reproduces it within STABILITY_TOL
+    relative.  Returns a new list of (location, confidence_radius) sorted
+    by modulus.
 
-    A RamifiedSeries also keeps the clusters in its memo, keyed by N, so
-    borel_singularities and every laplace_resum point on one Borel series
-    share one clustering.
+    The clusters are kept in the series' memo, so borel_singularities and
+    every laplace_resum point on one Borel series share one clustering.
     """
-    n = len(a) if n_coeffs is None else min(n_coeffs, len(a))
+    n = len(a)
     if n < 8:
         raise ValueError("need at least 8 coefficients for pole tracking")
-    key = ("stable_poles", n)
-    if isinstance(a, RamifiedSeries) and a._pade_memo and key in a._pade_memo:
-        return list(a._pade_memo[key])
+    if a._pade_memo and "stable_poles" in a._pade_memo:
+        return list(a._pade_memo["stable_poles"])
     sets = []
     for nk in (n, n - 1, n - 2):
         m = nk // 2
         ap = diagonal_pade(a, m)
         sets.append(ap.significant_poles())
     clusters = _cluster(sets)
-    if isinstance(a, RamifiedSeries):
-        a._pade_memo[key] = tuple(clusters)  # diagonal_pade created the memo
+    a._pade_memo["stable_poles"] = tuple(clusters)  # diagonal_pade made it
     return clusters
 
 
-def ratio_radius(a) -> float:
+def ratio_radius(a: RamifiedSeries) -> float:
     """Nearest-singularity modulus from the coefficient ratio test (crude)."""
-    if isinstance(a, RamifiedSeries):
-        logs = a.log10_abs()
-    else:
-        arr = np.asarray(a, dtype=np.complex128)
-        with np.errstate(divide="ignore"):
-            logs = np.where(arr != 0, np.log10(np.abs(np.where(arr != 0, arr,
-                                                               1.0))), -np.inf)
-    slope = geometric_slope(np.asarray(logs))
-    if not math.isfinite(slope):
-        return math.inf
-    return 10.0 ** (-slope)
+    return 10.0 ** (-geometric_slope(a.log10_abs()))

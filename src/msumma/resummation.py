@@ -3,31 +3,27 @@
 laplace_resum realizes the sum of a divergent series as the Laplace-type
 integral of its Borel transform against the kernel e_m along a chosen
 direction; the Borel function itself is the diagonal Pade representative
-of the truncated Borel series.  beta_bridge converts iterated Borel
-transforms into the joint one at the coefficient level, and
-kernel_solution_quadrature evaluates the closed contour representation of
-simple-equation solutions as an independent oracle.
+of the truncated Borel series.  kernel_solution_quadrature evaluates the
+closed contour representation of simple-equation solutions as an
+independent oracle.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels as K
 from .errors import (GridError, RayBlockedError, ResummationError,
                      SectorError, UnsupportedRangeError)
-from .moments import (LOG10_E, KernelPair, MomentFunction, kernel_pair_for,
-                      lgamma_array)
+from .moments import KernelPair, MomentFunction, kernel_pair_for
 from .pade import diagonal_pade, ratio_radius, stable_poles
 from .quadrature import integrate_segment
-from .scaled import from_log10_array
-from .series import BiSeries, RamifiedSeries
+from .series import RamifiedSeries
 
 SECTOR_MARGIN = 0.02  # rad shaved off the flatness sector pi/(2k)
+QUAD_TOL = 1e-12  # integrate_segment tolerance of each Laplace segment
 RAY_ANGLE_TOL = math.radians(2.0)
 DECAY_EXPONENT = 40.0  # kernel decay e^{-40} terminates the Laplace path
 
@@ -48,7 +44,7 @@ def _angular_gap(d1: float, d2: float) -> float:
 
 
 def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
-                  t: complex, tol: float = 1e-12) -> ResummationResult:
+                  t: complex) -> ResummationResult:
     """value = int_0^{inf e^{id}} V(x) e_m(x/t) dx/x with V the Pade sum.
 
     Preconditions: arg t inside the flatness sector of direction d
@@ -68,7 +64,7 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
         raise GridError("laplace_resum expects an unramified Borel series")
     t = complex(t)
     k = kernel.k
-    half = math.pi / (2.0 * k) - SECTOR_MARGIN
+    half = kernel.flatness_sector() - SECTOR_MARGIN
     if _angular_gap(cmath.phase(t), d) >= half:
         raise SectorError(
             f"arg t = {cmath.phase(t):.4f} outside the sector |arg t - d| < "
@@ -104,8 +100,8 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
     # split at |t| so the adaptive pass resolves the kernel turnover
     mid = min(abs(t), r_max / 2.0) * cmath.exp(1j * d)
     end = r_max * cmath.exp(1j * d)
-    res1 = integrate_segment(f, 0.0, mid, tol)
-    res2 = integrate_segment(f, mid, end, tol)
+    res1 = integrate_segment(f, 0.0, mid, QUAD_TOL)
+    res2 = integrate_segment(f, mid, end, QUAD_TOL)
     value, error = res1.value + res2.value, res1.error + res2.error
     if not (cmath.isfinite(value) and math.isfinite(error)):
         raise ResummationError(
@@ -119,31 +115,6 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
         pade_radius_used=nearest if math.isfinite(nearest)
         else ratio_radius(borel_series),
         panels=res1.panels + res2.panels)
-
-
-def beta_bridge(v: BiSeries, s1, s2) -> BiSeries:
-    """Iterated-to-joint Borel conversion at the coefficient level.
-
-    w_{kn} = v_{kn} * Gamma(1+k s1) Gamma(1+n s2) / Gamma(1+k s1+n s2),
-    turning B_{Gamma_{s1},t} B_{Gamma_{s2},z} u into B_{(s1,s2)} u exactly.
-    """
-    s1, s2 = float(Fraction(s1)), float(Fraction(s2))
-    u1 = s1 * np.arange(v.trunc_t + 1) / v.kappa_t
-    u2 = s2 * np.arange(v.trunc_z + 1) / v.kappa_z
-    lg1 = lgamma_array(1.0 + u1)
-    lg2 = lgamma_array(1.0 + u2)
-    mant = np.empty_like(v.mant)
-    exp = np.empty_like(v.exp10)
-    for kk in range(v.trunc_t + 1):
-        lg = lg1[kk] + lg2 - lgamma_array(1.0 + u1[kk] + u2)
-        fm, fe = from_log10_array(lg * LOG10_E)
-        mant[kk], exp[kk] = K.mul(v.mant[kk], v.exp10[kk], fm, fe)
-    return BiSeries(v.kappa_t, v.kappa_z, mant, exp, normalized=True)
-
-
-def joint_borel_factors(k: int, n: int, s1, s2) -> float:
-    """m_{(s1,s2)}(k,n) = Gamma(1 + k s1 + n s2), the joint divisor."""
-    return math.exp(math.lgamma(1.0 + float(s1) * k + float(s2) * n))
 
 
 def kernel_solution_quadrature(lam: complex, q: int, m1: MomentFunction,

@@ -240,7 +240,7 @@ class RamifiedSeries:
 
     # _pade_memo: Pade approximants of this series by (M, L) and its
     # numerical type under "type", filled by pade.diagonal_pade, and its
-    # stable pole clusters under ("stable_poles", N), filled by
+    # stable pole clusters under "stable_poles", filled by
     # pade.stable_poles; it lives and dies with the (read-only) series.
     __slots__ = ("kappa", "mant", "exp10", "_pade_memo")
 

@@ -23,8 +23,7 @@ from msumma import (CharPolynomial, GAMMA_1, MomentFunction, PdeProblem,
 from msumma.analysis import borel_singularities, estimate_gevrey, \
     summability_verdict
 from msumma.operators import check_commutation, max_relative_deviation
-from msumma.resummation import beta_bridge, joint_borel_factors, \
-    kernel_solution_quadrature, laplace_resum
+from msumma.resummation import kernel_solution_quadrature, laplace_resum
 from msumma.scaled import ScaledComplex
 
 from conftest import cross_solver_deviation, random_series
@@ -178,29 +177,6 @@ def test_criterion_06_cross_solver():
             f"N_t=20): worst gap {worst:.2e} (<1e-12)")
 
 
-def test_criterion_07_beta_bridge():
-    s1, s2 = Fraction(1), Fraction(1, 2)
-    kmax = nmax = 60
-    g = np.empty((kmax + 1, nmax + 1), dtype=np.complex128)
-    e = np.zeros_like(g, dtype=np.int64)
-    for k in range(kmax + 1):
-        for n in range(nmax + 1):
-            sc = ScaledComplex.from_log10(
-                -(math.lgamma(1.0 + k) + math.lgamma(1.0 + 0.5 * n)) * LGE)
-            g[k, n], e[k, n] = sc.mantissa, sc.exp10
-    v = ms.BiSeries(1, 1, g, e, normalized=True)
-    w = beta_bridge(v, s1, s2)
-    worst = 0.0
-    for k in range(kmax + 1):
-        for n in range(nmax + 1):
-            expect = 1.0 / joint_borel_factors(k, n, s1, s2)
-            got = w.coeff(k, n).to_complex().real
-            worst = max(worst, abs(got - expect) / expect)
-    _report(7, worst < 1e-13,
-            f"iterated-to-joint Borel bridge up to (60,60): "
-            f"worst relative gap {worst:.2e} (<1e-13)")
-
-
 def test_criterion_08_resummation():
     t0 = time.time()
     kernel = kernel_pair_for(GAMMA_1)
@@ -275,7 +251,7 @@ def test_criterion_10_cli():
                       "verdicts.csv"))
         rep = json.loads((a / "report.json").read_text())
         schema_ok = (rep["schema"] == "msumma_report.v1"
-                     and set(rep) >= {"seed", "input_sha256", "gevrey",
+                     and set(rep) >= {"input_sha256", "gevrey",
                                       "singularities", "summability"}
                      and rep["summability"]["schema"].startswith(
                          "summability_report"))

@@ -62,13 +62,11 @@ def test_gevrey_window_matches_the_finite_coefficients():
     c = [float(math.factorial(j)) if j % 3 else 0.0 for j in range(40)]
     a = RamifiedSeries.from_complex(1, c)
     logs = a.log10_abs() / math.log10(math.e)
-    for window in (None, (0, 39), (5, 30), (7, 7 + 12)):
-        idx, L, (j0, j1) = ms.analysis._log_window(a, window)
-        want = [j for j in range(j0, j1 + 1) if math.isfinite(logs[j])]
-        assert idx.tolist() == want
-        assert L.tobytes() == logs[want].tobytes()
-    with pytest.raises(ValueError):
-        estimate_gevrey(a, window=(2, 40))
+    idx, L, window = ms.analysis._log_window(a)
+    assert window == (2, 39)
+    want = [j for j in range(2, 40) if math.isfinite(logs[j])]
+    assert idx.tolist() == want
+    assert L.tobytes() == logs[want].tobytes()
 
 
 def test_heat_diagonal_is_gevrey_one():
@@ -102,13 +100,6 @@ def test_short_series_is_inconclusive():
     s = borel_singularities(RamifiedSeries.from_complex(1, 2.0 ** np.arange(6)))
     assert s.inconclusive
     assert s.points == ()
-
-
-def test_ratio_method():
-    a = RamifiedSeries.from_complex(1, [4.0**j for j in range(30)])
-    s = borel_singularities(a, method="ratio_test")
-    assert s.method == "ratio_test"
-    assert abs(s.ratio_modulus - 0.25) < 1e-6
 
 
 def test_complex_pole_location():
@@ -203,6 +194,35 @@ def test_verdict_from_plain_series():
     report = summability_verdict(a, [math.pi / 2],
                                  levels=[(Fraction(1), Fraction(1))])
     assert report.verdicts[0][0].verdict in ("summable", "inconclusive")
+
+
+def test_series_verdict_pairs_each_direction_with_its_pole():
+    # Borel poles at -0.5 and e^{0.3i}: the directions come sorted by
+    # angle (0.3, pi), the poles by modulus (-0.5 first); each verdict
+    # must name the pole on its own ray, and the cone of that pole
+    from msumma.analysis import ANGULAR_TOL
+
+    c = [math.factorial(j) * ((-0.5) ** -j + np.exp(-0.3j * j))
+         for j in range(60)]
+    a = RamifiedSeries.from_complex(1, c)
+    near = ANGULAR_TOL + 5e-4  # inside the 1e-3 cones, outside the tolerance
+    report = summability_verdict(a, [0.3, math.pi, 0.3 + near,
+                                     math.pi - near], levels=[(1, 1)])
+    points = report.singularities[0].points
+    assert len(points) == 2
+    assert report.singular_directions[0] == pytest.approx((0.3, math.pi))
+    poles = {"ray": points[1], "neg": points[0]}
+    assert abs(poles["ray"].location - np.exp(0.3j)) < 1e-6
+    assert abs(poles["neg"].location + 0.5) < 1e-6
+    expect = ["ray", "neg", "ray", "neg"]
+    verdicts = report.verdicts[0]
+    assert [v.verdict for v in verdicts] == ["singular"] * 2 + [
+        "inconclusive"] * 2
+    for v, which in zip(verdicts, expect):
+        assert v.witness == poles[which].location
+    for v, which in zip(verdicts[2:], expect[2:]):
+        p = poles[which]
+        assert v.evidence["confidence_cone"] == p.radius / abs(p.location)
 
 
 def test_all_clean_directions_summable():

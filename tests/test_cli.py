@@ -28,7 +28,7 @@ def test_solve_writes_solution(tmp_path):
     header = sol.splitlines()[0].split()
     assert header[:2] == ["1", "1"]  # kappa_t kappa_z
     rec = json.loads((tmp_path / "run_record.json").read_text())
-    assert set(rec) == {"input_sha256", "version", "seed", "timestamp",
+    assert set(rec) == {"input_sha256", "version", "timestamp",
                         "report_sha256"}
     assert len(rec["input_sha256"]) == 64
 
@@ -125,6 +125,23 @@ def test_missing_flag_exit_3():
     assert run(["resum", HEAT, "--t", "bogus"]) == 3
 
 
+def test_bad_resum_direction_exit_3(tmp_path, capsys):
+    # --d goes through the --directions parser: one finite angle
+    for d in ("abc", "nan", "inf", "0.1,0.2", ""):
+        assert run(["resum", HEAT, "--t", "0.05j", "--d", d,
+                    "--out", tmp_path]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "resummation.txt").exists()
+
+
+def test_non_finite_directions_exit_3(tmp_path, capsys):
+    for dirs in ("nan,1", "1,inf", "2,-inf"):
+        assert run(["verdict", HEAT, "--directions", dirs,
+                    "--out", tmp_path]) == 3
+        assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "summability_report.json").exists()
+
+
 def test_blocked_ray_exit_3(capsys):
     assert run(["resum", HEAT, "--t", "0.05", "--d", "0"]) == 3
     assert "blocked" in capsys.readouterr().err
@@ -217,15 +234,6 @@ def test_solve_serializes_once(tmp_path, monkeypatch):
     text = (tmp_path / "solution.biseries").read_text()
     rec = json.loads((tmp_path / "run_record.json").read_text())
     assert rec["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
-
-
-def test_seed_is_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("MSUMMA_SEED", "12345")
-    assert run(["report", HEAT, "--out", tmp_path]) == 0
-    d = json.loads((tmp_path / "report.json").read_text())
-    assert d["seed"] == 12345
-    rec = json.loads((tmp_path / "run_record.json").read_text())
-    assert rec["seed"] == 12345
 
 
 def test_console_script_entry_point():

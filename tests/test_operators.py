@@ -6,9 +6,8 @@ import pytest
 
 import msumma as ms
 from msumma import (GAMMA_0, GAMMA_1, MomentFunction, RamifiedSeries, borel,
-                    borel_bi, inverse_borel, moment_derivative, monomial_pseudo)
-from msumma.operators import (check_commutation, check_commutation_poly,
-                              max_relative_deviation)
+                    inverse_borel, moment_derivative, monomial_pseudo)
+from msumma.operators import check_commutation, max_relative_deviation
 
 from conftest import random_series
 
@@ -82,14 +81,6 @@ def test_commutation_all_pairs():
     assert worst <= 1e-12
 
 
-def test_commutation_polynomial_operator():
-    rng = np.random.default_rng(5)
-    a = random_series(rng, n=50)
-    dev = check_commutation_poly([1.0, -2.0, 0.5], GAMMA_1,
-                                 MomentFunction.gamma(Fraction(1, 2)), a)
-    assert dev <= 1e-12
-
-
 def test_monomial_pseudo_grid_check():
     a = RamifiedSeries.from_complex(1, np.ones(10))
     with pytest.raises(ms.GridError):
@@ -116,18 +107,6 @@ def test_monomial_pseudo_q_zero_is_scalar():
     out = monomial_pseudo(5.0, 0, GAMMA_1, a)
     assert abs(out.coeff_complex(0) - 10.0) < 1e-14
     assert abs(out.coeff_complex(1) - 15.0) < 1e-14
-
-
-def test_borel_bi_matches_rowwise_colwise():
-    rng = np.random.default_rng(7)
-    u = ms.BiSeries.from_complex(1, 1, rng.normal(size=(5, 6)))
-    v = borel_bi(GAMMA_1, MomentFunction.gamma(2), u)
-    for j in range(5):
-        for n in range(6):
-            expect = (u.coeff(j, n).to_complex()
-                      / math.factorial(j) / math.gamma(1 + 2 * n))
-            assert abs(v.coeff(j, n).to_complex() - expect) <= \
-                1e-14 * max(1.0, abs(expect))
 
 
 def test_identity_moment_is_noop():

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from msumma import RamifiedSeries
 from msumma.pade import diagonal_pade
 from msumma.quadrature import (_NODES, _WG_FULL, _WK, QuadResult,
                                integrate_segment)
@@ -45,7 +46,7 @@ def one_panel_at_a_time(f, a, b, tol=1e-12, max_panels=400):
 def pade_sum_integrand():
     # Laplace integrand of a Pade sum of 1/sqrt(1 - 4x) along a ray
     c = [math.comb(2 * j, j) for j in range(40)]
-    ap = diagonal_pade(c, 20)
+    ap = diagonal_pade(RamifiedSeries.from_complex(1, c), 20)
     return lambda x: ap(x) * np.exp(-x / 0.05) / 0.05
 
 

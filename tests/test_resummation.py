@@ -1,19 +1,17 @@
 import cmath
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import erfc, exp1
 
 import msumma as ms
-from msumma import (BiSeries, CharPolynomial, GAMMA_1, MomentFunction,
-                    PdeProblem, RamifiedSeries, beta_bridge, borel,
-                    kernel_pair_for, kernel_solution_quadrature,
-                    laplace_resum, solve_constant_leading)
+from msumma import (CharPolynomial, GAMMA_1, MomentFunction, PdeProblem,
+                    RamifiedSeries, borel, kernel_pair_for,
+                    kernel_solution_quadrature, laplace_resum,
+                    solve_constant_leading)
 from msumma import pade, resummation
-from msumma.resummation import joint_borel_factors
 
 K1 = kernel_pair_for(GAMMA_1)
 
@@ -148,15 +146,6 @@ def test_stable_poles_clusters_once_per_series(monkeypatch):
     poles.append((1j, 1.0))
     assert pade.stable_poles(bor) == before
     assert len(clusterings) == 1
-    # another coefficient count is clustered, and kept, on its own
-    fewer = pade.stable_poles(bor, len(bor) - 10)
-    assert len(clusterings) == 2
-    assert pade.stable_poles(bor, len(bor) - 10) == fewer
-    assert len(clusterings) == 2
-    # plain arrays are clustered on every call
-    c = np.array([math.comb(2 * j, j) for j in range(40)], dtype=float)
-    assert pade.stable_poles(c) == pade.stable_poles(c)
-    assert len(clusterings) == 4
 
 
 def test_panels_count_both_segments(monkeypatch):
@@ -237,48 +226,6 @@ def test_non_finite_sum_is_refused():
         with pytest.raises(ms.ResummationError, match="not finite"):
             laplace_resum(bor, K1, 0.0, 0.2)
     assert issubclass(ms.ResummationError, ms.MsummaError)
-
-
-# -- iterated-to-joint Borel bridge -----------------------------------------
-
-def test_beta_bridge_closed_form():
-    # start from v_{kn} = 1 / (Gamma(1+k s1) Gamma(1+n s2)); bridging must
-    # produce exactly 1 / Gamma(1 + k s1 + n s2)
-    s1, s2 = Fraction(1), Fraction(1, 2)
-    kmax = nmax = 60
-    g = np.empty((kmax + 1, nmax + 1), dtype=np.complex128)
-    e = np.zeros_like(g, dtype=np.int64)
-    lge = math.log10(math.e)
-    from msumma.scaled import ScaledComplex
-    for k in range(kmax + 1):
-        for n in range(nmax + 1):
-            sc = ScaledComplex.from_log10(
-                -(math.lgamma(1.0 + k) + math.lgamma(1.0 + 0.5 * n)) * lge)
-            g[k, n], e[k, n] = sc.mantissa, sc.exp10
-    v = BiSeries(1, 1, g, e, normalized=True)
-    w = beta_bridge(v, s1, s2)
-    worst = 0.0
-    for k in range(kmax + 1):
-        for n in range(nmax + 1):
-            expect = 1.0 / joint_borel_factors(k, n, s1, s2)
-            got = w.coeff(k, n).to_complex().real
-            worst = max(worst, abs(got - expect) / expect)
-    assert worst < 1e-13
-
-
-def test_beta_bridge_trivial_orders():
-    rng = np.random.default_rng(0)
-    v = BiSeries.from_complex(1, 1, rng.normal(size=(6, 6)))
-    w = beta_bridge(v, 0, 0)
-    for k in range(6):
-        for n in range(6):
-            assert abs(w.coeff(k, n).to_complex()
-                       - v.coeff(k, n).to_complex()) < 1e-15
-
-
-def test_joint_borel_factors_values():
-    assert abs(joint_borel_factors(2, 3, 1, 1) - math.factorial(5)) < 1e-9
-    assert joint_borel_factors(0, 0, 1, 2) == 1.0
 
 
 # -- contour-integral solution oracle ---------------------------------------
