@@ -2,8 +2,11 @@
 
 Runs each primitive of msumma._kernels on fixed seeded inputs and prints
 one time per kernel.  Then come the moment tables of the operator layer,
-`MomentFunction.log_eval_array` over n arguments and
-`scaled.from_log10_array` over n decimal logs, and the text serializer
+`MomentFunction.log_eval_array` over n arguments,
+`scaled.from_log10_array` over n decimal logs and
+`MomentFunction.scaled_table` of n entries, once built (its kept table
+is dropped before each call) and once cached (a slice of the kept
+table), and the text serializer
 `BiSeries.dumps` on a square grid of min(201, isqrt(n)) rows of the
 normalized inputs, whose complex cells have many components below 1 that
 go through repr, and, independent of n, on a seeded real 201x201 grid of
@@ -28,7 +31,9 @@ data 1/(1-z) at trunc_t 200 and 21 output columns: its recurrence
 multiplies by s = -4 and 21, so its rows grow out of the mantissa range
 and are renormalized, and as a two-term recurrence it scans every row.
 The same on heat's L - Z^2 takes the bound-certified path: its one term
-has |s| = 1, so no row is scanned.  Last come `BiSeries.dumps` of that
+has |s| = 1, so no row is scanned.  Both solve rows are timed warm: their
+warm-up builds the moment tables, so the timed calls only slice them.
+Last come `BiSeries.dumps` of that
 201x21 heat grid and `BiSeries.loads` of the real 201x201 grid's text.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
@@ -123,6 +128,7 @@ def bench_fresh(fn, make, reps):
 def run(n, reps):
     from msumma import GAMMA_1, BiSeries, RamifiedSeries
     from msumma import _kernels as K
+    from msumma import moments
     from msumma.moments import MomentFunction, kernel_pair_for
     from msumma.pade import diagonal_pade
     from msumma.quadrature import _nodes, integrate_segment
@@ -150,6 +156,14 @@ def run(n, reps):
     logs = rng.uniform(-5000.0, 5000.0, size=n)
     results["log_eval_array"] = bench(lambda: m.log_eval_array(u), reps)
     results["from_log10_array"] = bench(lambda: from_log10_array(logs), reps)
+
+    def build_table():
+        moments._tables.pop((m, 3, -1), None)
+        return m.scaled_table(3, n, -1)
+
+    results["moment table build"] = bench(build_table, reps)
+    results["moment table cached"] = bench(lambda: m.scaled_table(3, n, -1),
+                                           reps)
     side = grid_side(n)
     grid = BiSeries(1, 1, nm1[:side * side].reshape(side, side),
                     ne1[:side * side].reshape(side, side), normalized=True)

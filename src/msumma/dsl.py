@@ -24,8 +24,7 @@ import numpy as np
 
 from .characteristic import CharPolynomial
 from .errors import ParseError, SemanticError
-from .moments import LOG10_E, MomentFunction, lgamma_array
-from .scaled import from_log10_array
+from .moments import MomentFunction
 from .series import RamifiedSeries
 
 KEYS = ("equation", "m1", "m2", "data", "trunc_t", "trunc_z", "kappa",
@@ -265,13 +264,13 @@ def _materialize(spec, kappa: int, trunc_z: int) -> RamifiedSeries:
         return RamifiedSeries.from_complex(kappa, out)
     if kind == "gamma":
         if spec[1] < 0:
-            # lgamma(1 + s*j) drops the sign of Gamma and meets its poles
+            # Gamma(1 + s*j) changes sign and meets poles for s < 0, where
+            # the Gamma_s table is 1/Gamma(1 - s*j) instead
             raise SemanticError(
                 f"{_format_spec(spec)}: s must be >= 0 (the coefficients are "
                 "Gamma(1 + s*j))")
-        s = float(spec[1])
-        mant, exp = from_log10_array(
-            lgamma_array(1.0 + s * np.arange(n)) * LOG10_E)
+        # Gamma(1 + s*j) is the Gamma_s moment table at kappa = 1
+        mant, exp = MomentFunction.gamma(spec[1]).scaled_table(1, n, +1)
         return RamifiedSeries(kappa, mant, exp, normalized=True)
     raise ValueError(f"unknown spec {kind!r}")
 

@@ -9,7 +9,9 @@ with rational s, where
 optionally generalised (single-factor case) to a * Gamma(b + u/k).  The
 order of the product is the exact rational sum of the signed s values.
 Evaluation runs in log-space so values like Gamma(1+2u) at u = 300 never
-overflow; callers get either the natural log or a ScaledComplex.
+overflow; callers get either the natural log or a ScaledComplex, and the
+scaled tables m(j/kappa)^(+-1) come from MomentFunction.scaled_table,
+which builds each once per process.
 """
 from __future__ import annotations
 
@@ -22,9 +24,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import MomentPoleError, UnsupportedKernelError, UnsupportedRangeError
-from .scaled import ScaledComplex
+from .scaled import ScaledComplex, from_log10_array
 
 LOG10_E = math.log10(math.e)
+# Scaled moment tables by (moment function, kappa, sign), each the longest
+# built so far and read-only; past this many the oldest is dropped.
+_TABLE_CAP = 64
+_tables: dict = {}
 
 
 def _as_fraction(s) -> Fraction:
@@ -129,6 +135,30 @@ class MomentFunction:
 
     def eval_scaled(self, u: float) -> ScaledComplex:
         return ScaledComplex.from_log10(self.log_eval(u) * LOG10_E)
+
+    def scaled_table(self, kappa: int, count: int, sign: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled array (mant, exp10) of m(j/kappa)^sign, j = 0..count-1.
+
+        Read-only views into a process-wide table kept per (m, kappa,
+        sign).  A request longer than the kept table rebuilds it at the
+        new length; every step is elementwise, so each entry is the same
+        whatever length its table was built at.  A MomentPoleError or
+        ValueError propagates and nothing is kept.
+        """
+        key = (self, kappa, sign)
+        table = _tables.get(key)
+        if table is None or len(table[0]) < count:
+            table = from_log10_array(
+                sign * self.log_eval_array(np.arange(count) / kappa)
+                * LOG10_E)
+            for arr in table:
+                arr.setflags(write=False)
+            _tables.pop(key, None)
+            if len(_tables) >= _TABLE_CAP:
+                del _tables[next(iter(_tables))]
+            _tables[key] = table
+        return table[0][:count], table[1][:count]
 
     def __call__(self, u: float) -> float:
         """Plain-float value; overflows raise OverflowError (use eval_scaled)."""

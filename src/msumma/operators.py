@@ -25,13 +25,6 @@ from .scaled import ScaledComplex, from_log10_array
 from .series import RamifiedSeries
 
 
-def _factor_series(m: MomentFunction, kappa: int, count: int, sign: float,
-                   offset: Fraction = Fraction(0)):
-    """Scaled array of m(j/kappa + offset)^sign for j = 0..count-1."""
-    u = np.arange(count) / kappa + float(offset)
-    return from_log10_array(sign * m.log_eval_array(u) * LOG10_E)
-
-
 def _ratio_series(m: MomentFunction, u: np.ndarray, shift: float):
     """Scaled array of m(u + shift) / m(u), one log-space subtraction each."""
     return from_log10_array(
@@ -39,13 +32,13 @@ def _ratio_series(m: MomentFunction, u: np.ndarray, shift: float):
 
 
 def borel(m: MomentFunction, a: RamifiedSeries) -> RamifiedSeries:
-    fm, fe = _factor_series(m, a.kappa, len(a), -1.0)
+    fm, fe = m.scaled_table(a.kappa, len(a), -1)
     rm, re = K.mul(a.mant, a.exp10, fm, fe)
     return RamifiedSeries(a.kappa, rm, re, normalized=True)
 
 
 def inverse_borel(m: MomentFunction, a: RamifiedSeries) -> RamifiedSeries:
-    fm, fe = _factor_series(m, a.kappa, len(a), +1.0)
+    fm, fe = m.scaled_table(a.kappa, len(a), +1)
     rm, re = K.mul(a.mant, a.exp10, fm, fe)
     return RamifiedSeries(a.kappa, rm, re, normalized=True)
 

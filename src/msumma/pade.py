@@ -163,9 +163,25 @@ class PadeApproximant:
         return p[np.argsort(np.abs(p))]
 
 
+def _radius(slope: float) -> float:
+    """10^(-slope), the radius of |c_j| ~ 10^(slope*j); inf past double range."""
+    try:
+        return 10.0 ** (-slope)
+    except OverflowError:
+        return math.inf
+
+
 def _scaled_coeffs(a: RamifiedSeries) -> tuple[np.ndarray, float]:
-    """Flatten |c_j| ~ 10^(s*j) to d_j = c_j * r^j with r = 10^(-s)."""
+    """Flatten |c_j| ~ 10^(s*j) to d_j = c_j * r^j with r = 10^(-s).
+
+    Raises ValueError when r is past double range: coefficients that fall
+    faster than 10^-308 per index have no Pade representative here.
+    """
     slope = geometric_slope(a.log10_abs())
+    r = _radius(slope)
+    if r == math.inf:
+        raise ValueError(f"coefficients fall by 10^{slope:.4g} per index; "
+                         "the Pade rescaling radius is past double range")
     out = np.zeros(len(a), dtype=np.complex128)
     j = np.flatnonzero(a.mant)
     m = a.mant[j]
@@ -181,7 +197,7 @@ def _scaled_coeffs(a: RamifiedSeries) -> tuple[np.ndarray, float]:
     # a plain t / am gives the other sign on some zero parts
     out.real[j] = (t.real + t.imag * 0.0) / am
     out.imag[j] = (t.imag - t.real * 0.0) / am
-    return out, 10.0 ** (-slope)
+    return out, r
 
 
 def _denominator_block(c: np.ndarray, L: int, M: int) -> np.ndarray:
@@ -336,8 +352,9 @@ def diagonal_pade(a: RamifiedSeries, M: int,
     rho < M, and the order then steps down by one only while the system
     stays singular.
 
-    The series keeps its approximants by requested (M, L), and its
-    numerical type under the key "type".  Every later request with M >= rho
+    The series keeps its approximants by requested (M, L), its numerical
+    type under the key "type" and its rescaled coefficients (d, r) under
+    "scaled", so it is rescaled once.  Every later request with M >= rho
     and L >= lam on a verified series returns the same approximant with no
     SVD or solve; a later request whose block is a sub-block of the ranked
     one reuses rho.  So the pipeline's requests (stable_poles' and
@@ -363,7 +380,11 @@ def diagonal_pade(a: RamifiedSeries, M: int,
         if M >= rho and L >= lam:
             memo[key] = kind.rational
             return kind.rational
-    d, r = _scaled_coeffs(a)
+    if "scaled" not in memo:
+        d, r = _scaled_coeffs(a)
+        d.setflags(write=False)
+        memo["scaled"] = d, r
+    d, r = memo["scaled"]
     if kind is None or not kind.covers(L, M):
         kind = _numerical_type(d, r, L, M)
         memo["type"] = kind
@@ -449,5 +470,8 @@ def stable_poles(a: RamifiedSeries):
 
 
 def ratio_radius(a: RamifiedSeries) -> float:
-    """Nearest-singularity modulus from the coefficient ratio test (crude)."""
-    return 10.0 ** (-geometric_slope(a.log10_abs()))
+    """Nearest-singularity modulus from the coefficient ratio test (crude).
+
+    inf when the coefficients fall faster than 10^-308 per index.
+    """
+    return _radius(geometric_slope(a.log10_abs()))

@@ -51,7 +51,8 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
     (|arg t - d| < pi/(2k) - margin) and no detected Borel singularity on
     the ray within the angular tolerance.  Raises ResummationError when the
     value or its quadrature error is not finite, as when the ray meets a
-    zero of the Pade denominator that no stable pole announced.
+    zero of the Pade denominator that no stable pole announced, and when
+    the series has no Pade representative (diagonal_pade's ValueError).
 
     The Borel series' stable poles come from its memo after the first
     stable_poles call.  The path is split at |t| into two adaptive G30/K61
@@ -70,7 +71,11 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
             f"arg t = {cmath.phase(t):.4f} outside the sector |arg t - d| < "
             f"{half:.4f} around direction d = {d:.4f}")
 
-    poles = stable_poles(borel_series) if len(borel_series) >= 8 else []
+    try:
+        poles = stable_poles(borel_series) if len(borel_series) >= 8 else []
+        rep = diagonal_pade(borel_series, len(borel_series) // 2)
+    except ValueError as exc:
+        raise ResummationError(f"no Pade Borel sum: {exc}") from exc
     nearest = math.inf
     for loc, rad in poles:
         gap = _angular_gap(cmath.phase(loc), d)
@@ -80,9 +85,6 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
                 f"direction {d:.4f} blocked by Borel singularity at "
                 f"{loc:.6g} (confidence radius {rad:.2g})")
         nearest = min(nearest, abs(loc))
-
-    m = len(borel_series) // 2
-    rep = diagonal_pade(borel_series, m)
 
     a, b = kernel.moment.scale_a, kernel.moment.shift_b
 

@@ -238,8 +238,9 @@ def _parse_cells(cols, shape, where):
 class RamifiedSeries:
     """Truncated series sum c_j x^(j/kappa), scaled complex coefficients."""
 
-    # _pade_memo: Pade approximants of this series by (M, L) and its
-    # numerical type under "type", filled by pade.diagonal_pade, and its
+    # _pade_memo: Pade approximants of this series by (M, L), its
+    # numerical type under "type" and its rescaled coefficients under
+    # "scaled", filled by pade.diagonal_pade, and its
     # stable pole clusters under "stable_poles", filled by
     # pade.stable_poles; it lives and dies with the (read-only) series.
     __slots__ = ("kappa", "mant", "exp10", "_pade_memo")

@@ -31,7 +31,7 @@ from .errors import (DecompositionError, GridError, SemanticError,
                      TruncationError)
 from .moments import LOG10_E, MomentFunction
 from .operators import monomial_pseudo
-from .scaled import ScaledComplex, from_log10_array
+from .scaled import ScaledComplex
 from .series import BiSeries, RamifiedSeries
 
 RECONSTRUCT_TOL = 1e-9  # relative; monomial-exactness of the factorization
@@ -81,8 +81,7 @@ def _normalized_data_row(phi: RamifiedSeries, m1: MomentFunction,
 
     m1(0) is folded into the m2 table, so the row is normalized once.
     """
-    fm, fe = from_log10_array(
-        m2.log_eval_array(np.arange(len(phi)) / phi.kappa) * LOG10_E)
+    fm, fe = m2.scaled_table(phi.kappa, len(phi), +1)
     m10 = m1.eval_scaled(0.0)
     rm, re = K.mul(phi.mant, phi.exp10, fm * m10.mantissa,
                    fe + np.int64(m10.exp10))
@@ -95,17 +94,16 @@ def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
 
     The grid need not be normalized: every output cell is normalized once,
     by the `K.mul` of its block.  The divisor is separable: one scaled table
-    1/m1(j) and one 1/m2(n/kappa), each from one `from_log10_array` call.
+    1/m1(j) and one 1/m2(n/kappa), each a slice of the table that
+    `MomentFunction.scaled_table` keeps for its (m, kappa, sign).
     Blocks of `K.block_rows` rows, about K.BLOCK_CELLS cells each (one
     block for a 201 x 21 grid), are then multiplied by both tables in one
     `K.mul` call on raveled arrays, so no grid-sized temporary is built and
     no work is done per cell in Python.
     """
     nt, nz = cm.shape
-    f1m, f1e = from_log10_array(
-        -m1.log_eval_array(np.arange(nt, dtype=np.float64)) * LOG10_E)
-    f2m, f2e = from_log10_array(
-        -m2.log_eval_array(np.arange(nz) / kappa) * LOG10_E)
+    f1m, f1e = m1.scaled_table(1, nt, -1)
+    f2m, f2e = m2.scaled_table(kappa, nz, -1)
     mant = np.empty_like(cm)
     exp = np.empty_like(ce)
     step = K.block_rows(nz)

@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 
 import msumma as ms
+from msumma import moments
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty moment-table dict for one test; the process-wide one, with
+    whatever earlier tests built into it, is put back afterwards."""
+    tables = {}
+    monkeypatch.setattr(moments, "_tables", tables)
+    return tables
 
 
 def random_series(rng, kappa=1, n=40, complex_valued=True):

@@ -7,6 +7,8 @@ import pytest
 import msumma as ms
 from msumma import parse_problem
 from msumma.dsl import ProblemFile, tokenize
+from msumma.moments import LOG10_E, lgamma_array
+from msumma.scaled import from_log10_array
 
 HEAT = """\
 equation: L - Z^2;
@@ -57,6 +59,21 @@ def test_gamma_coeffs_data():
     for n in range(20):
         expect = math.factorial(n)
         assert abs(phi.coeff_complex(n) - expect) <= 1e-13 * expect
+
+
+@pytest.mark.parametrize("s", ["0", "1/3", "1/2", "1", "2", "7/2"])
+def test_gamma_coeffs_data_is_the_lgamma_table(s):
+    # Gamma(1 + s*j) from the moment table equals its lgamma formula bit
+    # for bit
+    pf = parse_problem(
+        f"equation: L - Z;\ndata: gamma_coeffs({s});\ntrunc_z: 300;\n"
+        "kappa: 2;\n")
+    phi = pf.to_problem().data[0]
+    ref_m, ref_e = from_log10_array(
+        lgamma_array(1.0 + float(Fraction(s)) * np.arange(301)) * LOG10_E)
+    assert phi.kappa == 2
+    assert phi.mant.tobytes() == ref_m.tobytes()
+    assert phi.exp10.tobytes() == ref_e.tobytes()
 
 
 @pytest.mark.parametrize("s", ["-1/2", "-1/3"])

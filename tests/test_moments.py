@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 import msumma as ms
-from msumma import MomentFunction, kernel_pair_for, mittag_leffler
+from msumma import MomentFunction, kernel_pair_for, mittag_leffler, moments
+from msumma.moments import LOG10_E
 from msumma.scaled import ScaledComplex, from_log10_array
 
 
@@ -243,3 +244,86 @@ def test_log_eval_array_poles_raise_like_scalar(s):
     assert str(table.value) == str(scalar.value)
     # non-integer arguments stay finite
     assert np.all(np.isfinite(m.log_eval_array(np.array([0.5, 1.5]))))
+
+
+# -- scaled moment tables -----------------------------------------------------
+
+SCALED_TABLE_MOMENTS = (
+    ms.GAMMA_1,
+    MomentFunction.gamma(Fraction(1, 2)),
+    MomentFunction.gamma(2) / MomentFunction.gamma(1),
+    MomentFunction.gamma(Fraction(1, 3), a=2.5, b=1.75),
+)
+
+
+def _uncached_table(m, kappa, count, sign):
+    return from_log10_array(
+        sign * m.log_eval_array(np.arange(count) / kappa) * LOG10_E)
+
+
+@pytest.mark.parametrize("m", SCALED_TABLE_MOMENTS)
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("counts", [(40, 301), (301, 40)])
+def test_scaled_table_matches_uncached_build(fresh_tables, m, kappa, sign,
+                                             counts):
+    # short then long rebuilds the kept table; long then short slices it
+    for count in counts + counts:
+        mant, exp10 = m.scaled_table(kappa, count, sign)
+        ref_m, ref_e = _uncached_table(m, kappa, count, sign)
+        assert _same_bits(mant, ref_m)
+        assert np.array_equal(exp10, ref_e) and exp10.dtype == ref_e.dtype
+    assert len(fresh_tables[(m, kappa, sign)][0]) == max(counts)
+
+
+def test_scaled_table_is_built_once_and_read_only(fresh_tables, monkeypatch):
+    builds = []
+    build = moments.from_log10_array
+    monkeypatch.setattr(moments, "from_log10_array",
+                        lambda x: builds.append(len(x)) or build(x))
+    m = MomentFunction.gamma(Fraction(1, 2))
+    for count in (201, 21, 201, 421, 100):
+        mant, exp10 = m.scaled_table(1, count, -1)
+        assert len(mant) == len(exp10) == count
+        assert not mant.flags.writeable and not exp10.flags.writeable
+        with pytest.raises(ValueError):
+            mant[0] = 1.0
+        with pytest.raises(ValueError):
+            exp10[0] = 1
+    assert builds == [201, 421]
+    # an equal moment function and the other sign are keys of their own
+    MomentFunction.gamma(Fraction(1, 2)).scaled_table(1, 100, -1)
+    m.scaled_table(1, 100, +1)
+    assert builds == [201, 421, 100]
+
+
+def test_scaled_table_keeps_at_most_the_cap(fresh_tables):
+    ms_ = [MomentFunction.gamma(Fraction(1, j))
+           for j in range(1, moments._TABLE_CAP + 6)]
+    for m in ms_:
+        m.scaled_table(1, 5, +1)
+    assert len(fresh_tables) == moments._TABLE_CAP
+    # the oldest went first
+    assert (ms_[0], 1, 1) not in fresh_tables
+    assert (ms_[-1], 1, 1) in fresh_tables
+
+
+def test_scaled_table_failures_are_raised_and_never_kept(fresh_tables):
+    # Gamma(-1/2 + u) has a pole at u = 1/2: at kappa = 2 the table meets
+    # it from count 2 on
+    m = _with_shift(MomentFunction.gamma(1), -0.5)
+    for _ in range(2):
+        with pytest.raises(ms.MomentPoleError):
+            m.scaled_table(2, 5, +1)
+    # an infinite scale a makes every log infinite
+    inf = MomentFunction.gamma(1, a=math.inf)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            inf.scaled_table(1, 5, -1)
+    assert not fresh_tables
+    # the entry before the pole is fine, and is kept
+    assert m.scaled_table(2, 1, +1)[0].size == 1
+    assert len(fresh_tables) == 1
+    with pytest.raises(ms.MomentPoleError):
+        m.scaled_table(2, 5, +1)
+    assert len(fresh_tables[(m, 2, 1)][0]) == 1

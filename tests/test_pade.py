@@ -399,6 +399,48 @@ def test_ratio_radius():
                - 10.0) < 1e-9
 
 
+def decaying_past_double_range(n=40):
+    """log10|c_j| = -400 j: the ratio radius 10^400 is past double range."""
+    return RamifiedSeries(1, np.ones(n, dtype=np.complex128),
+                          -400 * np.arange(n), normalized=True)
+
+
+def test_ratio_radius_past_double_range():
+    a = decaying_past_double_range()
+    assert ratio_radius(a) == math.inf
+    sing = ms.borel_singularities(a)
+    assert sing.points == () and not sing.inconclusive
+    assert sing.note.startswith("coefficients decay")
+    assert sing.ratio_modulus == math.inf
+    # the Pade rescaling radius is past double range as well: a ValueError,
+    # raised again on the next request since nothing is kept
+    for _ in range(2):
+        with pytest.raises(ValueError, match="past double range"):
+            diagonal_pade(a, 10)
+    assert not a._pade_memo
+
+
+def test_series_is_rescaled_once(monkeypatch):
+    # heat's Borel series: stable_poles' two approximants and
+    # laplace_resum's diagonal share one rescaling, and each approximant
+    # equals the one a fresh series gives bit for bit
+    calls = []
+    rescale = pade._scaled_coeffs
+    monkeypatch.setattr(pade, "_scaled_coeffs",
+                        lambda a: calls.append(a) or rescale(a))
+    a = pade_ladder_series()[0]
+    stable_poles(a)
+    for m in (30, 29, 20):
+        ap = diagonal_pade(a, m)
+        ref = diagonal_pade(fresh_copy(a), m)
+        assert bits(ap.num.coeffs) == bits(ref.num.coeffs)
+        assert bits(ap.den.coeffs) == bits(ref.den.coeffs)
+        assert ap.r == ref.r
+    assert sum(c is a for c in calls) == 1
+    d, r = a._pade_memo["scaled"]
+    assert not d.flags.writeable
+
+
 def test_diagonal_pade_evaluation():
     c = series([1.0 / math.factorial(j) for j in range(12)])
     ap = diagonal_pade(c, 4, 4)

@@ -228,6 +228,15 @@ def test_non_finite_sum_is_refused():
     assert issubclass(ms.ResummationError, ms.MsummaError)
 
 
+def test_series_past_double_range_is_refused():
+    # log10|c_j| = -400 j has no Pade Borel sum: its rescaling radius
+    # 10^400 is past double range
+    bor = RamifiedSeries(1, np.ones(40, dtype=np.complex128),
+                         -400 * np.arange(40), normalized=True)
+    with pytest.raises(ms.ResummationError, match="past double range"):
+        laplace_resum(bor, K1, math.pi / 2, 0.05j)
+
+
 # -- contour-integral solution oracle ---------------------------------------
 
 def test_kernel_quadrature_transport():

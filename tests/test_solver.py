@@ -8,6 +8,7 @@ import pytest
 
 import msumma as ms
 from msumma import _kernels as K
+from msumma import moments
 from msumma import (CharPolynomial, GAMMA_1, MomentFunction, PdeProblem,
                     RamifiedSeries, decompose, solve_constant_leading,
                     solve_simple, sum_pieces)
@@ -204,14 +205,14 @@ def _count_calls(monkeypatch, owner, name, wrap=lambda f: f):
 
 
 def test_solve_moment_work_does_not_grow_with_grid(monkeypatch):
-    # moment factors come from one array table per axis: the scalar
+    # moment factors come from one scaled table per axis: the scalar
     # log-moment and log-to-scaled paths are not used per grid cell, and
-    # the array conversion is not called per row
+    # tables are neither requested nor built per row
     log_eval = _count_calls(monkeypatch, MomentFunction, "log_eval")
     from_log10 = _count_calls(monkeypatch, ScaledComplex, "from_log10",
                               staticmethod)
-    from_log10_array = _count_calls(monkeypatch, ms.solver,
-                                    "from_log10_array")
+    requests = _count_calls(monkeypatch, MomentFunction, "scaled_table")
+    builds = _count_calls(monkeypatch, moments, "from_log10_array")
     P = (L - Z) * (L + Z)
     counts = []
     for trunc_t, width in ((50, 101), (100, 201)):
@@ -219,12 +220,28 @@ def test_solve_moment_work_does_not_grow_with_grid(monkeypatch):
         prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1,
                           data=geometric_data(2, need + width),
                           trunc_t=trunc_t)
-        log_eval[0] = from_log10[0] = from_log10_array[0] = 0
+        monkeypatch.setattr(moments, "_tables", {})
+        log_eval[0] = from_log10[0] = requests[0] = builds[0] = 0
         u = solve_constant_leading(prob)
         assert u.mant.shape == (trunc_t + 1, width)
-        counts.append((log_eval[0], from_log10[0], from_log10_array[0]))
+        counts.append((log_eval[0], from_log10[0], requests[0], builds[0]))
     assert counts[0] == counts[1]
     assert max(counts[1][:2]) <= 2
+    assert counts[1][3] <= counts[1][2] <= 4
+
+
+def test_solve_builds_no_table_twice(fresh_tables):
+    # a second solve of the same problem slices the kept tables
+    prob = PdeProblem(P=L - Z**2, m1=GAMMA_1, m2=GAMMA_1,
+                      data=geometric_data(1, 81), trunc_t=30)
+    u1 = solve_constant_leading(prob)
+    kept = dict(fresh_tables)
+    assert set(kept) == {(GAMMA_1, 1, 1), (GAMMA_1, 1, -1)}
+    u2 = solve_constant_leading(prob)
+    assert all(fresh_tables[k] is v for k, v in kept.items())
+    assert len(fresh_tables) == len(kept)
+    assert np.array_equal(u1.mant, u2.mant)
+    assert np.array_equal(u1.exp10, u2.exp10)
 
 
 def test_solve_normalizes_once_per_recurrence_term(monkeypatch):
@@ -237,6 +254,7 @@ def test_solve_normalizes_once_per_recurrence_term(monkeypatch):
         need = required_z_truncation(P, 1, trunc_t)
         prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1,
                           data=geometric_data(2, need + 21), trunc_t=trunc_t)
+        monkeypatch.setattr(moments, "_tables", {})  # same table builds
         normalize[0] = 0
         solve_constant_leading(prob)
         counts.append(normalize[0])
@@ -253,6 +271,7 @@ def test_heat_normalizes_only_its_denormalized_blocks(monkeypatch):
         need = required_z_truncation(L - Z**2, 1, trunc_t)
         prob = PdeProblem(P=L - Z**2, m1=GAMMA_1, m2=GAMMA_1,
                           data=geometric_data(1, need + 21), trunc_t=trunc_t)
+        monkeypatch.setattr(moments, "_tables", {})  # same table builds
         normalize[0] = 0
         solve_constant_leading(prob)
         counts[trunc_t] = normalize[0]
@@ -387,9 +406,11 @@ def test_large_unit_mantissa_keeps_its_normalizes(monkeypatch):
     # that of a scan of every row
     prob = equation_problem(L - Z.scale(1e7), GAMMA_1)
     normalize = _count_calls(monkeypatch, K, "normalize")
+    monkeypatch.setattr(moments, "_tables", {})  # same table builds
     scan_every_row_solve(prob)
     want, normalize[0] = normalize[0], 0
     scans = _count_calls(monkeypatch, ms.solver, "_leaves_range")
+    monkeypatch.setattr(moments, "_tables", {})
     solve_constant_leading(prob)
     assert normalize[0] == want
     assert scans[0] == 0
