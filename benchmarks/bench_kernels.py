@@ -1,7 +1,10 @@
 """Timing of the scaled-arithmetic kernels and the moment tables.
 
 Runs each primitive of msumma._kernels on fixed seeded inputs and prints
-one time per kernel.  Then come the moment tables of the operator layer,
+one time per kernel; `eval_scaled` sums 400 terms.  Independent of n come
+`normalize` of one grid block of BLOCK_CELLS seeded entries and one
+`ScaledComplex` addition, which runs on the array kernels with one-entry
+arrays.  Then come the moment tables of the operator layer,
 `MomentFunction.log_eval_array` over n arguments,
 `scaled.from_log10_array` over n decimal logs and
 `MomentFunction.scaled_table` of n entries, once built (its kept table
@@ -126,7 +129,7 @@ def bench_fresh(fn, make, reps):
 
 
 def run(n, reps):
-    from msumma import GAMMA_1, BiSeries, RamifiedSeries
+    from msumma import GAMMA_1, BiSeries, RamifiedSeries, ScaledComplex
     from msumma import _kernels as K
     from msumma import moments
     from msumma.moments import MomentFunction, kernel_pair_for
@@ -151,6 +154,14 @@ def run(n, reps):
         lambda: K.axpy_shift(nm1, ne1, nm2, ne2, 2.0 + 1.0j, -2, 1), reps)
     results["eval_scaled"] = bench(
         lambda: K.eval_scaled(small_m, small_e, 0.3 + 0.1j, 0), reps)
+    # own generator: the inputs of the rows below stay as they were
+    block = np.random.default_rng(2)
+    bm, be, _, _ = make_inputs(K.BLOCK_CELLS, block)
+    results[f"normalize {K.BLOCK_CELLS}"] = bench(
+        lambda: K.normalize(bm, be), reps)
+    a = ScaledComplex.from_complex(complex(*block.normal(size=2)))
+    b = ScaledComplex.from_complex(complex(*block.normal(size=2)) * 1e-3)
+    results["ScaledComplex add"] = bench(lambda: a + b, reps)
     m = MomentFunction.gamma(2) / MomentFunction.gamma(1)
     u = np.arange(n) / 3
     logs = rng.uniform(-5000.0, 5000.0, size=n)

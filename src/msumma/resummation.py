@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _angular_gap
 from .errors import (GridError, RayBlockedError, ResummationError,
                      SectorError, UnsupportedRangeError)
 from .moments import KernelPair, MomentFunction, kernel_pair_for
@@ -36,11 +37,6 @@ class ResummationResult:
     quadrature_error: float
     pade_radius_used: float
     panels: int  # adaptive panels over both Laplace segments
-
-
-def _angular_gap(d1: float, d2: float) -> float:
-    g = abs(d1 - d2) % (2.0 * math.pi)
-    return min(g, 2.0 * math.pi - g)
 
 
 def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,

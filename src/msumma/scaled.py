@@ -1,11 +1,12 @@
 """Decimal-scaled complex scalars.
 
 A ScaledComplex stores value = mantissa * 10**exp10 with |mantissa| in
-[1, 10) (or exactly 0).  Solution coefficients grow like Gamma(1+sigma*j)
-and leave double range near j ~ 85 for sigma = 2; this representation keeps
-truncation orders of several hundred feasible without arbitrary precision.
-Every operation normalizes through `_kernels.norm1`, the rule the array
-kernels share.
+[1, 10] (10 only by one rounding; see `_kernels`) or exactly 0.  Solution
+coefficients grow like Gamma(1+sigma*j) and leave double range near j ~ 85
+for sigma = 2; this representation keeps truncation orders of several
+hundred feasible without arbitrary precision.
+Every operation runs on the array kernels of `_kernels` with one-entry
+arrays, so a scalar and an array entry share the one normalization rule.
 """
 from __future__ import annotations
 
@@ -16,6 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
+
+
+def _scaled(kernel, *scalars) -> "ScaledComplex":
+    """kernel(*scalars), run on one-entry arrays, as a ScaledComplex."""
+    m, e = kernel(*([x] for x in scalars))
+    return ScaledComplex(complex(m[0]), int(e[0]))
+
+
+def _pair(x) -> tuple:
+    """(mantissa, exp10) of a ScaledComplex or of a plain number."""
+    if isinstance(x, ScaledComplex):
+        return x.mantissa, x.exp10
+    return complex(x), 0
 
 
 def from_log10_array(log10_mag):
@@ -41,14 +55,14 @@ class ScaledComplex:
 
     @staticmethod
     def from_complex(z: complex) -> "ScaledComplex":
-        return ScaledComplex(*K.norm1(complex(z), 0))
+        return _scaled(K.normalize, complex(z), 0)
 
     @staticmethod
     def from_log10(log10_mag: float, phase: float = 0.0) -> "ScaledComplex":
         """Build from a decimal log-magnitude and a phase angle."""
         e = int(math.floor(log10_mag))
         m = 10.0 ** (log10_mag - e) * cmath.exp(1j * phase)
-        return ScaledComplex(*K.norm1(m, e))
+        return _scaled(K.normalize, m, e)
 
     @staticmethod
     def zero() -> "ScaledComplex":
@@ -58,8 +72,8 @@ class ScaledComplex:
         return self.mantissa != 0
 
     def __add__(self, other: "ScaledComplex") -> "ScaledComplex":
-        return ScaledComplex(*K.add1(self.mantissa, self.exp10,
-                                     other.mantissa, other.exp10))
+        return _scaled(K.add, self.mantissa, self.exp10,
+                       other.mantissa, other.exp10)
 
     def __neg__(self) -> "ScaledComplex":
         return ScaledComplex(-self.mantissa, self.exp10 if self.mantissa != 0 else 0)
@@ -68,18 +82,13 @@ class ScaledComplex:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex(*K.norm1(self.mantissa * other.mantissa,
-                                          self.exp10 + other.exp10))
-        return ScaledComplex(*K.norm1(self.mantissa * complex(other), self.exp10))
+        return _scaled(K.mul, self.mantissa, self.exp10, *_pair(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, ScaledComplex):
-            return ScaledComplex(*K.norm1(self.mantissa / other.mantissa,
-                                          self.exp10 - other.exp10))
-        return ScaledComplex(*K.norm1(self.mantissa / complex(other), self.exp10))
+        m, e = _pair(other)
+        return _scaled(K.normalize, self.mantissa / m, self.exp10 - e)
 
     def conjugate(self) -> "ScaledComplex":
         return ScaledComplex(self.mantissa.conjugate(), self.exp10)

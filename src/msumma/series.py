@@ -235,6 +235,16 @@ def _parse_cells(cols, shape, where):
     return mant, exp
 
 
+def _root(x: complex, kappa: int, branch: int) -> ScaledComplex:
+    """x^(1/kappa), principal branch rotated by 2*pi*branch/kappa."""
+    x = complex(x)
+    if x == 0:
+        return ScaledComplex.zero()
+    w = cmath.exp(cmath.log(x) / kappa)
+    w *= cmath.exp(2j * math.pi * (branch % kappa) / kappa)
+    return ScaledComplex.from_complex(w)
+
+
 class RamifiedSeries:
     """Truncated series sum c_j x^(j/kappa), scaled complex coefficients."""
 
@@ -374,21 +384,12 @@ class RamifiedSeries:
 
     # -- evaluation -----------------------------------------------------
 
-    def _root(self, x: complex, branch: int) -> ScaledComplex:
-        """x^(1/kappa), principal branch rotated by 2*pi*branch/kappa."""
-        x = complex(x)
-        if x == 0:
-            return ScaledComplex.zero()
-        w = cmath.exp(cmath.log(x) / self.kappa)
-        w *= cmath.exp(2j * math.pi * (branch % self.kappa) / self.kappa)
-        return ScaledComplex.from_complex(w)
-
     def eval_scaled(self, x: complex, branch: int = 0) -> ScaledComplex:
         if complex(x) == 0:
             return self[0] if len(self) else ScaledComplex.zero()
-        w = self._root(x, branch)
+        w = _root(x, self.kappa, branch)
         m, e = K.eval_scaled(self.mant, self.exp10, w.mantissa, w.exp10)
-        return ScaledComplex(m, e)
+        return ScaledComplex(complex(m[0]), int(e[0]))
 
     def eval(self, x: complex, branch: int = 0) -> complex:
         return self.eval_scaled(x, branch).to_complex()
@@ -482,20 +483,13 @@ class BiSeries:
 
     def eval(self, t: complex, z: complex, branch_t: int = 0,
              branch_z: int = 0) -> complex:
-        t = complex(t)
-        if t == 0:
-            return self.extract_row(0).eval(z, branch_z)
-        w = cmath.exp(cmath.log(t) / self.kappa_t)
-        w *= cmath.exp(2j * math.pi * (branch_t % self.kappa_t) / self.kappa_t)
-        tp = ScaledComplex.from_complex(1.0)
-        wsc = ScaledComplex.from_complex(w)
-        total = ScaledComplex.zero()
-        for j in range(self.mant.shape[0]):
-            row = self.extract_row(j).eval_scaled(z, branch_z)
-            if row:
-                total = total + row * tp
-            tp = tp * wsc
-        return total.to_complex()
+        """Each row summed at z^(1/kappa_z), then the row values at
+        t^(1/kappa_t)."""
+        wz = _root(z, self.kappa_z, branch_z)
+        wt = _root(t, self.kappa_t, branch_t)
+        rm, re = K.eval_scaled(self.mant, self.exp10, wz.mantissa, wz.exp10)
+        m, e = K.eval_scaled(rm, re, wt.mantissa, wt.exp10)
+        return ScaledComplex(complex(m[0]), int(e[0])).to_complex()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BiSeries)

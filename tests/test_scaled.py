@@ -1,8 +1,9 @@
+import cmath
 import math
-import sys
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msumma import ScaledComplex
@@ -84,101 +85,172 @@ def _bits(m):
     return np.asarray(m, dtype=np.complex128).reshape(-1).view(np.uint64)
 
 
-def test_array_and_scalar_rules_agree():
+EPS = np.finfo(float).eps
+
+
+def _mp(m, e):
+    """Exact value m * 10**e of a scaled number, in mpmath."""
+    return mpmath.mpc(complex(m)) * mpmath.mpf(10) ** int(e)
+
+
+def _rel_err(m, e, ref, size):
+    """|m * 10**e - ref| / size, computed in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        return float(abs(_mp(m, e) - ref) / size)
+
+
+def _one(kernel, *scalars):
+    """kernel on one-entry arrays: its one (mantissa, exp10) pair."""
+    m, e = kernel(*([x] for x in scalars))
+    return m[0], e[0]
+
+
+def _in_range(m):
+    """The normalized-mantissa invariant: 1 <= |m| <= 10 up to a rounding."""
+    a = np.abs(m)
+    return bool(np.all((a >= 1.0) & (a <= 10.0 * (1 + EPS))))
+
+
+# (mantissa, exp10) pairs with |mantissa| in [1, 10), as the kernels get
+# them; components may still be tiny, even subnormal
+mantissas = st.complex_numbers(min_magnitude=1.0, max_magnitude=9.999,
+                               allow_nan=False, allow_infinity=False)
+exponents = st.integers(-10**5, 10**5)
+shifts = st.integers(-450, 450)
+
+
+@given(st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                          allow_infinity=False), exponents)
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_mpmath(x, e0):
+    m, e = _one(K.normalize, x, e0)
+    if x == 0:
+        assert np.array_equal(_bits(m), _bits(x)) and e == 0
+        return
+    assert _in_range(m)
+    with mpmath.workdps(50):
+        ref = _mp(x, e0)
+        assert _rel_err(m, e, ref, abs(ref)) <= 4 * EPS
+
+
+@given(mantissas, mantissas, exponents, shifts)
+@settings(max_examples=300, deadline=None)
+def test_add_matches_mpmath(m1, m2, e1, shift):
+    e2 = e1 + shift
+    m, e = _one(K.add, m1, e1, m2, e2)
+    assert m == 0 or _in_range(m)
+    with mpmath.workdps(50):
+        a, b = _mp(m1, e1), _mp(m2, e2)
+        assert _rel_err(m, e, a + b, abs(a) + abs(b)) <= 4 * EPS
+
+
+@given(mantissas, mantissas, exponents, exponents)
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_mpmath(m1, m2, e1, e2):
+    m, e = _one(K.mul, m1, e1, m2, e2)
+    assert _in_range(m)
+    with mpmath.workdps(50):
+        ab = _mp(m1, e1) * _mp(m2, e2)
+        assert _rel_err(m, e, ab, abs(ab)) <= 4 * EPS
+
+
+def _check_eval_scaled(cm, ce, wm, we):
+    (m,), (e,) = K.eval_scaled(cm, ce, wm, we)
+    with mpmath.workdps(50):
+        w = _mp(wm, we)
+        terms = [_mp(c, k) * w ** j for j, (c, k) in enumerate(zip(cm, ce))]
+        size = sum(abs(t) for t in terms)
+        if size == 0:
+            assert m == 0
+            return
+        assert _rel_err(m, e, sum(terms), size) <= 1e-13
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(0j), mantissas),
+                          st.integers(-300, 300)), min_size=1, max_size=40),
+       st.one_of(st.just(0j), mantissas), st.integers(-400, 400))
+@example([(0j, 0), (5.0 + 0j, -350)], 2.0 + 0j, -100)  # zero term at 10^0
+@settings(max_examples=100, deadline=None)
+def test_eval_scaled_matches_mpmath(coeffs, wm, we):
+    _check_eval_scaled([c for c, _ in coeffs], [k for _, k in coeffs],
+                       wm, we)
+
+
+def test_eval_scaled_gamma_growth():
+    # 400 terms with Gamma(1 + 2j)-like growth at |w| ~ 1e-600
     rng = np.random.default_rng(4)
-    per = 8
-
-    # normalize vs norm1 at every decade shift: subnormal entries below
-    # 1e-308, zeros below 1e-323, infinities above 1e308.  Besides random
-    # magnitudes, each shift has some within a few ulps of a power of ten,
-    # where the decade and the rounding correction are decided.
-    shifts = np.repeat(np.arange(-330, 330), 5 * per)
-    mag = rng.uniform(1, 10, shifts.size)
-    edge = np.arange(shifts.size) % (5 * per) >= per
-    mag[edge] = rng.choice([9.999999999999996, 9.999999999999998, 1.0,
-                            1.0000000000000002, 1.0000000000000004],
-                           edge.sum())
-    r = mag * np.exp(1j * rng.uniform(0, 2 * np.pi, shifts.size))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        x = r * np.array([10.0 ** (d // 2) * 10.0 ** (d - d // 2)
-                          for d in shifts.tolist()])
-    x = np.concatenate([x, [complex(math.inf, 1.0), complex(1.0, -math.inf),
-                            complex(math.nan, 0.0), complex(-2.0, math.nan)]])
-    e0 = rng.integers(-50, 50, x.size)
-    m, e = K.normalize(x, e0)
-    ref = [K.norm1(complex(v), int(k)) for v, k in zip(x.tolist(), e0.tolist())]
-    assert np.array_equal(_bits(m), _bits([v for v, _ in ref]))
-    assert e.tolist() == [k for _, k in ref]
-    # the shared non-finite rule: inf and NaN keep mantissa and exponent
-    bad = ~np.isfinite(x)
-    assert bad.sum() >= 4
-    assert np.array_equal(_bits(m[bad]), _bits(x[bad]))
-    assert np.array_equal(e[bad], e0[bad])
-
-    # add vs add1 at every alignment shift, either operand the larger one
-    shifts = np.repeat(np.arange(-400, 1), per)
-    zeros = np.zeros(shifts.size, dtype=np.int64)
-    m1, _ = K.normalize(rng.normal(size=shifts.size)
-                        + 1j * rng.normal(size=shifts.size), zeros)
-    m2, _ = K.normalize(rng.normal(size=shifts.size)
-                        + 1j * rng.normal(size=shifts.size), zeros)
-    # a purely imaginary m1 leaves the aligned real part of m2 unrounded
-    m1[1::2] = 1j * np.abs(m1[1::2])
-    m2[::per] = 0  # a zero operand takes the other one unchanged
-    e1 = rng.integers(-50, 50, shifts.size)
-    for a_m, a_e, b_m, b_e in ((m1, e1, m2, e1 + shifts),
-                               (m2, e1 + shifts, m1, e1)):
-        m, e = K.add(a_m, a_e, b_m, b_e)
-        ref = [K.add1(*args) for args in zip(a_m.tolist(), a_e.tolist(),
-                                             b_m.tolist(), b_e.tolist())]
-        assert np.array_equal(_bits(m), _bits([v for v, _ in ref]))
-        assert e.tolist() == [k for _, k in ref]
-
-    # eval_scaled vs a ScaledComplex Horner loop, Gamma-like growth
     n = 400
     cm, ce = K.normalize(rng.normal(size=n) + 1j * rng.normal(size=n),
                          np.array([int(math.lgamma(1 + 2 * j) / math.log(10))
                                    for j in range(n)]))
     w = ScaledComplex.from_complex(0.3 - 0.7j) * ScaledComplex.from_log10(-600)
-    got = K.eval_scaled(cm, ce, w.mantissa, w.exp10)
-    acc = ScaledComplex(complex(cm[-1]), int(ce[-1]))
-    for j in range(n - 2, -1, -1):
-        acc = acc * w + ScaledComplex(complex(cm[j]), int(ce[j]))
-    assert np.array_equal(_bits(got[0]), _bits(acc.mantissa))
-    assert got[1] == acc.exp10
+    _check_eval_scaled(cm.tolist(), ce.tolist(), w.mantissa, w.exp10)
 
 
-def test_exact_powers_of_ten_skip_norm1(monkeypatch):
-    # +-10^k and +-i 10^k at every decade k in [-330, 310): subnormal below
-    # 1e-308, zero below 1e-323, inf at 1e309; the other component is 0.0
-    # or -0.0.  normalize matches norm1 bit for bit on Python's 10.0 ** k,
-    # the powers the rule rescales with, and hands none of the normal ones
-    # to norm1 (a subnormal power is rounded, and one near the band still
-    # takes it); the decimal literals 1ek, a few of them an ulp off
-    # 10.0 ** k, match as well.
-    norm1 = K.norm1
-    calls = []
+def test_normalize_next_to_powers_of_ten():
+    # +-4 ulps around 10^k, k in [-300, 300), at random phases: the decade
+    # and the correction pass are decided there.  Every mantissa keeps
+    # 1 <= |m| <= 10 up to a rounding, and every value within 4 eps.  Of
+    # the last entries, the first once came out with |m| < 1 and, as a
+    # scalar, with |m| = 10.0; the other two, an ulp under modulus 1, are
+    # rescaled to 10.0, divided back under 1 and so take both corrections.
+    rng = np.random.default_rng(7)
+    p = np.repeat([10.0 ** k for k in range(-300, 300)], 9)
+    r = p + np.tile(np.arange(-4, 5), 600) * np.spacing(p)
+    x = np.append(r * np.exp(1j * rng.uniform(0, 2 * np.pi, r.size)),
+                  [0.0009868755360228376 - 0.00016148274334936463j,
+                   -0.9856211187748236 - 0.16897044186799398j,
+                   0.5621375537939306 - 0.8270437537486005j])
+    e0 = rng.integers(-50, 50, x.size)
+    m, e = K.normalize(x, e0)
+    assert _in_range(m)
+    with mpmath.workdps(50):
+        for v, k, mv, ev in zip(x.tolist(), e0.tolist(), m.tolist(),
+                                e.tolist()):
+            ref = _mp(v, k)
+            assert _rel_err(mv, ev, ref, abs(ref)) <= 4 * EPS
 
-    def counted(m, e):
-        calls.append(m)
-        return norm1(m, e)
+    # a zero keeps its mantissa, signed zero included, with exponent 0;
+    # inf and NaN keep mantissa and exponent
+    x = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                  complex(math.inf, 1.0), complex(1.0, -math.inf),
+                  complex(math.nan, 0.0), complex(-2.0, math.nan)])
+    e0 = np.arange(1, x.size + 1)
+    m, e = K.normalize(x, e0)
+    assert np.array_equal(_bits(m), _bits(x))
+    assert e.tolist() == [0, 0, 0, 4, 5, 6, 7]
 
-    powers = [10.0 ** k if k < 309 else math.inf for k in range(-330, 310)]
-    literals = [float(f"1e{k}") for k in range(-330, 310)]
-    rng = np.random.default_rng(6)
-    for values in (powers, literals):
-        x = np.array([v for p in values for s in (p, -p) for z in (0.0, -0.0)
-                      for v in (complex(s, z), complex(z, s))])
-        e0 = rng.integers(-50, 50, x.size)
-        ref = [norm1(complex(v), int(k)) for v, k in zip(x.tolist(),
-                                                         e0.tolist())]
-        monkeypatch.setattr(K, "norm1", counted)
-        m, e = K.normalize(x, e0)
-        monkeypatch.setattr(K, "norm1", norm1)
-        assert np.array_equal(_bits(m), _bits([v for v, _ in ref]))
-        assert e.tolist() == [k for _, k in ref]
-        if values is powers:
-            assert all(abs(v) < sys.float_info.min for v in calls)
+
+def test_scaled_complex_ops_are_kernel_calls():
+    rng = np.random.default_rng(8)
+
+    def same(got, pair):
+        m, e = pair
+        assert _bits(got.mantissa).tolist() == _bits(m).tolist()
+        assert got.exp10 == int(e)
+
+    def draw():
+        m, e = _one(K.normalize, complex(*rng.normal(size=2)),
+                    rng.integers(-9, 9))
+        return ScaledComplex(complex(m), int(e))
+
+    for _ in range(200):
+        a, b = draw(), draw()
+        z = complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-5, 5)
+        lg, ph = rng.uniform(-400, 400), rng.uniform(-4, 4)
+        same(ScaledComplex.from_complex(z), _one(K.normalize, z, 0))
+        same(ScaledComplex.from_log10(lg, ph),
+             _one(K.normalize,
+                  10.0 ** (lg - math.floor(lg)) * cmath.exp(1j * ph),
+                  math.floor(lg)))
+        same(a + b, _one(K.add, a.mantissa, a.exp10, b.mantissa, b.exp10))
+        same(a - b, _one(K.add, a.mantissa, a.exp10, -b.mantissa, b.exp10))
+        same(a * b, _one(K.mul, a.mantissa, a.exp10, b.mantissa, b.exp10))
+        same(a * z, _one(K.mul, a.mantissa, a.exp10, z, 0))
+        same(z * a, _one(K.mul, a.mantissa, a.exp10, z, 0))
+        same(a / b, _one(K.normalize, a.mantissa / b.mantissa,
+                          a.exp10 - b.exp10))
+        same(a / z, _one(K.normalize, a.mantissa / z, a.exp10))
 
 
 def test_axpy_shift_one_normalize_matches_scale_then_add(monkeypatch):

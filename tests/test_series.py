@@ -190,7 +190,8 @@ def signed_zero_grid():
     return grid(z, z[:, ::-1].copy(), np.zeros(z.shape, dtype=np.int64))
 
 
-# a normalized mantissa with |m| = 10.0 (see _kernels.norm1)
+# a mantissa with |m| = 10.0, which normalize may return for a modulus within
+# one rounding of a power of ten (see _kernels)
 TEN_MODULUS = 9.868755360228377 - 1.6148274334936463j
 
 
