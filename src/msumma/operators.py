@@ -80,11 +80,18 @@ def monomial_pseudo(lam: complex, q, m: MomentFunction, a: RamifiedSeries,
     if shift > a.trunc:
         raise TruncationError(
             f"shift {shift} exceeds truncation {a.trunc}")
-    n = len(a) - shift
     lam_p = ScaledComplex.from_complex(1.0)
     lam_sc = ScaledComplex.from_complex(lam)
     for _ in range(power):
         lam_p = lam_p * lam_sc
+    return _apply_pseudo(lam_p, q, m, a, power)
+
+
+def _apply_pseudo(lam_p: ScaledComplex, q: Fraction, m: MomentFunction,
+                  a: RamifiedSeries, power: int) -> RamifiedSeries:
+    """monomial_pseudo on arguments it accepts, with lam^power given."""
+    shift = int(q * a.kappa * power)
+    n = len(a) - shift
     fm, fe = _ratio_series(m, np.arange(n) / a.kappa, float(q) * power)
     fm, fe = K.scale(fm, fe, lam_p.mantissa, lam_p.exp10)
     rm, re = K.mul(a.mant[shift:], a.exp10[shift:], fm, fe)
@@ -126,16 +133,12 @@ def apply_char_polynomial(coeffs, m1: MomentFunction, m2: MomentFunction,
 def max_relative_deviation(a: RamifiedSeries, b: RamifiedSeries) -> float:
     """max_j |a_j - b_j| / max_j max(|a_j|, |b_j|) over the common range."""
     n = min(len(a), len(b))
-    num = -math.inf
-    den = -math.inf
-    for j in range(n):
-        d = (a[j] - b[j]).log10_abs()
-        s = max(a[j].log10_abs(), b[j].log10_abs())
-        num = max(num, d)
-        den = max(den, s)
-    if den == -math.inf:
+    if n == 0:
         return 0.0
-    if num == -math.inf:
+    dm, de = K.add(a.mant[:n], a.exp10[:n], -b.mant[:n], b.exp10[:n])
+    num = RamifiedSeries(a.kappa, dm, de, normalized=True).log10_abs().max()
+    den = max(a.log10_abs()[:n].max(), b.log10_abs()[:n].max())
+    if den == -math.inf or num == -math.inf:
         return 0.0
     return 10.0 ** (num - den)
 

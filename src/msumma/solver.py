@@ -30,8 +30,8 @@ from .characteristic import (CharPolynomial, CharRoot, newton_polygon_roots,
 from .errors import (DecompositionError, GridError, SemanticError,
                      TruncationError)
 from .moments import LOG10_E, MomentFunction
-from .operators import monomial_pseudo
-from .scaled import ScaledComplex
+from .operators import _apply_pseudo
+from .scaled import ScaledComplex, from_log10_array
 from .series import BiSeries, RamifiedSeries
 
 RECONSTRUCT_TOL = 1e-9  # relative; monomial-exactness of the factorization
@@ -258,12 +258,17 @@ def solve_simple(lam: complex, q, beta: int, m1: MomentFunction,
             f"phi truncation {phi.trunc} too short: row {trunc_t} shifts by "
             f"{trunc_t * p} z-orders")
     rows = []
+    lam_sc = ScaledComplex.from_complex(lam)
+    lam_p = ScaledComplex.from_complex(1.0)
     for j in range(trunc_t + 1):
+        if j:
+            # lam^j as monomial_pseudo forms it, one product per row
+            lam_p = lam_p * lam_sc
         cb = math.comb(j, beta - 1)
         if cb == 0:
             rows.append(RamifiedSeries.zero(kappa, nz_out))
             continue
-        row = monomial_pseudo(lam, q, m2, phi, power=j)
+        row = _apply_pseudo(lam_p, q, m2, phi, j)
         f = m1.ratio_scaled(0.0, float(j)) * cb
         rows.append(row.truncate_to(nz_out).scale(f))
     return BiSeries.from_rows(1, rows)
@@ -344,8 +349,11 @@ def decompose(prob: PdeProblem) -> list[SimplePiece]:
             for u, s, c in terms:
                 row[u * nw + j + s] = c * math.exp(lw[j + s] - lw[j + h])
             a_rows.append(row)
-            w = ScaledComplex.from_log10((lw[j] - lw[j + h]) * LOG10_E)
-            b_vals.append((prob.data[a][j] * w).to_complex())
+        wm, we = from_log10_array((lw[:nw - h] - lw[h:]) * LOG10_E)
+        d = prob.data[a]
+        bm, be = K.mul(d.mant[:nw - h], d.exp10[:nw - h], wm, we)
+        b_vals += [ScaledComplex(m, e).to_complex()
+                   for m, e in zip(bm.tolist(), be.tolist())]
     mat = np.array(a_rows)
     b = np.array(b_vals)
     # column equilibration: low-shift pieces otherwise carry tiny moment
