@@ -349,9 +349,10 @@ def decompose(prob: PdeProblem) -> list[SimplePiece]:
             for u, s, c in terms:
                 row[u * nw + j + s] = c * math.exp(lw[j + s] - lw[j + h])
             a_rows.append(row)
-        wm, we = from_log10_array((lw[:nw - h] - lw[h:]) * LOG10_E)
+        k = max(nw - h, 0)
+        wm, we = from_log10_array((lw[:k] - lw[h:h + k]) * LOG10_E)
         d = prob.data[a]
-        bm, be = K.mul(d.mant[:nw - h], d.exp10[:nw - h], wm, we)
+        bm, be = K.mul(d.mant[:k], d.exp10[:k], wm, we)
         b_vals += [ScaledComplex(m, e).to_complex()
                    for m, e in zip(bm.tolist(), be.tolist())]
     mat = np.array(a_rows)
