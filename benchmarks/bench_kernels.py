@@ -9,7 +9,10 @@ arrays.  Then come the moment tables of the operator layer,
 `scaled.from_log10_array` over n decimal logs and
 `MomentFunction.scaled_table` of n entries, once built (its kept table
 is dropped before each call) and once cached (a slice of the kept
-table), and the text serializer
+table), and `estimate_gevrey` on 421 seeded coefficients |c_j| = j! 2^j,
+independent of n, each call on a fresh RamifiedSeries (so its
+log-magnitudes are computed again) with the window's least-squares
+operators kept from the warm-up; then the text serializer
 `BiSeries.dumps` on a square grid of min(201, isqrt(n)) rows of the
 normalized inputs, whose complex cells have many components below 1 that
 go through repr, and, independent of n, on a seeded real 201x201 grid of
@@ -48,6 +51,7 @@ import time
 
 import numpy as np
 
+GEVREY_N = 421
 PADE_M = 110
 REAL_GRID_SIDE = 201
 RANK_JUMP_M = 210
@@ -75,6 +79,17 @@ def pade_series(rng):
     lg = np.array([math.lgamma(2 * k + 1) - 2 * math.lgamma(k + 1)
                    for k in j]) - j * math.log(4.0)
     return np.exp(lg) * (1.0 + 0.01 * rng.standard_normal(len(j)))
+
+
+def gevrey_coeffs(rng):
+    """Scaled coefficients |c_j| = j! 2^j, with seeded noise of 0.05 in
+    log10, j = 0..GEVREY_N-1."""
+    from msumma.scaled import from_log10_array
+
+    j = np.arange(GEVREY_N)
+    lg = np.array([math.lgamma(k + 1.0) for k in j]) * math.log10(math.e)
+    return from_log10_array(lg + j * math.log10(2.0)
+                            + 0.05 * rng.standard_normal(GEVREY_N))
 
 
 def recurrence_problem(heat=False):
@@ -132,6 +147,7 @@ def run(n, reps):
     from msumma import GAMMA_1, BiSeries, RamifiedSeries, ScaledComplex
     from msumma import _kernels as K
     from msumma import moments
+    from msumma.analysis import estimate_gevrey
     from msumma.moments import MomentFunction, kernel_pair_for
     from msumma.pade import diagonal_pade
     from msumma.quadrature import _nodes, integrate_segment
@@ -175,6 +191,11 @@ def run(n, reps):
     results["moment table build"] = bench(build_table, reps)
     results["moment table cached"] = bench(lambda: m.scaled_table(3, n, -1),
                                            reps)
+    # own generator: the inputs of the rows below stay as they were
+    gm, ge = gevrey_coeffs(np.random.default_rng(3))
+    results[f"estimate_gevrey {GEVREY_N}"] = bench_fresh(
+        estimate_gevrey,
+        lambda: RamifiedSeries(1, gm, ge, normalized=True), reps)
     side = grid_side(n)
     grid = BiSeries(1, 1, nm1[:side * side].reshape(side, side),
                     ne1[:side * side].reshape(side, side), normalized=True)

@@ -38,6 +38,12 @@ class GevreyEstimate:
     method: str
 
 
+# Least-squares operators of estimate_gevrey, one per index window, keyed
+# by the window's index bytes; the oldest is dropped past the cap.
+_GEVREY_OPS_CAP = 32
+_gevrey_ops: dict[bytes, tuple] = {}
+
+
 def _log_window(a: RamifiedSeries):
     """Nonzero indices j >= 2, their natural logs and the window (2, trunc)."""
     logs = a.log10_abs() / math.log10(math.e)  # natural logs
@@ -50,6 +56,41 @@ def _log_window(a: RamifiedSeries):
     return idx, logs[idx], (2, a.trunc)
 
 
+def _window_operators(idx: np.ndarray) -> tuple:
+    """(X, rows, inv00) of estimate_gevrey's fits on the index window idx.
+
+    X is the design matrix (j log j, j, log j, 1).  rows @ L gives the
+    regression coefficients (rows 0-3, the pseudo-inverse of X) and the
+    ratio-method intercept (row 4: the first row of the pseudo-inverse of
+    (1, 1/log j) applied to the differences (L_{j+1} - L_j)/log j on the
+    consecutive indices of the window; absent with fewer than 4 of them).
+    inv00 is (X^T X)^-1 [0, 0].  Built once per window, read-only.
+    """
+    key = idx.tobytes()
+    ops = _gevrey_ops.get(key)
+    if ops is not None:
+        return ops
+    jj = idx.astype(float)
+    X = np.stack([jj * np.log(jj), jj, np.log(jj), np.ones_like(jj)], axis=1)
+    rows = np.linalg.pinv(X)
+    step = np.flatnonzero(idx[1:] == idx[:-1] + 1)
+    if len(step) >= 4:
+        ljs = np.log(jj[step])
+        A = np.stack([np.ones_like(ljs), 1.0 / ljs], axis=1)
+        w = np.linalg.pinv(A)[0] / ljs
+        ratio = np.zeros(len(idx))
+        ratio[step + 1] += w
+        ratio[step] -= w
+        rows = np.vstack([rows, ratio])
+    inv00 = float(np.linalg.inv(X.T @ X)[0, 0])
+    X.setflags(write=False)
+    rows.setflags(write=False)
+    if len(_gevrey_ops) >= _GEVREY_OPS_CAP:
+        del _gevrey_ops[next(iter(_gevrey_ops))]
+    ops = _gevrey_ops[key] = (X, rows, inv00)
+    return ops
+
+
 def estimate_gevrey(a: RamifiedSeries) -> GevreyEstimate:
     """Gevrey order sigma of |c_j| ~ C^j Gamma(1 + sigma j).
 
@@ -57,28 +98,22 @@ def estimate_gevrey(a: RamifiedSeries) -> GevreyEstimate:
     the ratio method sigma_j = (L_{j+1}-L_j)/log j, extrapolated linearly
     in 1/log j, is the consistency check folded into the stderr.  Zero
     coefficients are thinned out of the window automatically.
+
+    Both fits are applications of least-squares operators that depend on
+    the index window only: they are built once per window
+    (_window_operators) and agree with np.linalg.lstsq on the same
+    systems to rounding.
     """
     idx, L, win = _log_window(a)
-    jj = idx.astype(float)
-    X = np.stack([jj * np.log(jj), jj, np.log(jj), np.ones_like(jj)], axis=1)
-    coef, res, _, _ = np.linalg.lstsq(X, L, rcond=None)
+    X, rows, inv00 = _window_operators(idx)
+    fit = rows @ L
+    coef = fit[:4]
     sigma_reg = float(coef[0])
     dof = max(1, len(idx) - 4)
     resid = L - X @ coef
     s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(X.T @ X)
-    stderr_reg = math.sqrt(max(cov[0, 0], 0.0))
-
-    # ratio method on consecutive indices present in the window
-    step = idx[1:] == idx[:-1] + 1
-    sigma_ratio = sigma_reg
-    if np.count_nonzero(step) >= 4:
-        js = idx[:-1][step].astype(float)
-        Ld = np.diff(L)[step]
-        sj = Ld / np.log(js)
-        A = np.stack([np.ones_like(js), 1.0 / np.log(js)], axis=1)
-        c2, _, _, _ = np.linalg.lstsq(A, sj, rcond=None)
-        sigma_ratio = float(c2[0])
+    stderr_reg = math.sqrt(max(s2 * inv00, 0.0))
+    sigma_ratio = float(fit[4]) if len(fit) > 4 else sigma_reg
     stderr = max(stderr_reg, abs(sigma_ratio - sigma_reg) / 2.0)
     return GevreyEstimate(order_hat=sigma_reg, stderr=stderr, window=win,
                           method="regression")

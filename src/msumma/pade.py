@@ -21,23 +21,10 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import RamifiedSeries
+from .series import RamifiedSeries, geometric_slope  # noqa: F401 (re-export)
 
 STABILITY_TOL = 1e-2  # relative pole agreement across consecutive orders
 RANK_TOL = 1e-14  # numerical-rank threshold of Gonnet, Guttel & Trefethen
-
-
-def geometric_slope(log10_abs: np.ndarray) -> float:
-    """Median decimal log-slope of the coefficient magnitudes."""
-    finite = np.isfinite(log10_abs)
-    idx = np.nonzero(finite)[0]
-    if len(idx) < 2:
-        return 0.0
-    d = np.sort(np.diff(log10_abs[idx]) / np.diff(idx))
-    # np.median's value bit for bit, without the numpy.ma import that its
-    # first call costs: the middle element, or the two middle ones' mean
-    h = len(d) // 2
-    return float(d[h] if len(d) % 2 else (d[h - 1] + d[h]) / 2.0)
 
 
 def _horner_table(*polys: np.ndarray) -> np.ndarray:
@@ -177,7 +164,7 @@ def _scaled_coeffs(a: RamifiedSeries) -> tuple[np.ndarray, float]:
     Raises ValueError when r is past double range: coefficients that fall
     faster than 10^-308 per index have no Pade representative here.
     """
-    slope = geometric_slope(a.log10_abs())
+    slope = a.geometric_slope()
     r = _radius(slope)
     if r == math.inf:
         raise ValueError(f"coefficients fall by 10^{slope:.4g} per index; "
@@ -474,4 +461,4 @@ def ratio_radius(a: RamifiedSeries) -> float:
 
     inf when the coefficients fall faster than 10^-308 per index.
     """
-    return _radius(geometric_slope(a.log10_abs()))
+    return _radius(a.geometric_slope())

@@ -235,6 +235,19 @@ def _parse_cells(cols, shape, where):
     return mant, exp
 
 
+def geometric_slope(log10_abs: np.ndarray) -> float:
+    """Median decimal log-slope of the coefficient magnitudes."""
+    finite = np.isfinite(log10_abs)
+    idx = np.nonzero(finite)[0]
+    if len(idx) < 2:
+        return 0.0
+    d = np.sort(np.diff(log10_abs[idx]) / np.diff(idx))
+    # np.median's value bit for bit, without the numpy.ma import that its
+    # first call costs: the middle element, or the two middle ones' mean
+    h = len(d) // 2
+    return float(d[h] if len(d) % 2 else (d[h - 1] + d[h]) / 2.0)
+
+
 def _root(x: complex, kappa: int, branch: int) -> ScaledComplex:
     """x^(1/kappa), principal branch rotated by 2*pi*branch/kappa."""
     x = complex(x)
@@ -253,7 +266,11 @@ class RamifiedSeries:
     # "scaled", filled by pade.diagonal_pade, and its
     # stable pole clusters under "stable_poles", filled by
     # pade.stable_poles; it lives and dies with the (read-only) series.
-    __slots__ = ("kappa", "mant", "exp10", "_pade_memo")
+    # _log10 and _slope: the read-only array of log10_abs and its
+    # geometric_slope, each computed on first use and shared by the Gevrey
+    # fit, the ratio radius and the Pade rescaling; a failed Pade request
+    # leaves them and never touches _pade_memo through them.
+    __slots__ = ("kappa", "mant", "exp10", "_pade_memo", "_log10", "_slope")
 
     def __init__(self, kappa: int, mant, exp10, normalized: bool = False):
         if kappa < 1:
@@ -270,6 +287,8 @@ class RamifiedSeries:
         self.mant = mant
         self.exp10 = exp10
         self._pade_memo = None
+        self._log10 = None
+        self._slope = None
 
     # -- construction ---------------------------------------------------
 
@@ -312,11 +331,24 @@ class RamifiedSeries:
         return np.array([self.coeff_complex(j) for j in range(len(self))])
 
     def log10_abs(self) -> np.ndarray:
-        """Decimal log-magnitudes of the coefficients (-inf for zeros)."""
-        out = np.full(len(self), -np.inf)
-        nz = self.mant != 0
-        out[nz] = np.log10(np.abs(self.mant[nz])) + self.exp10[nz]
-        return out
+        """Decimal log-magnitudes of the coefficients (-inf for zeros).
+
+        Computed once per series; every call returns the same read-only
+        array.
+        """
+        if self._log10 is None:
+            out = np.full(len(self), -np.inf)
+            nz = self.mant != 0
+            out[nz] = np.log10(np.abs(self.mant[nz])) + self.exp10[nz]
+            out.setflags(write=False)
+            self._log10 = out
+        return self._log10
+
+    def geometric_slope(self) -> float:
+        """geometric_slope of log10_abs, computed once per series."""
+        if self._slope is None:
+            self._slope = geometric_slope(self.log10_abs())
+        return self._slope
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.mant)))

@@ -133,20 +133,44 @@ def _leaves_range(m: np.ndarray) -> bool:
     return hi > _ROW_MANT_MAX or lo < _ROW_MANT_MIN
 
 
-def required_z_truncation(P: CharPolynomial, kappa: int, trunc_t: int) -> int:
-    """Minimal data z-truncation for the recurrence to reach trunc_t rows."""
+def _row_offsets(P: CharPolynomial, kappa: int, trunc_t: int) -> list[int]:
+    """c_j for j = 0..trunc_t: the z-orders of data that t-row j consumes.
+
+    Row j + n_lam is built from row j + a shifted by b*kappa columns for
+    each lower term (a, b), a < n_lam, of P.  So c_j = 0 for the n_lam data
+    rows and c_{j+n_lam} = max over the lower terms of c_{j+a} + b*kappa;
+    row j is trunc_z + 1 - c_j wide.
+    """
     n_lam = P.lam_degree
-    max_b = max(b for _, b in P.coeffs)
-    blocks = max(0, -(-(trunc_t + 1 - n_lam) // n_lam))  # ceil division
-    return blocks * max_b * kappa
+    # row i reads row i - back, shift z-orders on, for each lower term
+    (back0, shift0), *rest = [(n_lam - a, b * kappa)
+                              for a, b in P.coeffs if a < n_lam]
+    c = [0] * min(n_lam, trunc_t + 1)
+    for i in range(n_lam, trunc_t + 1):
+        ci = c[i - back0] + shift0
+        for back, shift in rest:
+            other = c[i - back] + shift
+            if other > ci:
+                ci = other
+        c.append(ci)
+    return c
+
+
+def required_z_truncation(P: CharPolynomial, kappa: int, trunc_t: int) -> int:
+    """Minimal data z-truncation for the recurrence to reach trunc_t rows:
+    the largest row offset c_j of _row_offsets."""
+    return max(_row_offsets(P, kappa, trunc_t))
 
 
 def solve_constant_leading(prob: PdeProblem) -> BiSeries:
     """Exact shift recurrence; requires constant leading coefficient P_0.
 
-    Row j + n_lam is solved from rows j..j+n_lam-1; every block of n_lam
-    t-steps consumes max_b * kappa z-orders of the data, so the output is
-    the rectangle trunc_z - required_z_truncation wide.
+    Row j + n_lam is solved from rows j..j+n_lam-1.  Row j consumes c_j
+    z-orders of the data, with c_j = 0 on the data rows and
+    c_{j+n_lam} = max over the lower terms (a, b) of c_{j+a} + b*kappa
+    (_row_offsets, integers computed before the loop).  The data need
+    trunc_z >= max_j c_j = required_z_truncation, and the output is the
+    rectangle trunc_z - max_j c_j + 1 wide.
 
     A row is the raw sum of its terms: each term is a source row times the
     scaled scalar s, mantissas multiplied and exponents added, and further
@@ -177,50 +201,53 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
             "recurrence needs the normalized (factorized) operator")
     kappa = prob.kappa
     n_lam = P.lam_degree
-    max_b = max(b for _, b in P.coeffs)
     nt = prob.trunc_t
     nz_in = prob.trunc_z
+    offsets = _row_offsets(P, kappa, nt)
+    need = max(offsets)
+    if need > nz_in:
+        row = next(j for j, c in enumerate(offsets) if c > nz_in)
+        raise TruncationError(
+            f"z-truncation exhausted at t-row {row}; the recurrence needs "
+            f"data trunc_z >= {need} (got {nz_in})")
 
     cm = np.zeros((nt + 1, nz_in + 1), dtype=np.complex128)
     ce = np.zeros((nt + 1, nz_in + 1), dtype=np.int64)
-    valid = [0] * (nt + 1)  # per-row valid length
     lo = [math.nan] * (nt + 1)  # bounds on each row's nonzero |mantissa|
     hi = [math.nan] * (nt + 1)
     for j in range(min(n_lam, nt + 1)):
-        row = _normalized_data_row(prob.data[j], m1, m2)
-        cm[j, :len(row)] = row.mant
-        ce[j, :len(row)] = row.exp10
-        valid[j] = nz_in + 1
+        # a datum longer than the shortest one is cut to trunc_z
+        row = _normalized_data_row(prob.data[j].truncate_to(nz_in), m1, m2)
+        cm[j] = row.mant
+        ce[j] = row.exp10
         lo[j], hi[j] = _row_bounds(row.mant)
 
     inv_p0 = ScaledComplex.from_complex(-1.0 / p0)
-    # each term (a, b) reads row j+a shifted by b*kappa columns, times s
-    lower = [(a, b * kappa, inv_p0 * p_ab)
-             for (a, b), p_ab in P.coeffs.items() if a < n_lam]
+    # each term (a, b) reads row j+a shifted by b*kappa columns, times the
+    # scaled scalar s = -p_ab / p0, kept as its mantissa and exponent
+    lower = []
+    for (a, b), p_ab in P.coeffs.items():
+        if a < n_lam:
+            s = inv_p0 * p_ab
+            lower.append((a, b * kappa, s.mantissa, s.exp10))
+    (a0, shift0, m0, e0), *rest = lower
     # a multi-term row can cancel and is always scanned: bounds are carried
     # for a single-term recurrence only
-    single = len(lower) == 1
-    s_abs = abs(lower[0][2].mantissa)
+    single = not rest
+    s_abs = abs(m0)
     for j2 in range(n_lam, nt + 1):
         j = j2 - n_lam
-        width = min(valid[j + a] - shift for a, shift, _ in lower)
-        if width <= 0:
-            raise TruncationError(
-                f"z-truncation exhausted at t-row {j2}; the recurrence needs "
-                f"data trunc_z >= {required_z_truncation(P, kappa, nt)} "
-                f"(got {nz_in})")
+        width = nz_in + 1 - offsets[j2]
         out_m, out_e = cm[j2, :width], ce[j2, :width]
-        (a, shift, s), *rest = lower
-        np.multiply(cm[j + a, shift:shift + width], s.mantissa, out=out_m)
-        np.add(ce[j + a, shift:shift + width], s.exp10, out=out_e)
-        for a, shift, s in rest:
+        np.multiply(cm[j + a0, shift0:shift0 + width], m0, out=out_m)
+        np.add(ce[j + a0, shift0:shift0 + width], e0, out=out_e)
+        for a, shift, sm, se in rest:
             out_m[:], out_e[:] = K._aligned_sum(
-                out_m, out_e, cm[j + a, shift:shift + width] * s.mantissa,
-                ce[j + a, shift:shift + width] + s.exp10)
-        valid[j2] = width
+                out_m, out_e, cm[j + a, shift:shift + width] * sm,
+                ce[j + a, shift:shift + width] + se)
         if single:
-            lo[j2] = s_abs * lo[j + a] * (1.0 - 1e-14)
-            hi[j2] = s_abs * hi[j + a] * (1.0 + 1e-14)
+            lo[j2] = s_abs * lo[j + a0] * (1.0 - 1e-14)
+            hi[j2] = s_abs * hi[j + a0] * (1.0 + 1e-14)
             if lo[j2] >= _ROW_MANT_MIN and hi[j2] <= _ROW_MANT_MAX:
                 continue
         if _leaves_range(out_m):
@@ -228,7 +255,7 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
         if single:
             lo[j2], hi[j2] = _row_bounds(out_m)
 
-    nz_out = min(valid) - 1
+    nz_out = nz_in - need
     return _denormalize(cm[:, :nz_out + 1], ce[:, :nz_out + 1], kappa, m1, m2)
 
 

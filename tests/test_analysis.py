@@ -69,6 +69,101 @@ def test_gevrey_window_matches_the_finite_coefficients():
     assert L.tobytes() == logs[want].tobytes()
 
 
+def lstsq_gevrey(a):
+    """estimate_gevrey by two np.linalg.lstsq solves and one inverse, each
+    built from the series' own window on every call."""
+    idx, L, win = ms.analysis._log_window(a)
+    jj = idx.astype(float)
+    X = np.stack([jj * np.log(jj), jj, np.log(jj), np.ones_like(jj)], axis=1)
+    coef = np.linalg.lstsq(X, L, rcond=None)[0]
+    resid = L - X @ coef
+    s2 = float(resid @ resid) / max(1, len(idx) - 4)
+    stderr_reg = math.sqrt(max(s2 * np.linalg.inv(X.T @ X)[0, 0], 0.0))
+    sigma_reg = float(coef[0])
+    step = idx[1:] == idx[:-1] + 1
+    sigma_ratio = sigma_reg
+    if np.count_nonzero(step) >= 4:
+        js = idx[:-1][step].astype(float)
+        sj = np.diff(L)[step] / np.log(js)
+        A = np.stack([np.ones_like(js), 1.0 / np.log(js)], axis=1)
+        sigma_ratio = float(np.linalg.lstsq(A, sj, rcond=None)[0][0])
+    return sigma_reg, max(stderr_reg, abs(sigma_ratio - sigma_reg) / 2.0), win
+
+
+def seeded_gevrey_series(seed, n, sigma, kind):
+    """|c_j| = Gamma(1 + |sigma| j)^sign(sigma) 2^j with seeded noise of
+    0.05 in log10; "complex" adds seeded phases, "zeros" clears every odd
+    index, as in wave's u(t, 0)."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(n)
+    lg = (np.sign(sigma) * np.array([math.lgamma(1 + abs(sigma) * k)
+                                     for k in j]) * math.log10(math.e)
+          + j * math.log10(2.0) + 0.05 * rng.standard_normal(n))
+    mant, exp = ms.scaled.from_log10_array(lg)
+    if kind == "complex":
+        mant = mant * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
+    if kind == "zeros":
+        mant = np.where(j % 2 == 0, mant, 0)
+    return RamifiedSeries(1, mant, exp, normalized=True)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "zeros"])
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 0.5, -1.0],
+                         ids=["gevrey1", "gevrey2", "gevrey1/2",
+                              "factorial-decay"])
+@pytest.mark.parametrize("n", [10, 17, 41, 121, 201, 421])
+def test_gevrey_operators_match_lstsq(n, sigma, kind):
+    a = seeded_gevrey_series(n, n, sigma, kind)
+    if kind == "zeros" and n < 17:  # fewer than 8 nonzero from j = 2
+        with pytest.raises(ms.SemanticError):
+            estimate_gevrey(a)
+        return
+    order, stderr, window = lstsq_gevrey(a)
+    est = estimate_gevrey(a)
+    assert est.window == window
+    assert abs(est.order_hat - order) <= 1e-12 * abs(order)
+    assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+
+def test_gevrey_operators_are_kept_per_window(monkeypatch):
+    ops = {}
+    monkeypatch.setattr(ms.analysis, "_gevrey_ops", ops)
+    estimate_gevrey(seeded_gevrey_series(0, 41, 1.0, "real"))
+    (X, rows, _), = kept = list(ops.values())
+    assert not X.flags.writeable and not rows.flags.writeable
+    # a fresh series on the same window reuses its operators
+    estimate_gevrey(seeded_gevrey_series(1, 41, 1.0, "real"))
+    assert len(ops) == 1 and next(iter(ops.values())) is kept[0]
+
+    # equal length, other zero patterns: operators of their own
+    def with_zeros(at):
+        a = seeded_gevrey_series(0, 41, 1.0, "real")
+        mant = a.mant.copy()
+        mant[at] = 0
+        return RamifiedSeries(1, mant, a.exp10, normalized=True)
+
+    estimate_gevrey(with_zeros([7, 9]))
+    estimate_gevrey(with_zeros([7, 11]))
+    assert len(ops) == 3
+    (X1, rows1, _), (X2, rows2, _) = list(ops.values())[1:]
+    assert X1.shape == X2.shape
+    assert not np.array_equal(X1, X2)
+    assert not np.array_equal(rows1, rows2)
+
+
+def test_gevrey_operator_dict_stays_under_its_cap(monkeypatch):
+    ops = {}
+    monkeypatch.setattr(ms.analysis, "_gevrey_ops", ops)
+    cap = ms.analysis._GEVREY_OPS_CAP
+    lengths = range(12, 12 + cap + 5)  # one window, 2..n-1, per length n
+    for n in lengths:
+        estimate_gevrey(seeded_gevrey_series(n, n, 1.0, "real"))
+        assert len(ops) <= cap
+    # the oldest windows went first
+    assert [X.shape[0] + 2 for X, _, _ in ops.values()] == \
+        list(lengths[-cap:])
+
+
 def test_heat_diagonal_is_gevrey_one():
     prob = heat_problem()
     from msumma import solve_constant_leading

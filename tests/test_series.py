@@ -76,6 +76,28 @@ def test_huge_coefficients_roundtrip():
                m.log_eval(140.0) * math.log10(math.e)) < 1e-9
 
 
+def test_log10_abs_is_computed_once_and_read_only(rng):
+    mant = rng.normal(size=60) + 1j * rng.normal(size=60)
+    mant[[0, 5, 17]] = 0
+    a = RamifiedSeries(1, mant, rng.integers(-400, 400, 60))
+    logs = a.log10_abs()
+    want = np.full(60, -np.inf)
+    nz = a.mant != 0
+    want[nz] = np.log10(np.abs(a.mant[nz])) + a.exp10[nz]
+    assert logs.tobytes() == want.tobytes()
+    assert not logs.flags.writeable
+    with pytest.raises(ValueError):
+        logs[0] = 0.0
+    assert a.log10_abs() is logs
+    # the slope shared by the ratio radius and the Pade rescaling is the
+    # one of this array, and neither fills the series' Pade memo
+    assert a.geometric_slope() == ms.pade.geometric_slope(logs)
+    ms.pade.ratio_radius(a)
+    ms.estimate_gevrey(a)
+    assert a._pade_memo is None
+    assert a.log10_abs() is logs
+
+
 @given(coeff_lists)
 @settings(max_examples=60, deadline=None)
 def test_dumps_loads_roundtrip(coeffs):

@@ -102,6 +102,72 @@ def test_truncation_exhaustion():
     assert need == 20
 
 
+def block_rule(P, kappa, trunc_t):
+    """The earlier rule: every block of n_lam rows consumes max_b * kappa
+    z-orders, with max_b the largest zeta degree of P."""
+    n_lam = P.lam_degree
+    max_b = max(b for _, b in P.coeffs)
+    return max(0, -(-(trunc_t + 1 - n_lam) // n_lam)) * max_b * kappa
+
+
+@pytest.mark.parametrize("name", ["heat", "divergent_data", "wave"])
+def test_truncation_rule_keeps_the_data_files_sizes(name):
+    # the benchmark harness sizes its problems by required_z_truncation
+    from pathlib import Path
+
+    pf = ms.parse_problem((Path(__file__).parent / "data" / f"{name}.mpde")
+                          .read_text(encoding="utf-8"))
+    for trunc_t in range(201):
+        assert (required_z_truncation(pf.equation, pf.kappa, trunc_t)
+                == block_rule(pf.equation, pf.kappa, trunc_t))
+
+
+@pytest.mark.parametrize("P, kappa", [
+    (L - Z**2, 1),
+    ((L - Z) * (L + Z), 1),
+    ((L - Z**2) * (L - Z**3), 1),
+    ((L - Z) * (L - Z**2), 1),
+    ((L - Z) * (L + Z.scale(2.0)), 2),
+], ids=["heat", "wave", "(L-Z^2)(L-Z^3)", "(L-Z)(L-Z^2)", "kappa=2"])
+def test_required_truncation_is_the_smallest_that_solves(P, kappa):
+    for trunc_t in range(13):
+        need = required_z_truncation(P, kappa, trunc_t)
+        data = tuple(RamifiedSeries.from_complex(kappa, np.ones(need + 1))
+                     for _ in range(P.lam_degree))
+        u = solve_constant_leading(PdeProblem(
+            P=P, m1=GAMMA_1, m2=GAMMA_1, data=data, trunc_t=trunc_t))
+        assert u.mant.shape == (trunc_t + 1, 1)
+        if need == 0:
+            continue
+        short = tuple(d.truncate_to(need - 1) for d in data)
+        with pytest.raises(ms.TruncationError,
+                           match=f"trunc_z >= {need} \\(got {need - 1}\\)"):
+            solve_constant_leading(PdeProblem(
+                P=P, m1=GAMMA_1, m2=GAMMA_1, data=short, trunc_t=trunc_t))
+
+
+def test_truncation_rule_counts_each_terms_rows():
+    # (L - Z^2)(L - Z^3) = L^2 - (Z^2 + Z^3) L + Z^5: the term L Z^3
+    # consumes 3 orders per row, more than Z^5's 5 per 2 rows
+    P = (L - Z**2) * (L - Z**3)
+    assert [required_z_truncation(P, 1, t) for t in range(6)] == \
+        [0, 0, 5, 8, 11, 14]
+    assert block_rule(P, 1, 5) == 10
+
+
+def test_data_of_unequal_lengths_are_cut_to_the_shortest(rng):
+    long, short = (RamifiedSeries.from_complex(1, rng.normal(size=n))
+                   for n in (14, 11))
+    P = (L - Z) * (L + Z)
+    u = solve_constant_leading(PdeProblem(
+        P=P, m1=GAMMA_1, m2=GAMMA_1, data=(long, short), trunc_t=4))
+    ref = solve_constant_leading(PdeProblem(
+        P=P, m1=GAMMA_1, m2=GAMMA_1, data=(long.truncate_to(10), short),
+        trunc_t=4))
+    assert u.mant.shape == (5, 11 - required_z_truncation(P, 1, 4))
+    assert u == ref
+
+
 def test_solve_simple_closed_form():
     # (d_t - lam zeta) u = 0 with phi = 1/(1-z):
     # row j = lam^j (d/dz-type op)^j phi / j! in moment-normalized form
