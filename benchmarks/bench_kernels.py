@@ -39,6 +39,11 @@ and are renormalized, and as a two-term recurrence it scans every row.
 The same on heat's L - Z^2 takes the bound-certified path: its one term
 has |s| = 1, so no row is scanned.  Both solve rows are timed warm: their
 warm-up builds the moment tables, so the timed calls only slice them.
+Then comes the verdict layer, independent of n: `summability_verdict` of
+that heat problem at VERDICT_DIRECTIONS, each call on a freshly built
+problem (heat's data row is its own Borel series, so a Pade memo kept on
+one row would answer the next call), and of the bare series u(t, 0) of
+its solution at heat's level (2, 1), each call on a fresh column.
 Last come `BiSeries.dumps` of that
 201x21 heat grid and `BiSeries.loads` of the real 201x201 grid's text.
 
@@ -58,6 +63,7 @@ RANK_JUMP_M = 210
 SOLVE_TRUNC_T = 200
 RESUM_TRUNC_T = 60
 RESUM_TS = (0.03j, 0.045j, 0.06j, 0.075j, 0.09j)
+VERDICT_DIRECTIONS = (0.0, math.pi / 2, math.pi)
 
 
 def make_inputs(n, rng):
@@ -147,7 +153,7 @@ def run(n, reps):
     from msumma import GAMMA_1, BiSeries, RamifiedSeries, ScaledComplex
     from msumma import _kernels as K
     from msumma import moments
-    from msumma.analysis import estimate_gevrey
+    from msumma.analysis import estimate_gevrey, summability_verdict
     from msumma.moments import MomentFunction, kernel_pair_for
     from msumma.pade import diagonal_pade
     from msumma.quadrature import _nodes, integrate_segment
@@ -246,6 +252,13 @@ def run(n, reps):
     results[f"solve L-Z^2 trunc_t {SOLVE_TRUNC_T}"] = bench(
         lambda: solve_constant_leading(heat), reps)
     heat_grid = solve_constant_leading(heat)
+    results[f"summability_verdict heat trunc_t {SOLVE_TRUNC_T}"] = bench_fresh(
+        lambda p: summability_verdict(p, VERDICT_DIRECTIONS),
+        lambda: recurrence_problem(heat=True), reps)
+    results[f"summability_verdict heat u(t,0) trunc_t {SOLVE_TRUNC_T}"] = (
+        bench_fresh(lambda a: summability_verdict(a, VERDICT_DIRECTIONS,
+                                                  levels=[(2, 1)]),
+                    lambda: heat_grid.extract_col(0), reps))
     rows, cols = heat_grid.mant.shape
     results[f"BiSeries.dumps {rows}x{cols}"] = bench(heat_grid.dumps, reps)
     text = real_grid.dumps()

@@ -137,10 +137,12 @@ class SingularitySet:
     note: str = ""
     ratio_modulus: float = math.inf
 
-    def nearest_modulus(self) -> float:
-        if self.points:
-            return abs(self.points[0].location)
-        return math.inf
+    def to_dict(self) -> dict:
+        return {"method": self.method, "trunc": self.trunc,
+                "inconclusive": self.inconclusive, "note": self.note,
+                "ratio_modulus": _jsonable(self.ratio_modulus),
+                "points": [{"location": _jsonable(p.location),
+                            "radius": p.radius} for p in self.points]}
 
 
 def borel_singularities(a: RamifiedSeries) -> SingularitySet:
@@ -196,24 +198,24 @@ def _mod_2pi(d: float) -> float:
     return out
 
 
-def singular_directions_for_root(points, q: Fraction, lam: complex,
-                                 kappa: int) -> list[float]:
-    """Directions d = q(arg xi + 2 pi k) - arg lam hit by singularities xi.
+def singular_triples(sing: SingularitySet, q: Fraction, lam: complex,
+                     kappa: int) -> list[tuple]:
+    """(direction, witness, cone) for each point xi of sing and branch k.
 
-    k runs over 0..q*kappa-1 branch rotations; results reduced mod 2 pi
-    and deduplicated.
+    The direction is d = q(arg xi + 2 pi k) - arg lam reduced mod 2 pi,
+    for the k = 0..q*kappa-1 branch rotations; the witness is xi and the
+    cone its radius / |xi|.  Not deduplicated.
     """
     qf = float(q)
     n_branches = max(1, int(math.ceil(qf * kappa)))
     out = []
-    for pt in points:
+    for pt in sing.points:
         base = math.atan2(pt.location.imag, pt.location.real)
+        cone = pt.radius / max(abs(pt.location), 1e-300)
         for k in range(n_branches):
             d = _mod_2pi(qf * (base + 2.0 * math.pi * k) - np.angle(lam))
-            if all(abs(d - o) > 1e-9 and abs(abs(d - o) - 2 * math.pi) > 1e-9
-                   for o in out):
-                out.append(d)
-    return sorted(out)
+            out.append((d, pt.location, cone))
+    return out
 
 
 def fitted_growth_order(a: RamifiedSeries, expected_rho: float) -> float:
@@ -243,10 +245,16 @@ def _angular_gap(d1: float, d2: float) -> float:
     return min(g, 2.0 * math.pi - g)
 
 
-def direction_verdict(d: float, sing_dirs, cone_radii, growth_order: float,
-                      qK: float, singular_set: SingularitySet
-                      ) -> DirectionVerdict:
-    for sd, (witness, cone) in zip(sing_dirs, cone_radii):
+def direction_verdict(d: float, triples, growth_order: float, qK: float,
+                      singular_set: SingularitySet) -> DirectionVerdict:
+    """Verdict at d from the (direction, witness, cone) triples of a level.
+
+    The first triple within ANGULAR_TOL of d makes it singular, within
+    ANGULAR_TOL plus its cone inconclusive; with none, an inconclusive
+    set or a growth order beyond 1.25 qK leaves d inconclusive, else it
+    is summable.
+    """
+    for sd, witness, cone in triples:
         gap = _angular_gap(d, sd)
         if gap <= ANGULAR_TOL:
             return DirectionVerdict(d, "singular", witness,
@@ -287,27 +295,18 @@ class SummabilityReport:
     singularities: tuple   # per level SingularitySet
 
     def to_dict(self) -> dict:
-        def cx(z):
-            return None if z is None else [z.real, z.imag]
-
         return {
             "schema": SCHEMA_ID,
             "levels": [[str(q), str(K)] for q, K in self.levels],
             "singular_directions": [list(ds) for ds in self.singular_directions],
             "verdicts": [
                 [{"direction": v.direction, "verdict": v.verdict,
-                  "witness": cx(v.witness),
+                  "witness": _jsonable(v.witness),
                   "evidence": _jsonable(v.evidence)} for v in per_level]
                 for per_level in self.verdicts],
             "multidirection": _jsonable(self.multidirection),
             "tolerances": _jsonable(self.tolerances),
-            "singularities": [
-                {"method": s.method, "trunc": s.trunc,
-                 "inconclusive": s.inconclusive, "note": s.note,
-                 "ratio_modulus": _jsonable(s.ratio_modulus),
-                 "points": [{"location": cx(p.location), "radius": p.radius}
-                            for p in s.points]}
-                for s in self.singularities],
+            "singularities": [s.to_dict() for s in self.singularities],
         }
 
     def to_json(self) -> str:
@@ -353,10 +352,17 @@ def _jsonable(x):
 def summability_verdict(source, directions, levels=None) -> SummabilityReport:
     """Direction verdicts for a PdeProblem or a bare formal t-series.
 
-    For a PdeProblem the levels come from the Newton polygon and the
-    obstruction geometry maps data singularities through each root branch;
-    a bare RamifiedSeries is analyzed through its own level-K Borel
-    transform (levels then required).
+    Both run one Borel-plane analysis per level (_verdict_level) on
+    (Borel series, SingularitySet) pairs and the level's roots (q, lam):
+    each singular point xi and branch k gives the direction
+    d = q(arg xi + 2 pi k) - arg lam, with xi as its witness and xi's own
+    confidence cone.
+    - A PdeProblem takes its levels from the Newton polygon, and its
+      pairs from the nonzero data rows, Borel transformed at gevrey_s
+      with their singularities found once for all levels; the roots are
+      those of the level.
+    - A bare RamifiedSeries (levels then required) takes one pair, its
+      level-K Borel transform, and the root (1, 1).
     """
     from .solver import PdeProblem
 
@@ -368,32 +374,46 @@ def summability_verdict(source, directions, levels=None) -> SummabilityReport:
     return _verdict_series(source, directions, levels)
 
 
+def _verdict_level(pairs, roots, kappa: int, qK: float, directions):
+    """(singular directions, verdicts, SingularitySet) of one level.
+
+    pairs are (Borel series, SingularitySet), roots (q, lam).  The
+    triples of every pair, root, point and branch are kept unless within
+    1e-9 of one kept before, then sorted by direction.  The growth order
+    is the least finite fitted_growth_order of the pairs (a series too
+    short for the fit reads inf); the level's set is the first
+    conclusive pair's, else the first.
+    """
+    triples = []
+    for _, sing in pairs:
+        for q, lam in roots:
+            for t in singular_triples(sing, q, lam, kappa):
+                if all(_angular_gap(t[0], o[0]) > 1e-9 for o in triples):
+                    triples.append(t)
+    triples.sort(key=lambda t: t[0])
+    growth = math.inf
+    for bor, _ in pairs:
+        try:
+            growth = min(growth, fitted_growth_order(bor, qK))
+        except SemanticError:
+            pass
+    sets = [sing for _, sing in pairs] or [SingularitySet(
+        (), "pade_poles", 0, inconclusive=True, note="no nonzero data rows")]
+    level_set = next((s for s in sets if not s.inconclusive), sets[0])
+    verdicts = tuple(direction_verdict(d, triples, growth, qK, level_set)
+                     for d in directions)
+    return tuple(t[0] for t in triples), verdicts, level_set
+
+
 def _verdict_series(a: RamifiedSeries, directions, levels) -> SummabilityReport:
     levels = tuple((Fraction(q), Fraction(K)) for q, K in levels)
-    all_dirs, all_verdicts, sets = [], [], []
+    per_level = []
     for q, K in levels:
         bor = borel(MomentFunction.gamma(1 / K), a)
-        sing = borel_singularities(bor)
-        # (direction, witness, cone), the nearest pole's for each direction
-        found = []
-        for p in sing.points:
-            cone = p.radius / max(abs(p.location), 1e-300)
-            for d in singular_directions_for_root((p,), Fraction(1), 1.0,
-                                                  a.kappa):
-                if all(_angular_gap(d, o) > 1e-9 for o, _, _ in found):
-                    found.append((d, p.location, cone))
-        found.sort(key=lambda f: f[0])
-        dirs = [d for d, _, _ in found]
-        cones = [(w, c) for _, w, c in found]
-        qK = float(q * K)
-        growth = (fitted_growth_order(bor, qK)
-                  if sing.points or not sing.inconclusive else math.inf)
-        per = [direction_verdict(d, dirs, cones, growth, qK, sing)
-               for d in directions]
-        all_dirs.append(tuple(dirs))
-        all_verdicts.append(tuple(per))
-        sets.append(sing)
-    return _assemble(levels, all_dirs, all_verdicts, sets, directions)
+        per_level.append(_verdict_level(
+            [(bor, borel_singularities(bor))], [(Fraction(1), 1.0)],
+            a.kappa, float(q * K), directions))
+    return _assemble(levels, per_level, directions)
 
 
 def _verdict_problem(prob, directions) -> SummabilityReport:
@@ -405,55 +425,20 @@ def _verdict_problem(prob, directions) -> SummabilityReport:
     # each nonzero data row, Borel transformed at gevrey_s, with its
     # singularities, found once for all levels; a problem with no level
     # (every piece convergent) reads none
-    data_borel = []
+    pairs = []
     for phi in prob.data if levels else ():
         if np.all(phi.mant == 0):
             continue
         phi_b = borel(bs, phi) if bs is not None else phi
-        data_borel.append((phi_b, borel_singularities(phi_b)))
-    all_dirs, all_verdicts, sets = [], [], []
-    for q, K in levels:
-        level_roots = [r for r in roots if r.q == q]
-        dirs = []
-        level_set = None
-        growth = math.inf
-        for phi_b, sing in data_borel:
-            if level_set is None or (level_set.inconclusive
-                                     and not sing.inconclusive):
-                level_set = sing
-            for r in level_roots:
-                ds = singular_directions_for_root(sing.points, q, r.leading,
-                                                 prob.kappa)
-                for d in ds:
-                    if all(_angular_gap(d, o) > 1e-9 for o in dirs):
-                        dirs.append(d)
-            qK = float(q * K)
-            try:
-                g = fitted_growth_order(phi_b, qK)
-            except SemanticError:
-                # series too short for a growth fit; leave the budget check
-                # to the singularity evidence alone
-                g = math.inf
-            growth = min(growth, g) if math.isfinite(g) else growth
-        if level_set is None:
-            level_set = SingularitySet((), "pade_poles", 0, inconclusive=True,
-                                       note="no nonzero data rows")
-        dirs = sorted(dirs)
-        # align witness cones with directions; conservative: widest cone
-        wide = max((p.radius / max(abs(p.location), 1e-300)
-                    for p in level_set.points), default=0.0)
-        witness = level_set.points[0].location if level_set.points else None
-        cones = [(witness, wide) for _ in dirs]
-        per = [direction_verdict(d, dirs, cones, growth, float(q * K),
-                                 level_set) for d in directions]
-        all_dirs.append(tuple(dirs))
-        all_verdicts.append(tuple(per))
-        sets.append(level_set)
-    return _assemble(levels, all_dirs, all_verdicts, sets, directions)
+        pairs.append((phi_b, borel_singularities(phi_b)))
+    per_level = [_verdict_level(pairs, [(r.q, r.leading) for r in roots
+                                        if r.q == q],
+                                prob.kappa, float(q * K), directions)
+                 for q, K in levels]
+    return _assemble(levels, per_level, directions)
 
 
-def _assemble(levels, all_dirs, all_verdicts, sets, directions
-              ) -> SummabilityReport:
+def _assemble(levels, per_level, directions) -> SummabilityReport:
     multi = None
     if len(levels) >= 2 and len(directions) == len(levels):
         flags = multidirection_admissible(levels, directions)
@@ -461,10 +446,11 @@ def _assemble(levels, all_dirs, all_verdicts, sets, directions
                   for (_, K1), (_, K2) in zip(levels, levels[1:])]
         multi = {"directions": directions, "admissible": flags,
                  "bounds": bounds}
+    dirs, verdicts, sets = zip(*per_level) if per_level else ((), (), ())
     return SummabilityReport(
         levels=tuple(levels),
-        singular_directions=tuple(all_dirs),
-        verdicts=tuple(all_verdicts),
+        singular_directions=tuple(dirs),
+        verdicts=tuple(verdicts),
         multidirection=multi,
         tolerances={"angular_tol_rad": ANGULAR_TOL,
                     "pade_stability": 1e-2},

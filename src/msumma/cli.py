@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (borel_singularities, estimate_gevrey, _jsonable,
+from .analysis import (borel_singularities, estimate_gevrey,
                        summability_verdict)
 from .characteristic import newton_polygon_roots, summability_levels
 from .dsl import parse_problem
@@ -125,17 +125,8 @@ def _singular_payload(pf, diag):
     (q, K) = _first_level(pf)[0]
     bor = borel(MomentFunction.gamma(1 / K), diag)
     s = borel_singularities(bor)
-    return bor, s, {
-        "schema": "singularity_set.v1",
-        "level": [str(q), str(K)],
-        "method": s.method,
-        "trunc": s.trunc,
-        "inconclusive": s.inconclusive,
-        "note": s.note,
-        "ratio_modulus": _jsonable(s.ratio_modulus),
-        "points": [{"location": [p.location.real, p.location.imag],
-                    "radius": p.radius} for p in s.points],
-    }
+    return bor, s, {"schema": "singularity_set.v1",
+                    "level": [str(q), str(K)], **s.to_dict()}
 
 
 def cmd_singular(pf, digest, args) -> int:

@@ -139,12 +139,15 @@ def _row_offsets(P: CharPolynomial, kappa: int, trunc_t: int) -> list[int]:
     Row j + n_lam is built from row j + a shifted by b*kappa columns for
     each lower term (a, b), a < n_lam, of P.  So c_j = 0 for the n_lam data
     rows and c_{j+n_lam} = max over the lower terms of c_{j+a} + b*kappa;
-    row j is trunc_z + 1 - c_j wide.
+    row j is trunc_z + 1 - c_j wide.  With no lower term (P = P_0 L^n_lam)
+    every row after the data is zero and reads no data: c_j = 0.
     """
     n_lam = P.lam_degree
     # row i reads row i - back, shift z-orders on, for each lower term
-    (back0, shift0), *rest = [(n_lam - a, b * kappa)
-                              for a, b in P.coeffs if a < n_lam]
+    lower = [(n_lam - a, b * kappa) for a, b in P.coeffs if a < n_lam]
+    if not lower:
+        return [0] * (trunc_t + 1)
+    (back0, shift0), *rest = lower
     c = [0] * min(n_lam, trunc_t + 1)
     for i in range(n_lam, trunc_t + 1):
         ci = c[i - back0] + shift0
@@ -230,6 +233,8 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
         if a < n_lam:
             s = inv_p0 * p_ab
             lower.append((a, b * kappa, s.mantissa, s.exp10))
+    if not lower:  # P = P_0 L^n_lam: the rows after the data stay zero
+        return _denormalize(cm, ce, kappa, m1, m2)
     (a0, shift0, m0, e0), *rest = lower
     # a multi-term row can cancel and is always scanned: bounds are carried
     # for a single-term recurrence only

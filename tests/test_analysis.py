@@ -10,7 +10,7 @@ from msumma import (CharPolynomial, GAMMA_1, PdeProblem, RamifiedSeries,
                     borel_singularities, estimate_gevrey, summability_verdict)
 from msumma.analysis import (direction_verdict, fitted_growth_order,
                              multidirection_admissible, SingularitySet,
-                             singular_directions_for_root)
+                             singular_triples)
 
 L = CharPolynomial.lam()
 Z = CharPolynomial.zeta()
@@ -179,7 +179,6 @@ def test_singularity_of_geometric_borel():
     s = borel_singularities(a)
     assert not s.inconclusive
     assert abs(s.points[0].location - 0.5) < 1e-3
-    assert abs(s.nearest_modulus() - 0.5) < 1e-3
     assert abs(s.ratio_modulus - 0.5) < 0.05
 
 
@@ -213,9 +212,15 @@ def test_fitted_growth_order_exponential():
     assert abs(rho - 1.0) < 0.1
 
 
+def triple_directions(points, q, lam, kappa):
+    """The directions of singular_triples on a set of the given points."""
+    sing = SingularitySet(points=points, method="pade_poles", trunc=40)
+    return [d for d, _, _ in singular_triples(sing, q, lam, kappa)]
+
+
 def test_singular_directions_square_root_level():
     pts = (ms.analysis.SingularPoint(0.25 + 0j, 1e-3),)
-    dirs = singular_directions_for_root(pts, Fraction(2), 1.0, 1)
+    dirs = triple_directions(pts, Fraction(2), 1.0, 1)
     assert any(abs(d) < 1e-9 or abs(d - 2 * math.pi) < 1e-9 for d in dirs)
 
 
@@ -224,26 +229,26 @@ def test_mod_2pi_stays_below_two_pi():
     assert ms.analysis._mod_2pi(-1e-17) == 0.0
     assert ms.analysis._mod_2pi(-1.0) == 2 * math.pi - 1.0
     pts = (ms.analysis.SingularPoint(1.0 - 1e-16j, 1e-3),)
-    assert singular_directions_for_root(pts, Fraction(1), 1.0, 1) == [0.0]
+    assert triple_directions(pts, Fraction(1), 1.0, 1) == [0.0]
 
 
 def test_singular_directions_rotated_root():
     # arg lam shifts every singular direction by -arg lam
     pts = (ms.analysis.SingularPoint(0.5 + 0j, 1e-3),)
     lam = np.exp(0.8j)
-    dirs = singular_directions_for_root(pts, Fraction(1), lam, 1)
+    dirs = triple_directions(pts, Fraction(1), lam, 1)
     assert min(abs(d - (2 * math.pi - 0.8)) for d in dirs) < 1e-9
 
 
 def test_direction_verdict_cases():
     clean = SingularitySet(points=(), method="pade_poles", trunc=40)
-    v = direction_verdict(0.0, [0.0], [(0.25 + 0j, 0.0)], 2.0, 2.0, clean)
+    v = direction_verdict(0.0, [(0.0, 0.25 + 0j, 0.0)], 2.0, 2.0, clean)
     assert v.verdict == "singular" and v.witness == 0.25 + 0j
-    v = direction_verdict(0.05, [0.0], [(0.25 + 0j, 0.03)], 2.0, 2.0, clean)
+    v = direction_verdict(0.05, [(0.0, 0.25 + 0j, 0.03)], 2.0, 2.0, clean)
     assert v.verdict == "inconclusive"
-    v = direction_verdict(1.5, [0.0], [(0.25 + 0j, 0.0)], 2.0, 2.0, clean)
+    v = direction_verdict(1.5, [(0.0, 0.25 + 0j, 0.0)], 2.0, 2.0, clean)
     assert v.verdict == "summable"
-    v = direction_verdict(1.5, [0.0], [(0.25 + 0j, 0.0)], 9.0, 2.0, clean)
+    v = direction_verdict(1.5, [(0.0, 0.25 + 0j, 0.0)], 9.0, 2.0, clean)
     assert v.verdict == "inconclusive"
 
 
@@ -291,33 +296,72 @@ def test_verdict_from_plain_series():
     assert report.verdicts[0][0].verdict in ("summable", "inconclusive")
 
 
+def two_pole_coefficients(n=60):
+    """c_j = j! ((-0.5)^-j + e^{-0.3ij}): Borel poles at -0.5 and e^{0.3i}."""
+    return [math.factorial(j) * ((-0.5) ** -j + np.exp(-0.3j * j))
+            for j in range(n)]
+
+
+def two_pole_problem():
+    """L - Z with Gamma(1) moments and the two-pole data at gevrey_s 1:
+    u(t, 0) = phi(t), so its level is 1 and its Borel poles are phi's."""
+    phi = RamifiedSeries.from_complex(1, two_pole_coefficients())
+    return PdeProblem(P=L - Z, m1=GAMMA_1, m2=GAMMA_1, data=(phi,),
+                      gevrey_s=1, trunc_t=phi.trunc)
+
+
 def test_series_verdict_pairs_each_direction_with_its_pole():
     # Borel poles at -0.5 and e^{0.3i}: the directions come sorted by
     # angle (0.3, pi), the poles by modulus (-0.5 first); each verdict
-    # must name the pole on its own ray, and the cone of that pole
+    # must name the pole on its own ray, and the cone of that pole, on
+    # the bare series and on the problem whose data row it is
     from msumma.analysis import ANGULAR_TOL
 
-    c = [math.factorial(j) * ((-0.5) ** -j + np.exp(-0.3j * j))
-         for j in range(60)]
-    a = RamifiedSeries.from_complex(1, c)
     near = ANGULAR_TOL + 5e-4  # inside the 1e-3 cones, outside the tolerance
-    report = summability_verdict(a, [0.3, math.pi, 0.3 + near,
-                                     math.pi - near], levels=[(1, 1)])
-    points = report.singularities[0].points
-    assert len(points) == 2
-    assert report.singular_directions[0] == pytest.approx((0.3, math.pi))
-    poles = {"ray": points[1], "neg": points[0]}
-    assert abs(poles["ray"].location - np.exp(0.3j)) < 1e-6
-    assert abs(poles["neg"].location + 0.5) < 1e-6
-    expect = ["ray", "neg", "ray", "neg"]
-    verdicts = report.verdicts[0]
-    assert [v.verdict for v in verdicts] == ["singular"] * 2 + [
-        "inconclusive"] * 2
-    for v, which in zip(verdicts, expect):
-        assert v.witness == poles[which].location
-    for v, which in zip(verdicts[2:], expect[2:]):
-        p = poles[which]
-        assert v.evidence["confidence_cone"] == p.radius / abs(p.location)
+    dirs = [0.3, math.pi, 0.3 + near, math.pi - near]
+    a = RamifiedSeries.from_complex(1, two_pole_coefficients())
+    for report in (summability_verdict(a, dirs, levels=[(1, 1)]),
+                   summability_verdict(two_pole_problem(), dirs)):
+        points = report.singularities[0].points
+        assert len(points) == 2
+        assert report.singular_directions[0] == pytest.approx(
+            (0.3, math.pi))
+        poles = {"ray": points[1], "neg": points[0]}
+        assert abs(poles["ray"].location - np.exp(0.3j)) < 1e-6
+        assert abs(poles["neg"].location + 0.5) < 1e-6
+        expect = ["ray", "neg", "ray", "neg"]
+        verdicts = report.verdicts[0]
+        assert [v.verdict for v in verdicts] == ["singular"] * 2 + [
+            "inconclusive"] * 2
+        for v, which in zip(verdicts, expect):
+            assert v.witness == poles[which].location
+        for v, which in zip(verdicts[2:], expect[2:]):
+            p = poles[which]
+            assert v.evidence["confidence_cone"] == \
+                p.radius / abs(p.location)
+
+
+def test_problem_and_series_verdicts_agree():
+    # the problem's verdicts and those of its u(t, 0) at the same levels
+    from msumma import solve_constant_leading
+    from msumma.analysis import ANGULAR_TOL
+
+    prob = two_pole_problem()
+    near = ANGULAR_TOL + 5e-4
+    dirs = [0.0, 0.3, math.pi, 0.3 + near, math.pi - near, 2.0, 4.5]
+    by_problem = summability_verdict(prob, dirs)
+    diag = solve_constant_leading(prob).extract_col(0)
+    by_series = summability_verdict(diag, dirs, levels=by_problem.levels)
+    assert by_problem.levels == by_series.levels == ((1, 1),)
+    assert [v.verdict for v in by_problem.verdicts[0]] == \
+        [v.verdict for v in by_series.verdicts[0]]
+    assert len(by_problem.singular_directions[0]) == 2
+    assert by_problem.singular_directions[0] == pytest.approx(
+        by_series.singular_directions[0], rel=0, abs=1e-9)
+    for vp, vs in zip(by_problem.verdicts[0], by_series.verdicts[0]):
+        assert (vp.witness is None) == (vs.witness is None)
+        if vp.witness is not None:
+            assert abs(vp.witness - vs.witness) < 1e-6
 
 
 def test_all_clean_directions_summable():

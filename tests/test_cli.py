@@ -96,6 +96,15 @@ def test_trunc_override(tmp_path):
 
 # -- exit codes --------------------------------------------------------------
 
+def test_solve_equation_without_lower_term(tmp_path):
+    prob = tmp_path / "L.mpde"
+    prob.write_text("equation: L;\nm1: Gamma(1);\nm2: Gamma(1);\n"
+                    "data: rat(1/(1-z));\ntrunc_t: 5;\ntrunc_z: 10;\n")
+    assert run(["solve", prob, "--out", tmp_path]) == 0
+    rows = (tmp_path / "solution.biseries").read_text().splitlines()[1:]
+    assert len(rows) == 6 * 11
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.mpde"
     bad.write_text("equation L - Z;\ndata: coeffs(1);\n")

@@ -155,6 +155,20 @@ def test_truncation_rule_counts_each_terms_rows():
     assert block_rule(P, 1, 5) == 10
 
 
+def test_equation_without_lower_term_keeps_its_data():
+    # L u = 0 has u(t, z) = phi(z): row 0 is the data, every later row is
+    # exactly zero and reads no data, so the rows need no z-orders
+    assert required_z_truncation(L, 1, 5) == 0
+    c = 1.0 / np.arange(1, 12)
+    phi = RamifiedSeries.from_complex(1, c)
+    u = solve_constant_leading(PdeProblem(P=L, m1=GAMMA_1, m2=GAMMA_1,
+                                          data=(phi,), trunc_t=5))
+    grid = biseries_to_array(u)
+    assert grid.shape == (6, 11)
+    np.testing.assert_allclose(grid[0], c, rtol=1e-14, atol=0)
+    assert np.all(u.mant[1:] == 0)
+
+
 def test_data_of_unequal_lengths_are_cut_to_the_shortest(rng):
     long, short = (RamifiedSeries.from_complex(1, rng.normal(size=n))
                    for n in (14, 11))
