@@ -44,15 +44,21 @@ that heat problem at VERDICT_DIRECTIONS, each call on a freshly built
 problem (heat's data row is its own Borel series, so a Pade memo kept on
 one row would answer the next call), and of the bare series u(t, 0) of
 its solution at heat's level (2, 1), each call on a fresh column.
-Last come `BiSeries.dumps` of that
+Then come `BiSeries.dumps` of that
 201x21 heat grid and `BiSeries.loads` of the real 201x201 grid's text.
+Last comes the parse stage, independent of n: `parse_problem` and
+`ProblemFile.to_problem` of the tests/data heat and wave texts at trunc_t
+200, with trunc_z set as the pipebench worker sets it, to the
+recurrence's need plus 20 (heat) and 200 (wave) output columns.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
 import argparse
 import cmath
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +70,9 @@ SOLVE_TRUNC_T = 200
 RESUM_TRUNC_T = 60
 RESUM_TS = (0.03j, 0.045j, 0.06j, 0.075j, 0.09j)
 VERDICT_DIRECTIONS = (0.0, math.pi / 2, math.pi)
+# output columns of the parse-stage texts, as in pipebench's workloads
+PARSE_MARGINS = {"heat": 20, "wave": 200}
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 
 def make_inputs(n, rng):
@@ -127,6 +136,20 @@ def heat_borel():
     return borel(GAMMA_1, solve_constant_leading(prob).extract_col(0))
 
 
+def problem_text(name):
+    """tests/data/<name>.mpde at trunc_t SOLVE_TRUNC_T with trunc_z the
+    recurrence's need plus PARSE_MARGINS[name]."""
+    from msumma import parse_problem
+    from msumma.solver import required_z_truncation
+
+    text = (DATA / f"{name}.mpde").read_text(encoding="utf-8")
+    pf = parse_problem(text)
+    nz = required_z_truncation(pf.equation, pf.kappa, SOLVE_TRUNC_T)
+    text = re.sub(r"(?m)^trunc_t:.*$", f"trunc_t: {SOLVE_TRUNC_T};", text)
+    return re.sub(r"(?m)^trunc_z:.*$",
+                  f"trunc_z: {nz + PARSE_MARGINS[name]};", text)
+
+
 def bench(fn, reps):
     fn()  # warm up
     t0 = time.perf_counter()
@@ -150,7 +173,8 @@ def bench_fresh(fn, make, reps):
 
 
 def run(n, reps):
-    from msumma import GAMMA_1, BiSeries, RamifiedSeries, ScaledComplex
+    from msumma import (GAMMA_1, BiSeries, RamifiedSeries, ScaledComplex,
+                        parse_problem)
     from msumma import _kernels as K
     from msumma import moments
     from msumma.analysis import estimate_gevrey, summability_verdict
@@ -264,6 +288,13 @@ def run(n, reps):
     text = real_grid.dumps()
     results[f"BiSeries.loads {REAL_GRID_SIDE}x{REAL_GRID_SIDE}"] = bench(
         lambda: BiSeries.loads(text), reps)
+    for name in PARSE_MARGINS:
+        src = problem_text(name)
+        pf = parse_problem(src)
+        results[f"parse_problem {name} trunc_t {SOLVE_TRUNC_T}"] = bench(
+            lambda: parse_problem(src), reps)
+        results[f"to_problem {name} trunc_t {SOLVE_TRUNC_T}"] = bench(
+            pf.to_problem, reps)
     return results
 
 

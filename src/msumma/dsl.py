@@ -1,5 +1,20 @@
 """Problem-file DSL: tokenizer, recursive-descent parser, pretty-printer.
 
+Lexical grammar (ASCII only; one regular expression, _TOKEN):
+
+    number   := (digits ['.' [digits]] | '.' digits)
+                [('e'|'E') ['+'|'-'] digits]
+    imag     := number 'i' | 'i'
+    ident    := (letter | '_') (letter | digit | '_')*
+    op       := one of : ; , ( ) + - * / ^
+    blanks   := space, tab and carriage return; '\n' ends a line;
+                '#' starts a comment to the end of the line, of any text
+
+An exponent needs its digits, so '1e+x' is 1, e, +, x.  A number must lie
+in the float64 range: one whose float64 value is infinite, or zero
+although a digit is not, is a ParseError at its own position, as is a
+character outside this grammar (any non-ASCII one outside a comment).
+
 Grammar (EBNF):
 
     problem  := stmt+
@@ -17,7 +32,9 @@ All syntax errors carry (line, column, expected tokens).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +46,15 @@ from .series import RamifiedSeries
 
 KEYS = ("equation", "m1", "m2", "data", "trunc_t", "trunc_z", "kappa",
         "gevrey_s")
-_OPS = set(":;,()+-*/^")
+# one alternative per lexeme class; 'bad' takes any other character
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r]+|\#.*)
+  | (?P<newline>\n)
+  | (?P<num>(?P<digits>\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?)
+  | (?P<ident>[A-Za-z_]\w*)
+  | (?P<op>[:;,()+\-*/^])
+  | (?P<bad>.)
+""", re.ASCII | re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -41,77 +66,49 @@ class Token:
     col: int
 
 
+def _number(m: re.Match, line: int, col: int) -> Token:
+    """NUM or IMAG token of a number match, its exact value a Fraction.
+
+    A nonzero number must have a finite, nonzero float64 value and no more
+    digits than int() converts (sys.get_int_max_str_digits); a zero one is
+    Fraction(0) at any exponent, so no huge power of ten is ever built.
+    """
+    text = m.group()
+    lit = text.removesuffix("i")
+    value = Fraction(0)
+    if m.group("digits").strip("0."):
+        try:
+            if not 0.0 < abs(float(lit)) < math.inf:
+                raise ValueError(lit)
+            # int() parses an integer faster than Fraction(str); both
+            # raise ValueError past int()'s digit limit
+            value = Fraction(int(lit)) if lit.isdigit() else Fraction(lit)
+        except ValueError:
+            raise ParseError("number outside the float64 range", line, col,
+                             expected="a float64 number") from None
+    return Token("IMAG" if text != lit else "NUM", text, value, line, col)
+
+
 def tokenize(text: str) -> list[Token]:
+    """Tokens of text, ending in EOF; positions from the match offsets."""
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                c = text[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j + 1 < n and \
-                        (text[j + 1].isdigit() or text[j + 1] in "+-"):
-                    seen_exp = True
-                    j += 1
-                    if text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            lit = text[i:j]
-            if seen_dot or seen_exp:
-                val = Fraction(lit)
-            else:
-                val = Fraction(int(lit))
-            kind = "NUM"
-            if j < n and text[j] == "i":
-                kind = "IMAG"
-                j += 1
-            toks.append(Token(kind, text[i:j], val, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "i":
-                toks.append(Token("IMAG", word, Fraction(1), line, start_col))
-            else:
-                toks.append(Token("IDENT", word, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            toks.append(Token("OP", ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col,
-                         expected="token")
-    toks.append(Token("EOF", "", None, line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "num":
+            toks.append(_number(m, line, col))
+        elif kind == "ident":
+            toks.append(Token("IMAG", lexeme, Fraction(1), line, col)
+                        if lexeme == "i" else
+                        Token("IDENT", lexeme, lexeme, line, col))
+        elif kind == "op":
+            toks.append(Token("OP", lexeme, lexeme, line, col))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col,
+                             expected="token")
+    toks.append(Token("EOF", "", None, line, len(text) - line_start + 1))
     return toks
 
 
@@ -125,7 +122,6 @@ class ProblemFile:
     trunc_z: int = 80
     kappa: int = 1
     gevrey_s: Fraction = Fraction(0)
-    moment_srcs: tuple = ("Gamma(1)", "Gamma(1)")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ProblemFile)
@@ -139,13 +135,13 @@ class ProblemFile:
 
     def pretty(self) -> str:
         lines = [f"equation: {_format_poly(self.equation)};",
-                 f"m1: {self.moment_srcs[0]};",
-                 f"m2: {self.moment_srcs[1]};",
+                 f"m1: {_format_moment(self.m1)};",
+                 f"m2: {_format_moment(self.m2)};",
                  f"data: {', '.join(_format_spec(s) for s in self.data)};",
                  f"trunc_t: {self.trunc_t};",
                  f"trunc_z: {self.trunc_z};",
                  f"kappa: {self.kappa};",
-                 f"gevrey_s: {_format_frac(self.gevrey_s)};"]
+                 f"gevrey_s: {self.gevrey_s};"]
         return "\n".join(lines) + "\n"
 
     def to_problem(self):
@@ -171,8 +167,14 @@ def _spec_eq(a, b) -> bool:
     return a[1:] == b[1:]
 
 
-def _format_frac(f: Fraction) -> str:
-    return str(f)
+def _format_moment(m: MomentFunction) -> str:
+    """Gamma(s) per factor, joined by ' * ' or ' / ' by its sign."""
+    if not m.factors or m.factors[0][1] < 0 or \
+            (m.scale_a, m.shift_b) != (1.0, 1.0):
+        raise ValueError(f"{m} has no problem-file form")
+    text = "".join(f" {'*' if sign > 0 else '/'} Gamma({s})"
+                   for s, sign in m.factors)
+    return text[3:]  # without the first factor's ' * '
 
 
 def _format_complex(c: complex) -> str:
@@ -225,7 +227,7 @@ def _format_spec(spec) -> str:
         num, den = spec[1], spec[2]
         return f"rat(({_format_poly(num, zeta='z')})/({_format_poly(den, zeta='z')}))"
     if kind == "gamma":
-        return f"gamma_coeffs({_format_frac(spec[1])})"
+        return f"gamma_coeffs({spec[1]})"
     raise ValueError(f"unknown spec {kind!r}")
 
 
@@ -290,11 +292,15 @@ class _Parser:
             self.pos += 1
         return t
 
+    def accept(self, ops: str) -> Token | None:
+        """The next token, consumed, if it is one of the operators ops."""
+        t = self.peek()
+        return self.next() if t.kind == "OP" and t.text in ops else None
+
     def expect_op(self, op: str) -> Token:
         t = self.peek()
         if t.kind != "OP" or t.text != op:
-            raise ParseError(f"got {t.text or 'end of input'!r}", t.line,
-                             t.col, expected=repr(op))
+            self.fail(repr(op))
         return self.next()
 
     def fail(self, expected: str):
@@ -304,26 +310,15 @@ class _Parser:
 
     # -- polynomial expressions -----------------------------------------
 
-    def parse_poly(self, symbols: dict) -> CharPolynomial:
-        return self._expr(symbols)
-
     def _expr(self, symbols) -> CharPolynomial:
-        t = self.peek()
-        neg = False
-        if t.kind == "OP" and t.text in "+-":
-            self.next()
-            neg = t.text == "-"
+        t = self.accept("+-")
         acc = self._term(symbols)
-        if neg:
+        if t and t.text == "-":
             acc = acc.scale(-1)
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text in "+-":
-                self.next()
-                rhs = self._term(symbols)
-                acc = acc + (rhs.scale(-1) if t.text == "-" else rhs)
-            else:
-                return acc
+        while t := self.accept("+-"):
+            rhs = self._term(symbols)
+            acc = acc + (rhs.scale(-1) if t.text == "-" else rhs)
+        return acc
 
     def _starts_factor(self, symbols) -> bool:
         t = self.peek()
@@ -391,19 +386,14 @@ class _Parser:
     # -- scalars ---------------------------------------------------------
 
     def parse_rational(self) -> Fraction:
-        sign = 1
-        t = self.peek()
-        if t.kind == "OP" and t.text in "+-":
-            self.next()
-            sign = -1 if t.text == "-" else 1
+        t = self.accept("+-")
+        sign = -1 if t and t.text == "-" else 1
         t = self.peek()
         if t.kind != "NUM":
             self.fail("rational")
         self.next()
         val = t.value
-        t = self.peek()
-        if t.kind == "OP" and t.text == "/":
-            self.next()
+        if self.accept("/"):
             d = self.peek()
             if d.kind != "NUM":
                 self.fail("rational denominator")
@@ -421,22 +411,12 @@ class _Parser:
         self.next()
         return int(t.value)
 
-    def parse_moment(self) -> tuple[MomentFunction, str]:
-        parts = []
-        m = self._gamma_factor()
-        parts.append(("*", m))
-        while True:
-            t = self.peek()
-            if t.kind == "OP" and t.text in "*/":
-                self.next()
-                parts.append((t.text, self._gamma_factor()))
-            else:
-                break
-        out = parts[0][1]
-        src = _moment_src(parts)
-        for op, f in parts[1:]:
-            out = out * f if op == "*" else out / f
-        return out, src
+    def parse_moment(self) -> MomentFunction:
+        out = self._gamma_factor()
+        while t := self.accept("*/"):
+            f = self._gamma_factor()
+            out = out * f if t.text == "*" else out / f
+        return out
 
     def _gamma_factor(self) -> MomentFunction:
         t = self.peek()
@@ -450,42 +430,31 @@ class _Parser:
 
     def parse_data_spec(self):
         t = self.peek()
-        if t.kind != "IDENT":
+        if t.kind != "IDENT" or t.value not in ("coeffs", "rat",
+                                                "gamma_coeffs"):
             self.fail("'coeffs', 'rat' or 'gamma_coeffs'")
+        self.next()
+        self.expect_op("(")
         if t.value == "coeffs":
-            self.next()
-            self.expect_op("(")
             vals = []
             if not (self.peek().kind == "OP" and self.peek().text == ")"):
                 vals.append(self._scalar())
-                while self.peek().kind == "OP" and self.peek().text == ",":
-                    self.next()
+                while self.accept(","):
                     vals.append(self._scalar())
-            self.expect_op(")")
-            return ("coeffs", tuple(vals))
-        if t.value == "rat":
-            self.next()
-            self.expect_op("(")
+            spec = ("coeffs", tuple(vals))
+        elif t.value == "rat":
             self._no_div = True
             try:
                 num = self._expr({"z": {(0, 1): 1.0}})
-                t2 = self.peek()
-                if t2.kind == "OP" and t2.text == "/":
-                    self.next()
-                    den = self._term({"z": {(0, 1): 1.0}})
-                else:
-                    den = CharPolynomial.const(1.0)
+                den = (self._term({"z": {(0, 1): 1.0}}) if self.accept("/")
+                       else CharPolynomial.const(1.0))
             finally:
                 self._no_div = False
-            self.expect_op(")")
-            return ("rat", num, den)
-        if t.value == "gamma_coeffs":
-            self.next()
-            self.expect_op("(")
-            s = self.parse_rational()
-            self.expect_op(")")
-            return ("gamma", s)
-        self.fail("'coeffs', 'rat' or 'gamma_coeffs'")
+            spec = ("rat", num, den)
+        else:
+            spec = ("gamma", self.parse_rational())
+        self.expect_op(")")
+        return spec
 
     def _scalar(self) -> complex:
         p = self._expr({})
@@ -499,15 +468,6 @@ class _Parser:
         return c
 
 
-def _moment_src(parts) -> str:
-    out = []
-    for op, m in parts:
-        s = m.factors[0][0]
-        txt = f"Gamma({s})"
-        out.append(txt if not out else f" {op} {txt}")
-    return "".join(out)
-
-
 _EQ_SYMBOLS = {"L": {(1, 0): 1.0}, "Z": {(0, 1): 1.0}}
 
 
@@ -515,7 +475,6 @@ def parse_problem(text: str) -> ProblemFile:
     """Parse a problem file; raises ParseError with (line, col, expected)."""
     p = _Parser(text)
     seen = {}
-    moment_srcs = {"m1": "Gamma(1)", "m2": "Gamma(1)"}
     while p.peek().kind != "EOF":
         t = p.peek()
         if t.kind != "IDENT" or t.value not in KEYS:
@@ -527,13 +486,12 @@ def parse_problem(text: str) -> ProblemFile:
         p.next()
         p.expect_op(":")
         if key == "equation":
-            seen[key] = p.parse_poly(_EQ_SYMBOLS)
+            seen[key] = p._expr(_EQ_SYMBOLS)
         elif key in ("m1", "m2"):
-            seen[key], moment_srcs[key] = p.parse_moment()
+            seen[key] = p.parse_moment()
         elif key == "data":
             specs = [p.parse_data_spec()]
-            while p.peek().kind == "OP" and p.peek().text == ",":
-                p.next()
+            while p.accept(","):
                 specs.append(p.parse_data_spec())
             seen[key] = tuple(specs)
         elif key in ("trunc_t", "trunc_z"):
@@ -543,14 +501,11 @@ def parse_problem(text: str) -> ProblemFile:
         elif key == "gevrey_s":
             seen[key] = p.parse_rational()
         p.expect_op(";")
-    if "equation" not in seen:
-        t = p.peek()
-        raise ParseError("missing 'equation' statement", t.line, t.col,
-                         expected="equation: ...;")
-    if "data" not in seen:
-        t = p.peek()
-        raise ParseError("missing 'data' statement", t.line, t.col,
-                         expected="data: ...;")
+    for key in ("equation", "data"):
+        if key not in seen:
+            t = p.peek()
+            raise ParseError(f"missing {key!r} statement", t.line, t.col,
+                             expected=f"{key}: ...;")
     return ProblemFile(
         equation=seen["equation"],
         m1=seen.get("m1", MomentFunction.gamma(1)),
@@ -559,5 +514,4 @@ def parse_problem(text: str) -> ProblemFile:
         trunc_t=seen.get("trunc_t", 20),
         trunc_z=seen.get("trunc_z", 80),
         kappa=seen.get("kappa", 1),
-        gevrey_s=seen.get("gevrey_s", Fraction(0)),
-        moment_srcs=(moment_srcs["m1"], moment_srcs["m2"]))
+        gevrey_s=seen.get("gevrey_s", Fraction(0)))

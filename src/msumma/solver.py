@@ -89,13 +89,21 @@ def _normalized_data_row(phi: RamifiedSeries, m1: MomentFunction,
 
 
 def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
-                 m1: MomentFunction, m2: MomentFunction) -> BiSeries:
-    """u_{jn} = c_{jn} / (m1(j) m2(n/kappa)) for the scaled grid (cm, ce).
+                 m1: MomentFunction, m2: MomentFunction,
+                 data: tuple) -> BiSeries:
+    """u_{jn} = c_{jn} / (m1(j) m2(n/kappa)) for the scaled grid (cm, ce),
+    whose rows j < len(data) are written from the data instead.
 
-    The grid need not be normalized: every output cell is normalized once,
-    by the `K.mul` of its block.  The divisor is separable: one scaled table
-    1/m1(j) and one 1/m2(n/kappa), each a slice of the table that
-    `MomentFunction.scaled_table` keeps for its (m, kappa, sign).
+    Datum phi_j = d^j_{m1,t} u(0, z) makes row j of u phi_j m1(0)/m1(j),
+    cut to the grid width: phi_j's own mantissas and exponents when that
+    ratio, read off the table 1/m1(j), is exactly one (for Gamma(1) at
+    j = 0, 1), so no round trip through c costs a data row an ulp.
+
+    The other rows need not be normalized: every one of their cells is
+    normalized once, by the `K.mul` of its block.  The divisor is
+    separable: one scaled table 1/m1(j) and one 1/m2(n/kappa), each a
+    slice of the table that `MomentFunction.scaled_table` keeps for its
+    (m, kappa, sign).
     Blocks of `K.block_rows` rows, about K.BLOCK_CELLS cells each (one
     block for a 201 x 21 grid), are then multiplied by both tables in one
     `K.mul` call on raveled arrays, so no grid-sized temporary is built and
@@ -106,8 +114,14 @@ def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
     f2m, f2e = m2.scaled_table(kappa, nz, -1)
     mant = np.empty_like(cm)
     exp = np.empty_like(ce)
+    first = min(len(data), nt)
+    for j in range(first):
+        mant[j], exp[j] = data[j].mant[:nz], data[j].exp10[:nz]
+        if (f1m[j], f1e[j]) != (f1m[0], f1e[0]):
+            mant[j], exp[j] = K.scale(mant[j], exp[j], f1m[j] / f1m[0],
+                                      f1e[j] - f1e[0])
     step = K.block_rows(nz)
-    for j0 in range(0, nt, step):
+    for j0 in range(first, nt, step):
         rows = slice(j0, j0 + step)
         nb = min(step, nt - j0)
         bm, be = K.mul((cm[rows] * f1m[rows, None]).ravel(),
@@ -180,7 +194,9 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
     terms join by the exponent alignment of `K.add` without its normalize.
     The row is written in place and normalized only when a nonzero
     mantissa leaves [_ROW_MANT_MIN, _ROW_MANT_MAX].  The unnormalized grid
-    goes to `_denormalize`, which normalizes every output cell once.
+    goes to `_denormalize`, which normalizes every computed cell once.
+    The data rows of u are written from the data by `_denormalize`, so
+    they are the data bit for bit whenever m1(j) = m1(0).
 
     Whether a row of a single-term recurrence leaves the range is decided
     from bounds on the nonzero |mantissa| of each row, carried as Python
@@ -234,7 +250,7 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
             s = inv_p0 * p_ab
             lower.append((a, b * kappa, s.mantissa, s.exp10))
     if not lower:  # P = P_0 L^n_lam: the rows after the data stay zero
-        return _denormalize(cm, ce, kappa, m1, m2)
+        return _denormalize(cm, ce, kappa, m1, m2, prob.data)
     (a0, shift0, m0, e0), *rest = lower
     # a multi-term row can cancel and is always scanned: bounds are carried
     # for a single-term recurrence only
@@ -261,7 +277,8 @@ def solve_constant_leading(prob: PdeProblem) -> BiSeries:
             lo[j2], hi[j2] = _row_bounds(out_m)
 
     nz_out = nz_in - need
-    return _denormalize(cm[:, :nz_out + 1], ce[:, :nz_out + 1], kappa, m1, m2)
+    return _denormalize(cm[:, :nz_out + 1], ce[:, :nz_out + 1], kappa, m1, m2,
+                        prob.data)
 
 
 def solve_simple(lam: complex, q, beta: int, m1: MomentFunction,

@@ -113,6 +113,17 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in err and "line 1" in err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("equation: L - Z;\ndata: coeffs(1e400);\n", "line 2, col 14"),
+    ("equation: L - Z²;\ndata: coeffs(1);\n", "line 1, col 16"),
+], ids=["1e400", "non-ASCII digit"])
+def test_malformed_literal_exit_2(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.mpde"
+    bad.write_text(text, encoding="utf-8")
+    assert run(["solve", bad]) == 2
+    assert f"parse error: {where}:" in capsys.readouterr().err
+
+
 def test_semantic_error_exit_3(capsys):
     # wave problem has no divergent level, nothing to resum
     assert run(["singular", WAVE]) == 3

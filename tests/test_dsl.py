@@ -1,13 +1,16 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import msumma as ms
 from msumma import parse_problem
-from msumma.dsl import ProblemFile, tokenize
-from msumma.moments import LOG10_E, lgamma_array
+from msumma.dsl import KEYS, ProblemFile, tokenize
+from msumma.moments import LOG10_E, MomentFunction, lgamma_array
 from msumma.scaled import from_log10_array
 
 HEAT = """\
@@ -155,6 +158,14 @@ MALFORMED = [
     ("equation: L - Z;\ndata: stuff(1);\n", 2, 7),       # unknown spec
     ("equation: L - Z;\ntrunc_t: -3;\ndata: coeffs(1);\n", 2, 10),
     ("equation: L - Z;\nkappa: 1/2;\ndata: coeffs(1);\n", 2, 9),
+    # an exponent needs digits: '1e+' is 1, e, +
+    ("equation: L - Z;\ntrunc_t: 1e+;\ndata: coeffs(1);\n", 2, 11),
+    # numbers beyond the float64 range
+    ("equation: L - Z;\ndata: coeffs(1e400);\n", 2, 14),
+    ("equation: L - Z;\ndata: gamma_coeffs(1e400);\n", 2, 20),
+    ("equation: 1e400*L - Z;\ndata: coeffs(1);\n", 1, 11),
+    ("equation: L - Z;\ndata: coeffs(1e-400);\n", 2, 14),  # underflow
+    ("equation: L - Z²;\ndata: coeffs(1);\n", 1, 16),  # non-ASCII digit
 ]
 
 
@@ -185,3 +196,138 @@ def test_unexpected_character():
     with pytest.raises(ms.ParseError) as ei:
         parse_problem("equation: L ~ Z;\n")
     assert ei.value.line == 1 and ei.value.col == 13
+
+
+# -- property tests ------------------------------------------------------
+
+
+@st.composite
+def number_lexemes(draw):
+    """(text, exact value) of a number literal: '12', '1.', '.5', '1.5',
+    each with or without an exponent."""
+    whole = draw(st.text("0123456789", max_size=4))
+    frac = draw(st.text("0123456789", max_size=4) | st.none())
+    if not whole and not frac:
+        whole = "0"  # '', '.' and '.e5' are no numbers
+    text = whole + ("" if frac is None else "." + frac)
+    value = Fraction(int(whole or "0")) + Fraction(int(frac or "0"),
+                                                   10 ** len(frac or ""))
+    if draw(st.booleans()):
+        exp = draw(st.integers(-20, 20))
+        sign = "+" if exp >= 0 and draw(st.booleans()) else ""
+        text += draw(st.sampled_from("eE")) + sign + str(exp)
+        value *= Fraction(10) ** exp
+    return text, value
+
+
+IDENTS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
+    lambda w: w != "i")
+
+
+@st.composite
+def lexemes(draw):
+    """(text, kind, value) of one token."""
+    kind = draw(st.sampled_from(["NUM", "IMAG", "IDENT", "OP"]))
+    if kind == "NUM":
+        text, value = draw(number_lexemes())
+        return text, kind, value
+    if kind == "IMAG":
+        if draw(st.booleans()):
+            return "i", kind, Fraction(1)
+        text, value = draw(number_lexemes())
+        return text + "i", kind, value
+    text = draw(IDENTS if kind == "IDENT" else st.sampled_from(":;,()+-*/^"))
+    return text, kind, text
+
+
+SEPARATORS = st.text(" \t\r\n", min_size=1, max_size=3) | st.sampled_from(
+    ["# comment\n", "#\n", " # é ² ~\n"])
+
+
+def advance(line, col, text):
+    """(line, col) after writing text at (line, col)."""
+    if "\n" in text:
+        return line + text.count("\n"), len(text) - text.rfind("\n")
+    return line, col + len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(lexemes(), SEPARATORS), max_size=12),
+       SEPARATORS | st.just(""), st.sampled_from(["", "  ", "# tail é"]))
+def test_written_tokens_tokenize_back(pairs, lead, tail):
+    # every token is followed by a separator, so no two of them merge
+    text, line, col = lead, *advance(1, 1, lead)
+    want = []
+    for (lexeme, kind, value), sep in pairs:
+        want.append((kind, lexeme, value, line, col))
+        line, col = advance(line, col, lexeme + sep)
+        text += lexeme + sep
+    text += tail
+    want.append(("EOF", "", None, *advance(line, col, tail)))
+    got = [(t.kind, t.text, t.value, t.line, t.col) for t in tokenize(text)]
+    assert got == want
+
+
+DSL_FRAGMENTS = st.sampled_from([
+    "equation", "m1", "m2", "data", "trunc_t", "trunc_z", "kappa",
+    "gevrey_s", "Gamma", "coeffs", "rat", "gamma_coeffs", "L", "Z", "z",
+    "i", "e", "x", ":", ";", ",", "(", ")", "+", "-", "*", "/", "^", ".",
+    "0", "1", "1.", "1.5", ".5", "2E-1", "2i", "1e+", "4e-320", "1e400",
+    "1e-400", "2e-330", "#", "²", "é", "~"])
+
+
+GAPS = st.sampled_from([" ", "\n", "\t"])
+
+
+@st.composite
+def dsl_texts(draw):
+    """Statements 'key: fragments;' of random keys and fragments, with a
+    separator after every fragment: each number stays as drawn, and with
+    no integer above 1 no power L^k or (L+Z)^k grows large."""
+    text = ""
+    for _ in range(draw(st.integers(0, 4))):
+        text += draw(st.sampled_from(KEYS)) + draw(st.sampled_from(":;"))
+        for _ in range(draw(st.integers(0, 12))):
+            text += draw(DSL_FRAGMENTS) + draw(GAPS)
+        text += ";" + draw(GAPS)
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(dsl_texts())
+def test_parse_problem_raises_only_parse_errors(text):
+    try:
+        parse_problem(text)
+    except ms.ParseError:
+        pass
+
+
+GAMMA_ORDERS = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def moment_functions(draw):
+    m = MomentFunction.gamma(draw(GAMMA_ORDERS))
+    for s in draw(st.lists(GAMMA_ORDERS, max_size=3)):
+        f = MomentFunction.gamma(s)
+        m = m * f if draw(st.booleans()) else m / f
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(moment_functions(), moment_functions())
+@example(MomentFunction.gamma(2), MomentFunction.gamma(1))
+def test_pretty_writes_the_moments_it_holds(m1, m2):
+    pf = dataclasses.replace(parse_problem(HEAT), m1=m1, m2=m2)
+    again = parse_problem(pf.pretty())
+    assert (again.m1, again.m2) == (m1, m2)
+    assert again == pf
+
+
+@pytest.mark.parametrize("m", [
+    MomentFunction(()), MomentFunction(((Fraction(1), -1),)),
+    MomentFunction.gamma(1, a=2.0)], ids=["empty", "1/Gamma(1)", "a=2"])
+def test_moment_without_a_problem_file_form(m):
+    pf = dataclasses.replace(parse_problem(HEAT), m1=m)
+    with pytest.raises(ValueError, match="no problem-file form"):
+        pf.pretty()

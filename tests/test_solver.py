@@ -165,7 +165,9 @@ def test_equation_without_lower_term_keeps_its_data():
                                           data=(phi,), trunc_t=5))
     grid = biseries_to_array(u)
     assert grid.shape == (6, 11)
-    np.testing.assert_allclose(grid[0], c, rtol=1e-14, atol=0)
+    # exactly the datum as stored (its scaled 1/9 and 1/11 are an ulp off)
+    np.testing.assert_array_equal(
+        grid[0], [phi.coeff_complex(n) for n in range(11)])
     assert np.all(u.mant[1:] == 0)
 
 
@@ -404,7 +406,8 @@ def scan_every_row_solve(prob):
         ce[j2, :width] = acc_e
         valid[j2] = width
     nz = int(valid.min())
-    return ms.solver._denormalize(cm[:, :nz], ce[:, :nz], kappa, m1, m2)
+    return ms.solver._denormalize(cm[:, :nz], ce[:, :nz], kappa, m1, m2,
+                                  prob.data)
 
 
 GAMMA_2 = MomentFunction.gamma(2)
@@ -463,6 +466,30 @@ def test_carried_bounds_give_the_scanned_grid(name, m2):
     assert u.mant.shape == ref.mant.shape
     assert u.mant.tobytes() == ref.mant.tobytes()
     assert np.array_equal(u.exp10, ref.exp10)
+
+
+@pytest.mark.parametrize("name", ["heat", "wave", "divergent_data"])
+def test_data_rows_are_the_data(name):
+    # row j < n_lam of u is d^j_{m1,t} u(0, z) = phi_j times m1(0)/m1(j),
+    # which is one for Gamma(1) at j = 0, 1: the datum's own bits
+    prob = data_file_problem(name, GAMMA_1, 200)
+    u = solve_constant_leading(prob)
+    width = u.mant.shape[1]
+    assert len(prob.data) == prob.P.lam_degree
+    for j, phi in enumerate(prob.data):
+        assert u.mant[j].tobytes() == phi.mant[:width].tobytes()
+        assert np.array_equal(u.exp10[j], phi.exp10[:width])
+
+
+def test_data_row_carries_the_moment_ratio():
+    # with m1 = Gamma(2), m1(1) = Gamma(3) = 2: row 1 of the wave solution
+    # is its datum z halved
+    prob = dataclasses.replace(data_file_problem("wave", GAMMA_1, 20),
+                               m1=GAMMA_2)
+    row = biseries_to_array(solve_constant_leading(prob))[1]
+    want = np.zeros(len(row))
+    want[1] = 0.5
+    np.testing.assert_allclose(row, want, rtol=1e-15, atol=0)
 
 
 def test_heat_scans_no_row(monkeypatch):
