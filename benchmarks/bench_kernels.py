@@ -39,6 +39,11 @@ and are renormalized, and as a two-term recurrence it scans every row.
 The same on heat's L - Z^2 takes the bound-certified path: its one term
 has |s| = 1, so no row is scanned.  Both solve rows are timed warm: their
 warm-up builds the moment tables, so the timed calls only slice them.
+Then, also independent of n, comes `decompose` of (L - Z^2)(L + Z^2)
+(one level) and of (L - Z^2)(L - Z^3) (two levels) at trunc_t 20, with
+data 1/(1-z) in both rows over windows of DECOMPOSE_WINDOWS coefficients:
+the index sweep of the piece data and `solve_simple` of each piece, its
+moment tables built in the warm-up.
 Then comes the verdict layer, independent of n: `summability_verdict` of
 that heat problem at VERDICT_DIRECTIONS, each call on a freshly built
 problem (heat's data row is its own Borel series, so a Pade memo kept on
@@ -68,6 +73,8 @@ REAL_GRID_SIDE = 201
 RANK_JUMP_M = 210
 SOLVE_TRUNC_T = 200
 RESUM_TRUNC_T = 60
+DECOMPOSE_TRUNC_T = 20
+DECOMPOSE_WINDOWS = (90, 250, 420)
 RESUM_TS = (0.03j, 0.045j, 0.06j, 0.075j, 0.09j)
 VERDICT_DIRECTIONS = (0.0, math.pi / 2, math.pi)
 # output columns of the parse-stage texts, as in pipebench's workloads
@@ -120,6 +127,24 @@ def recurrence_problem(heat=False):
                  for _ in range(P.lam_degree))
     return PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1, data=data,
                       trunc_t=SOLVE_TRUNC_T)
+
+
+def decompose_problems():
+    """{label: problem} of the decompose rows: (L - Z^2)(L + Z^2) and
+    (L - Z^2)(L - Z^3), data 1/(1-z) twice, at each DECOMPOSE_WINDOWS."""
+    from msumma import GAMMA_1, CharPolynomial, PdeProblem, RamifiedSeries
+
+    L, Z = CharPolynomial.lam(), CharPolynomial.zeta()
+    out = {}
+    for name, P in (("(L-Z^2)(L+Z^2)", (L - Z**2) * (L + Z**2)),
+                    ("(L-Z^2)(L-Z^3)", (L - Z**2) * (L - Z**3))):
+        for nw in DECOMPOSE_WINDOWS:
+            data = tuple(RamifiedSeries.from_complex(1, np.ones(nw))
+                         for _ in range(2))
+            out[f"decompose {name} nw {nw}"] = PdeProblem(
+                P=P, m1=GAMMA_1, m2=GAMMA_1, data=data,
+                trunc_t=DECOMPOSE_TRUNC_T)
+    return out
 
 
 def heat_borel():
@@ -183,7 +208,7 @@ def run(n, reps):
     from msumma.quadrature import _nodes, integrate_segment
     from msumma.resummation import laplace_resum
     from msumma.scaled import from_log10_array
-    from msumma.solver import solve_constant_leading
+    from msumma.solver import decompose, solve_constant_leading
 
     rng = np.random.default_rng(0)
     m1, e1, m2, e2 = make_inputs(n, rng)
@@ -275,6 +300,8 @@ def run(n, reps):
     heat = recurrence_problem(heat=True)
     results[f"solve L-Z^2 trunc_t {SOLVE_TRUNC_T}"] = bench(
         lambda: solve_constant_leading(heat), reps)
+    for label, dprob in decompose_problems().items():
+        results[label] = bench(lambda: decompose(dprob), reps)
     heat_grid = solve_constant_leading(heat)
     results[f"summability_verdict heat trunc_t {SOLVE_TRUNC_T}"] = bench_fresh(
         lambda p: summability_verdict(p, VERDICT_DIRECTIONS),

@@ -84,9 +84,14 @@ class CharPolynomial:
         return CharPolynomial(out)
 
     def __pow__(self, k: int) -> "CharPolynomial":
-        out = CharPolynomial.const(1.0)
-        for _ in range(k):
-            out = out * self
+        """self**k by repeated squaring: about 2 log2(k) products."""
+        out, base = CharPolynomial.const(1.0), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __call__(self, lam: complex, zeta: complex) -> complex:

@@ -28,10 +28,15 @@ Grammar (EBNF):
     data     := spec (',' spec)* where spec is 'coeffs(c0, c1, ...)',
                 'rat(p(z)/q(z))' or 'gamma_coeffs(s)'
 
+An exponent '^k' takes an integer k from 0 to MAX_EXPONENT, and every
+coefficient an expression computes must be finite: one that overflows is
+a ParseError at the start of its factor, term or expression.
+
 All syntax errors carry (line, column, expected tokens).
 """
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -46,6 +51,7 @@ from .series import RamifiedSeries
 
 KEYS = ("equation", "m1", "m2", "data", "trunc_t", "trunc_z", "kappa",
         "gevrey_s")
+MAX_EXPONENT = 1000
 # one alternative per lexeme class; 'bad' takes any other character
 _TOKEN = re.compile(r"""
     (?P<skip>[ \t\r]+|\#.*)
@@ -310,7 +316,15 @@ class _Parser:
 
     # -- polynomial expressions -----------------------------------------
 
+    def _finite(self, p: CharPolynomial, start: Token) -> CharPolynomial:
+        """p, or a ParseError at `start` when a coefficient overflowed."""
+        if all(cmath.isfinite(c) for c in p.coeffs.values()):
+            return p
+        raise ParseError("coefficient outside the float64 range", start.line,
+                         start.col, expected="a finite coefficient")
+
     def _expr(self, symbols) -> CharPolynomial:
+        start = self.peek()
         t = self.accept("+-")
         acc = self._term(symbols)
         if t and t.text == "-":
@@ -318,7 +332,7 @@ class _Parser:
         while t := self.accept("+-"):
             rhs = self._term(symbols)
             acc = acc + (rhs.scale(-1) if t.text == "-" else rhs)
-        return acc
+        return self._finite(acc, start)
 
     def _starts_factor(self, symbols) -> bool:
         t = self.peek()
@@ -329,11 +343,12 @@ class _Parser:
         return t.kind == "OP" and t.text == "("
 
     def _term(self, symbols) -> CharPolynomial:
+        start = self.peek()
         acc = self._factor(symbols)
         while True:
             t = self.peek()
             if t.kind == "OP" and t.text == "/" and self._no_div:
-                return acc
+                return self._finite(acc, start)
             if t.kind == "OP" and t.text in "*/":
                 self.next()
                 rhs = self._factor(symbols)
@@ -349,21 +364,23 @@ class _Parser:
             elif self._starts_factor(symbols):
                 acc = acc * self._factor(symbols)  # implicit multiplication
             else:
-                return acc
+                return self._finite(acc, start)
 
     def _factor(self, symbols) -> CharPolynomial:
+        start = self.peek()
         base = self._atom(symbols)
         while True:
             t = self.peek()
             if t.kind == "OP" and t.text == "^":
                 self.next()
                 e = self.peek()
-                if e.kind != "NUM" or e.value.denominator != 1 or e.value < 0:
-                    self.fail("nonnegative integer exponent")
+                if (e.kind != "NUM" or e.value.denominator != 1
+                        or not 0 <= e.value <= MAX_EXPONENT):
+                    self.fail(f"integer exponent from 0 to {MAX_EXPONENT}")
                 self.next()
                 base = base ** int(e.value)
             else:
-                return base
+                return self._finite(base, start)
 
     def _atom(self, symbols) -> CharPolynomial:
         t = self.peek()

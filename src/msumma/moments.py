@@ -97,11 +97,8 @@ class MomentFunction:
         return MomentFunction(self.factors + other.factors)
 
     def __truediv__(self, other: "MomentFunction") -> "MomentFunction":
-        if self.scale_a != 1.0 or self.shift_b != 1.0 or \
-                other.scale_a != 1.0 or other.shift_b != 1.0:
-            raise UnsupportedKernelError("cannot compose generalised moment functions")
         inv = tuple((s, -sign) for s, sign in other.factors)
-        return MomentFunction(self.factors + inv)
+        return self * MomentFunction(inv, other.scale_a, other.shift_b)
 
     def log_eval(self, u: float) -> float:
         """Natural log of m(u); raises MomentPoleError at gamma poles."""
@@ -163,11 +160,6 @@ class MomentFunction:
     def __call__(self, u: float) -> float:
         """Plain-float value; overflows raise OverflowError (use eval_scaled)."""
         return math.exp(self.log_eval(u))
-
-    def ratio_scaled(self, u_num: float, u_den: float) -> ScaledComplex:
-        """m(u_num)/m(u_den) as a ScaledComplex (single log-space subtraction)."""
-        return ScaledComplex.from_log10(
-            (self.log_eval(u_num) - self.log_eval(u_den)) * LOG10_E)
 
 
 GAMMA_1 = MomentFunction.gamma(1)

@@ -10,6 +10,8 @@ All operators act exactly on the scaled coefficients:
 
 The derivative uses the explicit ratio form rather than conjugation by
 Borel transforms; the conjugation identity is exercised by tests instead.
+Every quotient m(u + s)/m(u) is one `K.mul` of two entries of the kept
+moment tables (`moment_quotient`).
 """
 from __future__ import annotations
 
@@ -20,15 +22,21 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import GridError, TruncationError
-from .moments import LOG10_E, MomentFunction
-from .scaled import ScaledComplex, from_log10_array
-from .series import RamifiedSeries
+from .moments import MomentFunction
+from .scaled import ScaledComplex
+from .series import BiSeries, RamifiedSeries
 
 
-def _ratio_series(m: MomentFunction, u: np.ndarray, shift: float):
-    """Scaled array of m(u + shift) / m(u), one log-space subtraction each."""
-    return from_log10_array(
-        (m.log_eval_array(u + shift) - m.log_eval_array(u)) * LOG10_E)
+def moment_quotient(m: MomentFunction, kappa: int, num, den):
+    """Scaled array of m(num/kappa) / m(den/kappa) for index arrays
+    num, den >= 0 that broadcast together: one `K.mul` of entries of the
+    kept tables m^+1 and m^-1 (`MomentFunction.scaled_table`)."""
+    size = int(max(np.max(num, initial=0), np.max(den, initial=0))) + 1
+    nm, ne = m.scaled_table(kappa, size, +1)
+    dm, de = m.scaled_table(kappa, size, -1)
+    qm, qe = K.mul(nm[num], ne[num], dm[den], de[den])
+    same = num == den  # exactly one, not the product of two roundings
+    return np.where(same, 1.0 + 0j, qm), np.where(same, 0, qe)
 
 
 def borel(m: MomentFunction, a: RamifiedSeries) -> RamifiedSeries:
@@ -45,21 +53,20 @@ def inverse_borel(m: MomentFunction, a: RamifiedSeries) -> RamifiedSeries:
 
 def moment_derivative(m: MomentFunction, power: int, a: RamifiedSeries
                       ) -> RamifiedSeries:
-    """power-fold m-moment derivative; truncation drops by kappa per step."""
+    """power-fold m-moment derivative: c_j -> c_{j+power*kappa} *
+    m(j/kappa + power) / m(j/kappa), the telescoped quotient of the steps;
+    truncation drops by kappa per step."""
     if power < 0:
         raise ValueError("power must be nonnegative")
-    out = a
-    for _ in range(power):
-        if out.trunc < out.kappa:
-            raise TruncationError(
-                f"truncation {out.trunc} exhausted by derivative step "
-                f"(needs at least kappa={out.kappa} more coefficients)")
-        n = len(out) - out.kappa
-        ratio_m, ratio_e = _ratio_series(m, np.arange(n) / out.kappa, 1.0)
-        rm, re = K.mul(out.mant[out.kappa:], out.exp10[out.kappa:],
-                       ratio_m, ratio_e)
-        out = RamifiedSeries(out.kappa, rm, re, normalized=True)
-    return out
+    shift = power * a.kappa
+    if a.trunc < shift:
+        raise TruncationError(
+            f"truncation {a.trunc} exhausted by {power} derivative steps "
+            f"(each needs kappa={a.kappa} more coefficients)")
+    j = np.arange(len(a) - shift)
+    rm, re = K.mul(a.mant[shift:], a.exp10[shift:],
+                   *moment_quotient(m, a.kappa, j + shift, j))
+    return RamifiedSeries(a.kappa, rm, re, normalized=True)
 
 
 def monomial_pseudo(lam: complex, q, m: MomentFunction, a: RamifiedSeries,
@@ -84,50 +91,39 @@ def monomial_pseudo(lam: complex, q, m: MomentFunction, a: RamifiedSeries,
     lam_sc = ScaledComplex.from_complex(lam)
     for _ in range(power):
         lam_p = lam_p * lam_sc
-    return _apply_pseudo(lam_p, q, m, a, power)
-
-
-def _apply_pseudo(lam_p: ScaledComplex, q: Fraction, m: MomentFunction,
-                  a: RamifiedSeries, power: int) -> RamifiedSeries:
-    """monomial_pseudo on arguments it accepts, with lam^power given."""
-    shift = int(q * a.kappa * power)
-    n = len(a) - shift
-    fm, fe = _ratio_series(m, np.arange(n) / a.kappa, float(q) * power)
-    fm, fe = K.scale(fm, fe, lam_p.mantissa, lam_p.exp10)
+    j = np.arange(len(a) - shift)
+    fm, fe = K.scale(*moment_quotient(m, a.kappa, j + shift, j),
+                     lam_p.mantissa, lam_p.exp10)
     rm, re = K.mul(a.mant[shift:], a.exp10[shift:], fm, fe)
     return RamifiedSeries(a.kappa, rm, re, normalized=True)
 
 
 def apply_char_polynomial(coeffs, m1: MomentFunction, m2: MomentFunction,
-                          u) -> "BiSeries":
+                          u: BiSeries) -> BiSeries:
     """Apply sum p_ab d_{m1,t}^a d_{m2,z}^b to a BiSeries (residual checks).
 
     `coeffs` maps (a, b) -> complex.  Output truncations shrink by the
-    largest exponents present.
+    largest exponents present.  The term (a, b) takes the block of u
+    shifted a*kappa_t rows and b*kappa_z columns, times the quotients
+    m1(j/kappa_t + a)/m1(j/kappa_t) of row j and m2(n/kappa_z + b)/
+    m2(n/kappa_z) of column n.
     """
-    from .series import BiSeries
-
-    max_a = max(a for a, _ in coeffs)
-    max_b = max(b for _, b in coeffs)
-    nt = u.trunc_t + 1 - max_a * u.kappa_t
-    nz = u.trunc_z + 1 - max_b * u.kappa_z
+    kt, kz = u.kappa_t, u.kappa_z
+    nt = u.trunc_t + 1 - max(a for a, _ in coeffs) * kt
+    nz = u.trunc_z + 1 - max(b for _, b in coeffs) * kz
     if nt <= 0 or nz <= 0:
         raise TruncationError("series too short for the requested operator")
     acc_m = np.zeros((nt, nz), dtype=np.complex128)
     acc_e = np.zeros((nt, nz), dtype=np.int64)
+    j, n = np.arange(nt)[:, None], np.arange(nz)
     for (pa, pb), c in coeffs.items():
-        if c == 0:
-            continue
-        # d_{m1,t}^a contributes m1(j/kt + a)/m1(j/kt) on row j
-        fm, fe = _ratio_series(m1, np.arange(nt) / u.kappa_t, pa)
-        fm, fe = K.scale(fm, fe, complex(c), 0)
-        for j in range(nt):
-            row = u.extract_row(j + pa * u.kappa_t)
-            row = moment_derivative(m2, pb, row) if pb else row
-            row = row.truncate_to(nz - 1)
-            tm, te = K.scale(row.mant, row.exp10, complex(fm[j]), int(fe[j]))
-            acc_m[j], acc_e[j] = K.add(acc_m[j], acc_e[j], tm, te)
-    return BiSeries(u.kappa_t, u.kappa_z, acc_m, acc_e, normalized=True)
+        sj, sn = pa * kt, pb * kz
+        rm, re = K.scale(*moment_quotient(m1, kt, j + sj, j), complex(c), 0)
+        cm, ce = moment_quotient(m2, kz, n + sn, n)
+        tm, te = K.mul(u.mant[sj:sj + nt, sn:sn + nz] * cm,
+                       u.exp10[sj:sj + nt, sn:sn + nz] + ce, rm, re)
+        acc_m, acc_e = K.add(acc_m, acc_e, tm, te)
+    return BiSeries(kt, kz, acc_m, acc_e, normalized=True)
 
 
 def max_relative_deviation(a: RamifiedSeries, b: RamifiedSeries) -> float:

@@ -490,18 +490,6 @@ class BiSeries:
         c = np.asarray(coeffs, dtype=np.complex128)
         return BiSeries(kappa_t, kappa_z, c, np.zeros(c.shape, dtype=np.int64))
 
-    @staticmethod
-    def from_rows(kappa_t: int, rows) -> "BiSeries":
-        """Row j is the z-series coefficient of t^(j/kappa_t)."""
-        rows = list(rows)
-        kz = rows[0].kappa
-        n = min(len(r) for r in rows)
-        if any(r.kappa != kz for r in rows):
-            raise KappaMismatchError("rows disagree on kappa")
-        mant = np.stack([r.mant[:n] for r in rows])
-        exp = np.stack([r.exp10[:n] for r in rows])
-        return BiSeries(kappa_t, kz, mant, exp, normalized=True)
-
     def extract_row(self, j: int) -> RamifiedSeries:
         return RamifiedSeries(self.kappa_z, self.mant[j], self.exp10[j],
                               normalized=True)

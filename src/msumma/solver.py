@@ -6,8 +6,10 @@ Two independent solvers are provided on purpose:
   moment-normalized coordinates; works for any P whose leading lambda
   coefficient P_0 is a nonzero constant.
 * decompose + solve_simple: factorization into simple first-order-in-
-  lambda pieces (d_{m1,t} - lam zeta^q)^beta, each solved in closed form;
-  works when the Newton-polygon leading terms are exact monomial roots.
+  lambda pieces (d_{m1,t} - lam zeta^q)^beta, each solved in closed form,
+  their data from one index sweep in the paper's gauge and one refinement
+  sweep; works when the Newton-polygon leading terms are exact monomial
+  roots.
 
 Their overlap is the main cross-validation surface of the package.
 
@@ -29,9 +31,9 @@ from .characteristic import (CharPolynomial, CharRoot, newton_polygon_roots,
                              reconstruct_from_roots)
 from .errors import (DecompositionError, GridError, SemanticError,
                      TruncationError)
-from .moments import LOG10_E, MomentFunction
-from .operators import _apply_pseudo
-from .scaled import ScaledComplex, from_log10_array
+from .moments import MomentFunction
+from .operators import moment_quotient
+from .scaled import ScaledComplex
 from .series import BiSeries, RamifiedSeries
 
 RECONSTRUCT_TOL = 1e-9  # relative; monomial-exactness of the factorization
@@ -306,21 +308,21 @@ def solve_simple(lam: complex, q, beta: int, m1: MomentFunction,
         raise TruncationError(
             f"phi truncation {phi.trunc} too short: row {trunc_t} shifts by "
             f"{trunc_t * p} z-orders")
-    rows = []
     lam_sc = ScaledComplex.from_complex(lam)
-    lam_p = ScaledComplex.from_complex(1.0)
-    for j in range(trunc_t + 1):
-        if j:
-            # lam^j as monomial_pseudo forms it, one product per row
-            lam_p = lam_p * lam_sc
-        cb = math.comb(j, beta - 1)
-        if cb == 0:
-            rows.append(RamifiedSeries.zero(kappa, nz_out))
-            continue
-        row = _apply_pseudo(lam_p, q, m2, phi, j)
-        f = m1.ratio_scaled(0.0, float(j)) * cb
-        rows.append(row.truncate_to(nz_out).scale(f))
-    return BiSeries.from_rows(1, rows)
+    lam_p = [ScaledComplex.from_complex(1.0)]
+    for _ in range(trunc_t):  # lam^j as monomial_pseudo forms it
+        lam_p.append(lam_p[-1] * lam_sc)
+    j = np.arange(trunc_t + 1)
+    cb = [math.comb(i, beta - 1) for i in range(trunc_t + 1)]
+    # row j: C(j, beta-1) lam^j m1(0)/m1(j) times phi[n + j p] m2-quotient
+    fm, fe = K.mul(*moment_quotient(m1, 1, 0 * j, j),
+                   [x.mantissa * c for x, c in zip(lam_p, cb)],
+                   [x.exp10 for x in lam_p])
+    cols = np.arange(nz_out + 1) + p * j[:, None]
+    qm, qe = moment_quotient(m2, kappa, cols, cols[0])
+    mant, exp = K.mul(phi.mant[cols] * qm, phi.exp10[cols] + qe,
+                      fm[:, None], fe[:, None])
+    return BiSeries(1, kappa, mant, exp, normalized=True)
 
 
 def _check_monomial_exact(P: CharPolynomial, roots, kappa: int):
@@ -362,14 +364,22 @@ class SimplePiece:
 def decompose(prob: PdeProblem) -> list[SimplePiece]:
     """Split the problem into simple pieces whose sum matches the Cauchy data.
 
-    The data mixers psi_{alpha,beta} solve the matching system
-    sum_{alpha,beta} C(a, beta-1) lam_alpha^a S^(a q_alpha kappa)
-    psi_{alpha,beta} = phi_a in moment-normalized coordinates, where S is
-    the column shift.  On a finite window each shift power has a kernel,
-    so the system is consistent but underdetermined; it is solved as one
-    dense minimum-norm least-squares problem.  Unknowns are pre-divided by
-    m2(n/kappa) and each equation by its largest moment weight, so every
-    matrix entry is O(1) and no factorial cancellation occurs.
+    The piece data psi_u solve sum_u C(a, beta_u-1) lam_u^a y_u[j + a p_u]
+    = f_a[j], a < n, with p_u = q_u kappa, y_u[k] = m2(k/kappa) psi_u[k],
+    f_a[j] = m2(j/kappa) phi_a[j]: psi = V(d)^-1 phi, V^-1 expanded at
+    zeta = oo.  Rows a go to the levels p in ascending order, as many to a
+    level as it has pieces: p(a).  The piece shift C is 0 on the lowest
+    level, and each next level adds (A-1)(p_next - p_prev), A its first
+    row; row a is shifted by R_a = a p(a) - C(a).  Step m of one index
+    sweep solves y_u[m + C_u] from the rows a at j = m - R_a, all other
+    terms known; its matrix is block triangular with confluent Vandermonde
+    rows of one level on the diagonal, and steps closer than the least lag
+    of a known term are one batch (all steps with one level).  The gauge:
+    a row with j < 0 has right side 0 and y_u[k] = 0 for k < C_u, so pieces
+    are max C_u coefficients shorter than the data.  Row (a, j) is weighted
+    by 1/m2((j + a p(a))/kappa), its datum in scaled arithmetic, for the
+    unknowns psi.  A sweep on the residual refines the pieces, after which
+    the residual must be at most 1e-8 max(1, max |weighted data|).
     """
     roots = newton_polygon_roots(prob.P)
     kappa = prob.kappa
@@ -380,53 +390,57 @@ def decompose(prob: PdeProblem) -> list[SimplePiece]:
         raise DecompositionError(
             f"root multiplicities sum to {len(cols)}, expected {n}")
 
-    nw = len(prob.data[0])
-    lw = prob.m2.log_eval_array(np.arange(nw) / kappa)
-    a_rows = []
-    b_vals = []
-    for a in range(n):
-        terms = []
-        for u, (r, beta) in enumerate(cols):
-            cb = math.comb(a, beta - 1)
-            if cb:
-                terms.append((u, a * int(r.q * kappa), cb * r.leading ** a))
-        h = max(s for _, s, _ in terms)
-        # equations reading past the window constrain unseen tail entries
-        # of the mixers and are dropped
-        for j in range(nw - h):
-            row = np.zeros(n * nw, dtype=np.complex128)
-            for u, s, c in terms:
-                row[u * nw + j + s] = c * math.exp(lw[j + s] - lw[j + h])
-            a_rows.append(row)
-        k = max(nw - h, 0)
-        wm, we = from_log10_array((lw[:k] - lw[h:h + k]) * LOG10_E)
-        d = prob.data[a]
-        bm, be = K.mul(d.mant[:k], d.exp10[:k], wm, we)
-        b_vals += [ScaledComplex(m, e).to_complex()
-                   for m, e in zip(bm.tolist(), be.tolist())]
-    mat = np.array(a_rows)
-    b = np.array(b_vals)
-    # column equilibration: low-shift pieces otherwise carry tiny moment
-    # ratios and their mixer entries come out weakly determined
-    cn = np.linalg.norm(mat, axis=0)
-    cn[cn == 0] = 1.0
-    mat_e = mat / cn
-    x, _, _, _ = np.linalg.lstsq(mat_e, b, rcond=None)
-    dx, _, _, _ = np.linalg.lstsq(mat_e, b - mat_e @ x, rcond=None)
-    x = (x + dx) / cn
-    resid = np.abs(mat @ x - b).max()
-    if not resid <= 1e-8 * max(1.0, np.abs(b).max()):
+    p = np.array([int(r.q * kappa) for r, _ in cols])
+    a = np.arange(n)
+    pa = np.sort(p)  # p(a)
+    ca = np.concatenate(([0], np.cumsum((a[1:] - 1) * np.diff(pa))))  # C(a)
+    cu, ra = ca[np.searchsorted(pa, p)], a * pa - ca  # C_u, R_a
+    pad, nw = int(ra.max()), prob.trunc_z + 1
+    m = np.arange(max(nw - int(cu.max()), 0))
+    # equation (a, m - R_a), weighted by 1/m2(den/kappa), reads psi_u at
+    # idx = m - R_a + a p_u, lag idx - (m + C_u) <= 0 steps back
+    idx = m - ra[:, None, None] + (a[:, None] * p)[:, :, None]
+    den = (m + ca[:, None])[:, None, :]
+    qm, qe = moment_quotient(prob.m2, kappa, np.maximum(idx, 0), den)
+    w = np.array([[math.comb(i, beta - 1) * r.leading ** i for r, beta in cols]
+                  for i in a])[:, :, None] * (qm * 10.0 ** qe)
+    lag = a[:, None] * p - ra[:, None] - cu
+    mats = np.where(lag[:, :, None] == 0, w, 0).transpose(2, 0, 1)
+    batch = int(-lag.max(where=lag < 0, initial=-max(len(m), 1)))
+    b = np.zeros((n, len(m)), dtype=np.complex128)
+    for i, phi in enumerate(prob.data):
+        k = m[:len(m) - ra[i]]
+        bm, be = K.mul(phi.mant[k], phi.exp10[k], *moment_quotient(
+            prob.m2, kappa, k, k + i * pa[i]))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            b[i, ra[i]:] = bm * 10.0 ** be
+    gauge, rows, piece = m < ra[:, None], a[:, None], a[None, :, None]
+
+    def lhs(x, s=slice(None)):
+        """Left sides at the steps s, for x[u, pad + k] = psi_u[k]."""
+        return (w[:, :, s] * x[piece, pad + idx[:, :, s]]).sum(axis=1)
+
+    def sweep(r):
+        x = np.zeros((n, pad + nw), dtype=np.complex128)
+        for m0 in range(0, len(m), batch):
+            s = slice(m0, m0 + batch)  # its unknowns are still 0 in x
+            sol = np.linalg.solve(mats[s], (r[:, s] - lhs(x, s)).T[..., None])
+            x[rows, pad + cu[:, None] + m[s]] = sol[..., 0].T
+        return x
+
+    x = sweep(b)
+    x += sweep(np.where(gauge, 0, b - lhs(x)))
+    resid = np.abs(np.where(gauge, 0, b - lhs(x))).max(initial=0.0)
+    if not resid <= 1e-8 * max(1.0, np.abs(b).max(initial=0.0)):
         raise DecompositionError(
             f"data-mixing system left residual {resid:.3e}; the matching "
-            f"equations are inconsistent on this window")
+            f"equations are inconsistent or their data pass 1e308")
 
-    pieces = []
-    for u, (r, beta) in enumerate(cols):
-        psi = RamifiedSeries.from_complex(kappa, x[u * nw:(u + 1) * nw])
-        sol = solve_simple(r.leading, r.q, beta, prob.m1, prob.m2, psi,
-                           prob.trunc_t)
-        pieces.append(SimplePiece(root=r, beta=beta, psi=psi, solution=sol))
-    return pieces
+    psis = [RamifiedSeries.from_complex(kappa, xu[pad:pad + len(m)])
+            for xu in x]
+    return [SimplePiece(r, beta, psi, solve_simple(
+        r.leading, r.q, beta, prob.m1, prob.m2, psi, prob.trunc_t))
+        for (r, beta), psi in zip(cols, psis)]
 
 
 def sum_pieces(pieces) -> BiSeries:
@@ -436,9 +450,7 @@ def sum_pieces(pieces) -> BiSeries:
     acc = pieces[0].solution.truncate_to(nt, nz)
     for p in pieces[1:]:
         b = p.solution.truncate_to(nt, nz)
-        rm, re = K.add(acc.mant.ravel(), acc.exp10.ravel(),
-                       b.mant.ravel(), b.exp10.ravel())
         acc = BiSeries(acc.kappa_t, acc.kappa_z,
-                       rm.reshape(acc.mant.shape), re.reshape(acc.mant.shape),
+                       *K.add(acc.mant, acc.exp10, b.mant, b.exp10),
                        normalized=True)
     return acc

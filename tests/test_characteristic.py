@@ -119,3 +119,15 @@ def test_polynomial_arithmetic():
     assert P.leading_constant() == 1.0
     Q = L**2 - (Z**2) * CharPolynomial.const(1.0)
     assert (P - Q).coeffs == {}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 13])
+def test_power_by_squaring_matches_repeated_products(k):
+    base = L.scale(0.5 - 0.25j) + Z.scale(1.5) + CharPolynomial.const(1j)
+    want = CharPolynomial.const(1.0)
+    for _ in range(k):
+        want = want * base
+    got = base ** k
+    assert set(got.coeffs) == set(want.coeffs)
+    for key, c in want.coeffs.items():
+        assert abs(got.coeffs[key] - c) <= 1e-13 * abs(c)

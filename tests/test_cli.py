@@ -116,7 +116,8 @@ def test_parse_error_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("text,where", [
     ("equation: L - Z;\ndata: coeffs(1e400);\n", "line 2, col 14"),
     ("equation: L - Z²;\ndata: coeffs(1);\n", "line 1, col 16"),
-], ids=["1e400", "non-ASCII digit"])
+    ("equation: L - Z;\ndata: coeffs(1e308*10);\n", "line 2, col 14"),
+], ids=["1e400", "non-ASCII digit", "overflowing product"])
 def test_malformed_literal_exit_2(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.mpde"
     bad.write_text(text, encoding="utf-8")

@@ -166,6 +166,13 @@ MALFORMED = [
     ("equation: 1e400*L - Z;\ndata: coeffs(1);\n", 1, 11),
     ("equation: L - Z;\ndata: coeffs(1e-400);\n", 2, 14),  # underflow
     ("equation: L - Z²;\ndata: coeffs(1);\n", 1, 16),  # non-ASCII digit
+    ("equation: L^1001 - Z;\ndata: coeffs(1);\n", 1, 13),  # exponent cap
+    # in-range literals whose product, sum or power overflows
+    ("equation: L - Z;\ndata: coeffs(1e308*10);\n", 2, 14),
+    ("equation: L - 1e308*10*Z;\ndata: coeffs(1);\n", 1, 15),
+    ("equation: L - Z;\ndata: coeffs(1e308 + 1e308);\n", 2, 14),
+    ("equation: L - Z;\ndata: coeffs(1/10^400);\n", 2, 16),
+    ("equation: L - Z;\ndata: rat(1/(1e308*10 - z));\n", 2, 14),
 ]
 
 
@@ -176,6 +183,15 @@ def test_malformed_positions(src, line, col):
     assert ei.value.line == line
     assert ei.value.col == col
     assert ei.value.expected  # every syntax error names what it wanted
+
+
+def test_exponents_up_to_the_cap_parse():
+    pf = parse_problem(f"equation: L^{ms.dsl.MAX_EXPONENT} - Z;\n"
+                       "data: coeffs(1);\n")
+    assert pf.equation.coeffs == {(1000, 0): 1.0, (0, 1): -1.0}
+    pf = parse_problem("equation: (L + Z)^5;\ndata: coeffs(1);\n")
+    assert pf.equation.coeffs == {(5 - k, k): math.comb(5, k)
+                                  for k in range(6)}
 
 
 def test_duplicate_key():

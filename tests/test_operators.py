@@ -113,3 +113,25 @@ def test_identity_moment_is_noop():
     rng = np.random.default_rng(8)
     a = random_series(rng, n=30)
     assert max_relative_deviation(a, borel(GAMMA_0, a)) == 0.0
+
+
+def test_apply_char_polynomial_matches_the_cellwise_rule():
+    # term (a, b) of the result at (j, n) is p_ab u[j + a kt, n + b kz]
+    # m1(j/kt + a)/m1(j/kt) m2(n/kz + b)/m2(n/kz), here in plain floats
+    rng = np.random.default_rng(9)
+    kt, kz = 1, 2
+    grid = rng.normal(size=(12, 15)) + 1j * rng.normal(size=(12, 15))
+    u = ms.BiSeries.from_complex(kt, kz, grid)
+    m1, m2 = GAMMA_1, MomentFunction.gamma(Fraction(1, 2))
+    coeffs = {(1, 0): 1.0, (0, 1): -2.0 + 1j, (2, 3): 0.5}
+    out = ms.operators.apply_char_polynomial(coeffs, m1, m2, u)
+    nt, nz = 12 - 2 * kt, 15 - 3 * kz
+    assert out.mant.shape == (nt, nz)
+    for j in range(nt):
+        for n in range(nz):
+            want = sum(c * grid[j + a * kt, n + b * kz]
+                       * m1(j / kt + a) / m1(j / kt)
+                       * m2(n / kz + b) / m2(n / kz)
+                       for (a, b), c in coeffs.items())
+            got = out.coeff(j, n).to_complex()
+            assert abs(got - want) <= 1e-13 * abs(want)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msumma as ms
 from msumma import _kernels as K
@@ -15,7 +17,7 @@ from msumma import (CharPolynomial, GAMMA_1, MomentFunction, PdeProblem,
 from msumma.scaled import ScaledComplex
 from msumma.solver import required_z_truncation
 
-from conftest import biseries_to_array, cross_solver_deviation
+from conftest import biseries_to_array, cross_solver_deviation, random_series
 
 L = CharPolynomial.lam()
 Z = CharPolynomial.zeta()
@@ -250,6 +252,120 @@ def test_cross_solver_gamma_half_moments(rng):
                       m1=MomentFunction.gamma(Fraction(1, 2)),
                       m2=MomentFunction.gamma(1),
                       data=data, trunc_t=5)
+    assert cross_solver_deviation(prob) < 1e-12
+
+
+ONE = CharPolynomial.const(1.0)
+
+
+@pytest.mark.parametrize("P, kappa", [
+    ((L - Z) * (L - Z**2) * (L - Z**3), 1),
+    ((L - Z) ** 2 * (L - Z**2), 1),
+    ((L - ONE.scale(2.0)) * (L - Z), 1),
+    ((L - ONE.scale(2.0)) * (L - Z), 2),
+    (L**2 - Z, 2),
+], ids=["three levels", "double root below the top", "q=0 kappa=1",
+        "q=0 kappa=2", "L^2-Z kappa=2"])
+def test_cross_solver_root_configurations(P, kappa, rng):
+    # nonzero piece shifts C (three levels, two pieces below the top), a
+    # q = 0 level and a level on the 1/2 grid
+    data = tuple(random_series(rng, kappa=kappa, n=70)
+                 for _ in range(P.lam_degree))
+    prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1, data=data, trunc_t=6)
+    assert cross_solver_deviation(prob) < 1e-12
+
+
+@pytest.mark.parametrize("P", [(L - Z**2) * (L + Z**2),
+                               (L - Z**2) * (L - Z**3),
+                               (L - Z) ** 2 * (L - Z**2)],
+                         ids=["one level", "two levels", "C > 0"])
+def test_decompose_pieces_do_not_depend_on_the_window(P, rng):
+    # step m of the sweep reads the data up to index m only: a longer
+    # window leaves the common prefix of every piece bit for bit
+    data = tuple(random_series(rng, n=120) for _ in range(P.lam_degree))
+
+    def pieces(nw):
+        return decompose(PdeProblem(
+            P=P, m1=GAMMA_1, m2=GAMMA_1, trunc_t=6,
+            data=tuple(d.truncate_to(nw - 1) for d in data)))
+
+    for short, long in zip(pieces(60), pieces(120)):
+        k = len(short.psi)
+        assert k >= 59
+        assert short.psi.mant.tobytes() == long.psi.mant[:k].tobytes()
+        assert np.array_equal(short.psi.exp10, long.psi.exp10[:k])
+
+
+def test_decompose_plus_minus_example_is_exact():
+    # data built forward from psi+ = 1/(1-z) and psi- = (1 + z)/2 on
+    # (L - Z^2)(L + Z^2); in the gauge (d^-1 adds no constant) the shared
+    # kernel, indices 0 and 1, is split evenly: psi+ - 1/4 - z/4 and
+    # psi- + 1/4 + z/4, up to the rounding of the moment tables (about
+    # 1e-14 relative at z^40)
+    nw = 40
+    plus, minus = np.ones(nw + 2), np.zeros(nw + 2)
+    minus[:2] = 0.5
+    k = np.arange(nw)
+    d2 = lambda c: c[k + 2] * (k + 1) * (k + 2)  # Gamma(1) d^2 on z^k
+    phi = ((plus + minus)[:nw], d2(plus) - d2(minus))
+    prob = PdeProblem(P=(L - Z**2) * (L + Z**2), m1=GAMMA_1, m2=GAMMA_1,
+                      data=tuple(RamifiedSeries.from_complex(1, c)
+                                 for c in phi), trunc_t=5)
+    want = {1.0: np.r_[0.75, 0.75, np.ones(nw - 2)],
+            -1.0: np.r_[0.75, 0.75, np.zeros(nw - 2)]}
+    pieces = decompose(prob)
+    assert len(pieces) == 2
+    for piece in pieces:
+        got = piece.psi.coeffs_complex()
+        assert len(got) == nw
+        assert np.abs(got - want[piece.root.leading.real]).max() <= 1e-13
+
+
+def test_decompose_one_level_gauge_rows(rng):
+    # one level p = 2 with three roots: row a has the shift R_a = 2a, and
+    # its rows j < 0 are the gauge sum_u lam_u^a psi_u[k] = 0 for k < 2a
+    P = (L - Z**2) * (L + Z**2) * (L - (Z**2).scale(1j))
+    data = tuple(random_series(rng, n=60) for _ in range(3))
+    pieces = decompose(PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1, data=data,
+                                  trunc_t=6))
+    lam = np.array([pc.root.leading for pc in pieces])
+    psi = np.array([pc.psi.coeffs_complex() for pc in pieces])
+    scale = np.abs(psi).max()
+    for a in (1, 2):
+        gauge = (lam[:, None] ** a * psi[:, :2 * a]).sum(axis=0)
+        assert np.abs(gauge).max() <= 1e-15 * scale
+    # row 0 at j = k is the datum itself
+    np.testing.assert_allclose(psi.sum(axis=0), data[0].coeffs_complex(),
+                               rtol=0, atol=1e-15 * scale)
+
+
+# leading coefficients of a level's roots: distinct, so each level's
+# confluent Vandermonde rows are well conditioned
+LEADS = (1.0, -1.0, 2j, -0.5 + 0.5j)
+
+
+@st.composite
+def root_configurations(draw):
+    """P = prod (L - lam Z^q)^beta, q in 0..3, beta <= 2, degree <= 4."""
+    P, n, used = CharPolynomial.const(1.0), 0, set()
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(0, 3))
+        lam = draw(st.sampled_from(LEADS))
+        beta = draw(st.integers(1, 2))
+        if (q, lam) in used or n + beta > 4:
+            continue
+        used.add((q, lam))
+        n += beta
+        P = P * (L - (Z**q).scale(lam)) ** beta
+    return P
+
+
+@given(root_configurations(), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_cross_solver_random_root_configurations(P, seed):
+    rng = np.random.default_rng(seed)
+    data = tuple(random_series(rng, n=70) for _ in range(P.lam_degree))
+    prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1, data=data, trunc_t=5)
     assert cross_solver_deviation(prob) < 1e-12
 
 
