@@ -20,7 +20,7 @@ from .errors import (DecompositionError, GridError, KappaMismatchError,
                      ResummationError, SectorError, SemanticError,
                      TruncationError, UnsupportedKernelError,
                      UnsupportedRangeError)
-from .moments import (GAMMA_0, GAMMA_1, KernelPair, MomentFunction, gamma_s,
+from .moments import (GAMMA_0, GAMMA_1, KernelPair, MomentFunction,
                       kernel_pair_for, mittag_leffler)
 from .operators import borel, inverse_borel, moment_derivative, monomial_pseudo
 from .resummation import (ResummationResult, kernel_solution_quadrature,
@@ -33,7 +33,7 @@ from .solver import (PdeProblem, SimplePiece, decompose,
 __all__ = [
     "BACKEND", "__version__",
     "ScaledComplex", "RamifiedSeries", "BiSeries",
-    "MomentFunction", "KernelPair", "gamma_s", "kernel_pair_for",
+    "MomentFunction", "KernelPair", "kernel_pair_for",
     "mittag_leffler", "GAMMA_0", "GAMMA_1",
     "borel", "inverse_borel", "moment_derivative",
     "monomial_pseudo",

@@ -10,6 +10,8 @@ mant keeps its exponent.
 `normalize` is that rule, on numpy arrays; `add`, `mul`, `scale`,
 `axpy_shift` and the series sum `eval_scaled` end in it, and `ScaledComplex`
 runs each of its operations on these kernels with one-entry arrays.
+`powers` gives the powers of one scaled number and `to_complex` the plain
+complex values of a scaled array.
 Rescales multiply by a table of libm powers of ten (numpy's vectorized power
 is an ulp off libm on some exponents).
 
@@ -134,26 +136,57 @@ def axpy_shift(acc_m, acc_e, src_m, src_e, sm, se, shift):
     return acc_m, acc_e
 
 
-def eval_scaled(mant, exp10, wm, we):
-    """Series values sum_j c_j w^j, one per row of (mant, exp10) (a 1-D
-    pair is one row); w given scaled.  Returns 1-D scaled arrays, one
-    entry per row.
+def powers(wm, we, n):
+    """w^0 .. w^(n-1) of the scaled scalar w = (wm, we), by doubling.
 
-    The powers come by doubling: with q = w^k normalized, w^k .. w^(2k-1)
-    are w^0 .. w^(k-1) times q, left unnormalized, so w^j is a product of
-    one normalized q per set bit of j.  The terms c_j w^j of a row are
-    aligned at the largest exponent among them, summed and normalized once.
+    With q = w^k normalized, w^k .. w^(2k-1) are w^0 .. w^(k-1) times q,
+    so w^j is a product of one normalized q per set bit of j.  The
+    entries are left unnormalized: their mantissas stay below
+    10^(bits of n), far inside the double range.
     """
-    mant = np.asarray(mant, dtype=np.complex128)
-    exp10 = np.asarray(exp10, dtype=np.int64)
-    n = mant.shape[-1]
     pm, pe = np.ones(1, dtype=np.complex128), np.zeros(1, dtype=np.int64)
     qm, qe = normalize([wm], [we])
     while len(pm) < n:
         pm = np.concatenate((pm, pm * qm))
         pe = np.concatenate((pe, pe + qe))
         qm, qe = normalize(qm * qm, qe + qe)
-    tm, te = mant * pm[:n], exp10 + pe[:n]
+    return pm[:n], pe[:n]
+
+
+def to_complex(mant, exp10):
+    """Plain complex values mant * 10**exp10 of a scaled array.
+
+    The product with the table power is the one a scalar mant * 10.0 **
+    exp10 rounds to for exp10 in [-_MAX_SHIFT, 308]; a zero mantissa gives
+    0j.  Below that range the values are zero; above it each nonzero
+    component is inf with its sign (a NaN stays NaN).  Overflow is an
+    expected result here, so it raises no floating-point warning.
+    """
+    m = np.asarray(mant, dtype=np.complex128)
+    e = np.asarray(exp10, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = m * _POW10[_MAX_SHIFT + np.clip(e, -_MAX_SHIFT, 308)]
+        big = e > 308
+        if big.any():
+            for part, src in ((out.real, m.real), (out.imag, m.imag)):
+                x = src[big]
+                part[big] = np.where(x == 0, x, x * np.inf)
+    out[m == 0] = 0
+    return out
+
+
+def eval_scaled(mant, exp10, wm, we):
+    """Series values sum_j c_j w^j, one per row of (mant, exp10) (a 1-D
+    pair is one row); w given scaled.  Returns 1-D scaled arrays, one
+    entry per row.
+
+    The powers of w come from `powers`.  The terms c_j w^j of a row are
+    aligned at the largest exponent among them, summed and normalized once.
+    """
+    mant = np.asarray(mant, dtype=np.complex128)
+    exp10 = np.asarray(exp10, dtype=np.int64)
+    pm, pe = powers(wm, we, mant.shape[-1])
+    tm, te = mant * pm, exp10 + pe
     # a zero term sets no alignment; a row of zeros sums to zero
     top = np.max(te, axis=-1, where=tm != 0, initial=_MIN_EXP, keepdims=True)
     s = np.sum(tm * _POW10[_MAX_SHIFT + np.clip(te - top, -_MAX_SHIFT, 0)],

@@ -20,7 +20,7 @@ from .characteristic import newton_polygon_roots, summability_levels
 from .errors import SemanticError
 from .moments import MomentFunction
 from .operators import borel
-from .pade import ratio_radius, stable_poles
+from .pade import STABILITY_TOL, ratio_radius, stable_poles
 from .series import RamifiedSeries
 
 ANGULAR_TOL = math.radians(2.0)
@@ -245,26 +245,30 @@ def _angular_gap(d1: float, d2: float) -> float:
     return min(g, 2.0 * math.pi - g)
 
 
+def blocking(d: float, triples):
+    """The first (direction, witness, cone) triple whose direction lies
+    within ANGULAR_TOL plus its cone of d, else None."""
+    return next((t for t in triples
+                 if _angular_gap(d, t[0]) <= ANGULAR_TOL + t[2]), None)
+
+
 def direction_verdict(d: float, triples, growth_order: float, qK: float,
                       singular_set: SingularitySet) -> DirectionVerdict:
     """Verdict at d from the (direction, witness, cone) triples of a level.
 
-    The first triple within ANGULAR_TOL of d makes it singular, within
-    ANGULAR_TOL plus its cone inconclusive; with none, an inconclusive
-    set or a growth order beyond 1.25 qK leaves d inconclusive, else it
-    is summable.
+    The blocking triple makes d singular when its direction lies within
+    ANGULAR_TOL of d, else inconclusive; with none, an inconclusive set
+    or a growth order beyond 1.25 qK leaves d inconclusive, else it is
+    summable.
     """
-    for sd, witness, cone in triples:
-        gap = _angular_gap(d, sd)
-        if gap <= ANGULAR_TOL:
-            return DirectionVerdict(d, "singular", witness,
-                                    {"singular_direction": sd,
-                                     "angular_gap": gap})
-        if gap <= ANGULAR_TOL + cone:
-            return DirectionVerdict(d, "inconclusive", witness,
-                                    {"singular_direction": sd,
-                                     "angular_gap": gap,
-                                     "confidence_cone": cone})
+    hit = blocking(d, triples)
+    if hit is not None:
+        sd, witness, cone = hit
+        ev = {"singular_direction": sd, "angular_gap": _angular_gap(d, sd)}
+        if ev["angular_gap"] <= ANGULAR_TOL:
+            return DirectionVerdict(d, "singular", witness, ev)
+        return DirectionVerdict(d, "inconclusive", witness,
+                                {**ev, "confidence_cone": cone})
     if singular_set.inconclusive:
         return DirectionVerdict(d, "inconclusive", None,
                                 {"note": singular_set.note})
@@ -453,5 +457,5 @@ def _assemble(levels, per_level, directions) -> SummabilityReport:
         verdicts=tuple(verdicts),
         multidirection=multi,
         tolerances={"angular_tol_rad": ANGULAR_TOL,
-                    "pade_stability": 1e-2},
+                    "pade_stability": STABILITY_TOL},
         singularities=tuple(sets))

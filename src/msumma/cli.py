@@ -70,9 +70,9 @@ def _diag_series(pf):
     return prob, u, u.extract_col(0)
 
 
-def _write(out_dir, name: str, text: str, stdout=None):
+def _write(out_dir, name: str, text: str):
     if out_dir is None:
-        (stdout or sys.stdout).write(text)
+        sys.stdout.write(text)
     else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -41,6 +41,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ _TOKEN = re.compile(r"""
 """, re.ASCII | re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | NUM | IMAG | OP | EOF
     text: str
     value: object
@@ -153,11 +153,6 @@ class ProblemFile:
     def to_problem(self):
         from .solver import PdeProblem
 
-        n = self.equation.lam_degree
-        if len(self.data) != n:
-            raise SemanticError(
-                f"equation has lambda-degree {n} but {len(self.data)} data "
-                f"specs were given; add or remove rows to match")
         series = tuple(_materialize(s, self.kappa, self.trunc_z)
                        for s in self.data)
         return PdeProblem(P=self.equation, m1=self.m1, m2=self.m2,

@@ -44,23 +44,6 @@ def lgamma_array(x) -> np.ndarray:
                        x.size).reshape(x.shape)
 
 
-def gamma_s(s, u: float, log: bool = False) -> float:
-    """Gamma_s(u); with log=True the natural log is returned instead."""
-    s = float(s)
-    if s >= 0.0:
-        x = 1.0 + s * u
-        if x <= 0.0 and x == math.floor(x):
-            raise MomentPoleError(f"Gamma_s pole: 1+s*u = {x} for s={s}, u={u}")
-        lg = math.lgamma(x)
-    else:
-        x = 1.0 - s * u
-        if x <= 0.0 and x == math.floor(x):
-            # 1/Gamma at a pole is an exact zero
-            return float("-inf") if log else 0.0
-        lg = -math.lgamma(x)
-    return lg if log else math.exp(lg)
-
-
 @dataclass(frozen=True)
 class MomentFunction:
     """Product of Gamma_s^(+-1) factors, optionally a*Gamma(b + s*u)."""
@@ -226,7 +209,7 @@ class KernelPair:
 
     k: float
     p: int
-    em: Callable[[complex], complex]
+    em: Callable  # e_m(x) = a k x^(bk) exp(-x^k), on arrays and scalars
     Em: Callable[[complex], complex]
     moment: MomentFunction
 
@@ -254,11 +237,9 @@ def kernel_pair_for(m: MomentFunction) -> KernelPair:
     while p * k <= 0.5:
         p += 1
 
-    def em(x: complex) -> complex:
-        x = complex(x)
-        if x == 0:
-            return 0j
-        return a * k * x ** (b * k) * cmath.exp(-(x ** k))
+    def em(x):
+        # e_m(0) = 0 since b k > 0
+        return a * k * x ** (b * k) * np.exp(-(x ** k))
 
     def Em(z: complex) -> complex:
         return mittag_leffler(float(s), z, beta=b) / a

@@ -23,7 +23,6 @@ import numpy as np
 from . import _kernels as K
 from .errors import GridError, TruncationError
 from .moments import MomentFunction
-from .scaled import ScaledComplex
 from .series import BiSeries, RamifiedSeries
 
 
@@ -87,13 +86,10 @@ def monomial_pseudo(lam: complex, q, m: MomentFunction, a: RamifiedSeries,
     if shift > a.trunc:
         raise TruncationError(
             f"shift {shift} exceeds truncation {a.trunc}")
-    lam_p = ScaledComplex.from_complex(1.0)
-    lam_sc = ScaledComplex.from_complex(lam)
-    for _ in range(power):
-        lam_p = lam_p * lam_sc
+    lm, le = K.powers(complex(lam), 0, power + 1)
     j = np.arange(len(a) - shift)
     fm, fe = K.scale(*moment_quotient(m, a.kappa, j + shift, j),
-                     lam_p.mantissa, lam_p.exp10)
+                     lm[-1], le[-1])
     rm, re = K.mul(a.mant[shift:], a.exp10[shift:], fm, fe)
     return RamifiedSeries(a.kappa, rm, re, normalized=True)
 

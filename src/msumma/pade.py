@@ -25,6 +25,7 @@ from .series import RamifiedSeries, geometric_slope  # noqa: F401 (re-export)
 
 STABILITY_TOL = 1e-2  # relative pole agreement across consecutive orders
 RANK_TOL = 1e-14  # numerical-rank threshold of Gonnet, Guttel & Trefethen
+RESIDUE_TOL = 1e-8  # relative residue below which a pole is spurious
 
 
 def _horner_table(*polys: np.ndarray) -> np.ndarray:
@@ -131,12 +132,12 @@ class PadeApproximant:
         p = self._roots_residues[0] * self.r
         return p[np.argsort(np.abs(p))]
 
-    def significant_poles(self, rel_tol: float = 1e-8) -> np.ndarray:
+    def significant_poles(self) -> np.ndarray:
         """Poles whose residue is non-negligible.
 
         Spurious pole-zero doublets from (near-)degenerate coefficient
         systems carry residues many orders below the genuine ones; they are
-        dropped relative to the largest residue present.
+        dropped below RESIDUE_TOL times the largest residue present.
         """
         y, res = self._roots_residues
         if len(y) == 0:
@@ -145,7 +146,7 @@ class PadeApproximant:
         if not np.isfinite(top) or top == 0.0:
             keep = np.ones(len(y), dtype=bool)
         else:
-            keep = res > rel_tol * top
+            keep = res > RESIDUE_TOL * top
         p = y[keep] * self.r
         return p[np.argsort(np.abs(p))]
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _angular_gap
+from .analysis import (SingularPoint, SingularitySet, _angular_gap, blocking,
+                       singular_triples)
 from .errors import (GridError, RayBlockedError, ResummationError,
                      SectorError, UnsupportedRangeError)
 from .moments import KernelPair, MomentFunction, kernel_pair_for
@@ -25,8 +26,9 @@ from .series import RamifiedSeries
 
 SECTOR_MARGIN = 0.02  # rad shaved off the flatness sector pi/(2k)
 QUAD_TOL = 1e-12  # integrate_segment tolerance of each Laplace segment
-RAY_ANGLE_TOL = math.radians(2.0)
 DECAY_EXPONENT = 40.0  # kernel decay e^{-40} terminates the Laplace path
+CONTOUR_SAMPLES = 96  # trapezoid nodes on the circle |w| = eps
+CONTOUR_TOL = 1e-10  # integrate_segment tolerance of each inner ray
 
 
 @dataclass(frozen=True)
@@ -72,28 +74,20 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
         rep = diagonal_pade(borel_series, len(borel_series) // 2)
     except ValueError as exc:
         raise ResummationError(f"no Pade Borel sum: {exc}") from exc
-    nearest = math.inf
-    for loc, rad in poles:
-        gap = _angular_gap(cmath.phase(loc), d)
-        cone = math.atan2(rad, abs(loc))
-        if gap <= RAY_ANGLE_TOL + cone:
-            raise RayBlockedError(
-                f"direction {d:.4f} blocked by Borel singularity at "
-                f"{loc:.6g} (confidence radius {rad:.2g})")
-        nearest = min(nearest, abs(loc))
-
-    a, b = kernel.moment.scale_a, kernel.moment.shift_b
-
-    def em_over_x(x):
-        # e_m(x/t)/x with e_m(y) = a k y^{bk} exp(-y^k)
-        y = x / t
-        return a * k * y ** (b * k) * np.exp(-(y ** k)) / x
+    triples = singular_triples(
+        SingularitySet(tuple(SingularPoint(*p) for p in poles), "pade_poles",
+                       borel_series.trunc), 1, 1.0, 1)
+    hit = blocking(d, triples)
+    if hit is not None:
+        raise RayBlockedError(
+            f"direction {d:.4f} blocked by Borel singularity at {hit[1]:.6g} "
+            f"(confidence cone {hit[2]:.2g} rad)")
 
     cosf = math.cos(k * _angular_gap(cmath.phase(t), d))
     r_max = abs(t) * (DECAY_EXPONENT / cosf) ** (1.0 / k)
 
     def f(x):
-        return rep(x) * em_over_x(x)
+        return rep(x) * (kernel.em(x / t) / x)
 
     # split at |t| so the adaptive pass resolves the kernel turnover
     mid = min(abs(t), r_max / 2.0) * cmath.exp(1j * d)
@@ -110,24 +104,22 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
         value=value,
         direction=d, t=t,
         quadrature_error=max(error, 1e-300),
-        pade_radius_used=nearest if math.isfinite(nearest)
+        pade_radius_used=abs(poles[0][0]) if poles
         else ratio_radius(borel_series),
         panels=res1.panels + res2.panels)
 
 
 def kernel_solution_quadrature(lam: complex, q: int, m1: MomentFunction,
                                m2: MomentFunction, phi: RamifiedSeries,
-                               t: complex, z: complex, *,
-                               eps: float | None = None,
-                               circle_samples: int = 96,
-                               tol: float = 1e-10) -> complex:
+                               t: complex, z: complex) -> complex:
     """Contour-integral value of the solution of (d_{m1,t} - lam zeta^q) v = 0.
 
     v(t,z) = m1(0)/(2 pi i) * oint_{|w|=eps} phi(w)
              int_0^{inf e^{i theta}} E_{m1}(t lam zeta^q) E_{m2}(zeta z)
              e_{m2}(zeta w) / (zeta w) dzeta dw,
     with theta = -arg w re-picked per outer node so the kernel decays on
-    the inner ray.  Restricted to kappa = 1, beta = 1, integer q >= 1 and
+    the inner ray, and eps 3/4 of the data's ratio radius (of 1 when that
+    is infinite).  Restricted to kappa = 1, beta = 1, integer q >= 1 and
     moment orders with s1 = q s2 (the representation's validity regime).
     """
     if phi.kappa != 1:
@@ -142,13 +134,9 @@ def kernel_solution_quadrature(lam: complex, q: int, m1: MomentFunction,
     pair1 = kernel_pair_for(m1)
     pair2 = kernel_pair_for(m2)
     k2 = pair2.k
-    a2, b2 = m2.scale_a, m2.shift_b
 
     radius = ratio_radius(phi)
-    if not math.isfinite(radius):
-        radius = 1.0
-    if eps is None:
-        eps = 0.75 * radius
+    eps = 0.75 * radius if math.isfinite(radius) else 0.75
     t, z = complex(t), complex(z)
     if abs(z) >= 0.5 * eps or abs(t) >= 0.5 * eps ** q:
         raise SectorError(
@@ -168,21 +156,20 @@ def kernel_solution_quadrature(lam: complex, q: int, m1: MomentFunction,
                 if zeta == 0:
                     zeta = 1e-300 * e_th
                 y = zeta * w
-                em = a2 * k2 * y ** (b2 * k2) * cmath.exp(-(y ** k2))
                 vals[i] = (pair1.Em(t * lam * zeta ** q)
-                           * pair2.Em(zeta * z) * em / y)
+                           * pair2.Em(zeta * z) * pair2.em(y) / y)
             return vals
 
         end = rho_max * e_th
-        res = integrate_segment(g, 0.0, end, tol)
+        res = integrate_segment(g, 0.0, end, CONTOUR_TOL)
         return res.value
 
-    th = 2.0 * math.pi * np.arange(circle_samples) / circle_samples
+    th = 2.0 * math.pi * np.arange(CONTOUR_SAMPLES) / CONTOUR_SAMPLES
     total = 0j
     for ang in th:
         w = eps * cmath.exp(1j * ang)
         dw = 1j * w
         total += phi.eval(w) * inner(w) * dw
-    total *= 2.0 * math.pi / circle_samples
+    total *= 2.0 * math.pi / CONTOUR_SAMPLES
     m10 = math.exp(m1.log_eval(0.0))
     return m10 * total / (2j * math.pi)

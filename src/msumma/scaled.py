@@ -106,14 +106,9 @@ class ScaledComplex:
         return cmath.phase(self.mantissa)
 
     def to_complex(self) -> complex:
-        """Convert to a plain complex; overflows to inf past ~1e308."""
-        if self.mantissa == 0:
-            return 0j
-        if self.exp10 > 307:
-            return cmath.rect(math.inf, cmath.phase(self.mantissa))
-        if self.exp10 < -320:
-            return 0j
-        return self.mantissa * 10.0**self.exp10
+        """Convert to a plain complex; overflows to inf past ~1e308
+        (`_kernels.to_complex`)."""
+        return complex(K.to_complex([self.mantissa], [self.exp10])[0])
 
     def is_finite(self) -> bool:
         return math.isfinite(abs(self.mantissa))

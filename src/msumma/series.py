@@ -328,7 +328,7 @@ class RamifiedSeries:
 
     def coeffs_complex(self) -> np.ndarray:
         """Dense complex coefficients; overflows saturate to inf."""
-        return np.array([self.coeff_complex(j) for j in range(len(self))])
+        return K.to_complex(self.mant, self.exp10)
 
     def log10_abs(self) -> np.ndarray:
         """Decimal log-magnitudes of the coefficients (-inf for zeros).
@@ -508,8 +508,8 @@ class BiSeries:
         wz = _root(z, self.kappa_z, branch_z)
         wt = _root(t, self.kappa_t, branch_t)
         rm, re = K.eval_scaled(self.mant, self.exp10, wz.mantissa, wz.exp10)
-        m, e = K.eval_scaled(rm, re, wt.mantissa, wt.exp10)
-        return ScaledComplex(complex(m[0]), int(e[0])).to_complex()
+        return complex(K.to_complex(*K.eval_scaled(rm, re, wt.mantissa,
+                                                   wt.exp10))[0])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BiSeries)

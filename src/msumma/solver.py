@@ -308,16 +308,11 @@ def solve_simple(lam: complex, q, beta: int, m1: MomentFunction,
         raise TruncationError(
             f"phi truncation {phi.trunc} too short: row {trunc_t} shifts by "
             f"{trunc_t * p} z-orders")
-    lam_sc = ScaledComplex.from_complex(lam)
-    lam_p = [ScaledComplex.from_complex(1.0)]
-    for _ in range(trunc_t):  # lam^j as monomial_pseudo forms it
-        lam_p.append(lam_p[-1] * lam_sc)
+    lm, le = K.powers(complex(lam), 0, trunc_t + 1)
     j = np.arange(trunc_t + 1)
     cb = [math.comb(i, beta - 1) for i in range(trunc_t + 1)]
     # row j: C(j, beta-1) lam^j m1(0)/m1(j) times phi[n + j p] m2-quotient
-    fm, fe = K.mul(*moment_quotient(m1, 1, 0 * j, j),
-                   [x.mantissa * c for x, c in zip(lam_p, cb)],
-                   [x.exp10 for x in lam_p])
+    fm, fe = K.mul(*moment_quotient(m1, 1, 0 * j, j), lm * cb, le)
     cols = np.arange(nz_out + 1) + p * j[:, None]
     qm, qe = moment_quotient(m2, kappa, cols, cols[0])
     mant, exp = K.mul(phi.mant[cols] * qm, phi.exp10[cols] + qe,
@@ -403,7 +398,7 @@ def decompose(prob: PdeProblem) -> list[SimplePiece]:
     den = (m + ca[:, None])[:, None, :]
     qm, qe = moment_quotient(prob.m2, kappa, np.maximum(idx, 0), den)
     w = np.array([[math.comb(i, beta - 1) * r.leading ** i for r, beta in cols]
-                  for i in a])[:, :, None] * (qm * 10.0 ** qe)
+                  for i in a])[:, :, None] * K.to_complex(qm, qe)
     lag = a[:, None] * p - ra[:, None] - cu
     mats = np.where(lag[:, :, None] == 0, w, 0).transpose(2, 0, 1)
     batch = int(-lag.max(where=lag < 0, initial=-max(len(m), 1)))
@@ -412,8 +407,7 @@ def decompose(prob: PdeProblem) -> list[SimplePiece]:
         k = m[:len(m) - ra[i]]
         bm, be = K.mul(phi.mant[k], phi.exp10[k], *moment_quotient(
             prob.m2, kappa, k, k + i * pa[i]))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            b[i, ra[i]:] = bm * 10.0 ** be
+        b[i, ra[i]:] = K.to_complex(bm, be)  # inf past 1e308: checked below
     gauge, rows, piece = m < ra[:, None], a[:, None], a[None, :, None]
 
     def lhs(x, s=slice(None)):

@@ -131,6 +131,13 @@ def test_semantic_error_exit_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_row_count_mismatch_exit_3(tmp_path, capsys):
+    bad = tmp_path / "rows.mpde"
+    bad.write_text("equation: L^2 - Z;\ndata: coeffs(1);\n")
+    assert run(["solve", bad]) == 3
+    assert "2 Cauchy rows" in capsys.readouterr().err
+
+
 def test_negative_gamma_coeffs_exit_3(tmp_path, capsys):
     bad = tmp_path / "neg.mpde"
     bad.write_text("equation: L - Z;\ndata: gamma_coeffs(-1/2);\n"

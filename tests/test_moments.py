@@ -122,6 +122,17 @@ def test_kernel_pair_mellin_identity():
             assert abs(val - m(u)) < 1e-8 * max(1.0, m(u))
 
 
+def test_kernel_em_on_arrays_and_at_zero():
+    x = np.array([0.0, 0.3 + 0.2j, 2.0, 1j, 5.0 - 3j])
+    for m in (MomentFunction.gamma(1), MomentFunction.gamma(Fraction(1, 2)),
+              MomentFunction.gamma(2), MomentFunction(((1, 1),), 2.0, 1.5)):
+        kp = kernel_pair_for(m)
+        vals = kp.em(x)
+        assert vals[0] == 0 and kp.em(0j) == 0
+        np.testing.assert_allclose(vals[1:], [kp.em(complex(v)) for v in x[1:]],
+                                   rtol=1e-14, atol=0)
+
+
 def test_kernel_root_lift():
     # order 2 moment (k = 1/2) needs the minimal lift p with p*k > 1/2
     kp = kernel_pair_for(MomentFunction.gamma(2))

@@ -12,6 +12,7 @@ from msumma import (CharPolynomial, GAMMA_1, MomentFunction, PdeProblem,
                     kernel_solution_quadrature, laplace_resum,
                     solve_constant_leading)
 from msumma import pade, resummation
+from msumma.analysis import ANGULAR_TOL, singular_triples
 
 K1 = kernel_pair_for(GAMMA_1)
 
@@ -51,6 +52,30 @@ def test_blocked_ray():
     # rotating away from the pole succeeds
     res = laplace_resum(a, K1, math.pi / 2, 0.1j)
     assert np.isfinite(res.value)
+
+
+def test_resummation_blocks_what_the_verdict_does_not_call_summable():
+    # one blocked-ray rule: the pole 1.3 e^{0.7i} of the Borel function
+    # blocks d within ANGULAR_TOL plus its cone r/|xi|, for the verdict
+    # and for the resummation alike, up to the edge of that band
+    b = 1.3 * cmath.exp(0.7j)
+    a = RamifiedSeries.from_complex(
+        1, [math.factorial(j) / b**j for j in range(40)])
+    bor = borel(GAMMA_1, a)
+    (sd, _, cone), = singular_triples(ms.borel_singularities(bor), 1, 1.0, 1)
+    edge = ANGULAR_TOL + cone
+    for gap in (0.0, ANGULAR_TOL + cone / 2, edge - 1e-13, -edge + 1e-13,
+                edge + 1e-9, 0.1):
+        d = sd + gap
+        rep = ms.summability_verdict(a, [d], levels=[(1, 1)])
+        summable = rep.verdicts[0][0].verdict == "summable"
+        assert summable == (abs(gap) > edge)
+        try:
+            laplace_resum(bor, K1, d, 0.05 * cmath.exp(1j * d))
+            blocked = False
+        except ms.RayBlockedError:
+            blocked = True
+        assert blocked != summable
 
 
 def test_ramified_series_rejected():

@@ -294,3 +294,71 @@ def test_axpy_shift_one_normalize_matches_scale_then_add(monkeypatch):
     m, e = K.axpy_shift(acc_m, acc_e, src_m, src_e, 0j, 5, shift)
     assert np.array_equal(_bits(m), _bits(acc_m))
     assert np.array_equal(e, acc_e)
+
+
+@given(st.one_of(st.just(0j), mantissas), exponents, st.integers(1, 130))
+@settings(max_examples=200, deadline=None)
+def test_powers_match_mpmath(wm, we, n):
+    # w^j is a product of one squared power of w per set bit of j; each
+    # squaring doubles the error of its factor, so w^j carries j + 2
+    # roundings at most
+    pm, pe = K.powers(wm, we, n)
+    assert len(pm) == len(pe) == n
+    with mpmath.workdps(50):
+        w = _mp(wm, we)
+        for j in range(n):
+            ref = w ** j
+            if ref == 0:
+                assert pm[j] == 0
+            else:
+                assert _rel_err(pm[j], pe[j], ref, abs(ref)) <= (j + 2) * EPS
+
+
+def _scalar_to_complex(m, e):
+    """The scalar rule that K.to_complex replaced."""
+    if m == 0:
+        return 0j
+    if e > 307:
+        return cmath.rect(math.inf, cmath.phase(m))
+    if e < -320:
+        return 0j
+    return m * 10.0 ** e
+
+
+def test_to_complex_is_the_scalar_rule_in_range():
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=40) + 1j * rng.normal(size=40)
+    m = np.r_[K.normalize(m, np.zeros(40, dtype=np.int64))[0],
+              complex(-0.0, -5.0), complex(-0.0, 5.0), complex(3.0, -0.0),
+              complex(-0.0, -0.0), complex(1.0, 5e-324), 9.999999999999998]
+    for e in range(-320, 308):
+        got = K.to_complex(m, np.full(len(m), e))
+        want = [_scalar_to_complex(x, e) for x in m]
+        assert np.array_equal(_bits(got), _bits(want)), e
+
+
+def test_to_complex_at_the_edges_of_the_double_range():
+    def one(m, e):
+        return K.to_complex([m], [e])[0]
+
+    # 10^308: finite where the value is
+    assert one(1.5 - 1.5j, 308) == 1.5e308 - 1.5e308j
+    assert one(9.0 + 1j, 308) == complex(math.inf, 1e308)
+    # past it: inf with each component's sign, zero components kept
+    for e in (309, 10**6):
+        assert np.array_equal(_bits(one(-3.0, e)), _bits(complex(-math.inf, 0.0)))
+        assert np.array_equal(_bits(one(complex(-0.0, -5.0), e)),
+                              _bits(complex(-0.0, -math.inf)))
+        assert one(2.0 - 1e-300j, e) == complex(math.inf, -math.inf)
+    # below 10^-400: zero; above it the product with the libm power, which
+    # the scalar rule gave as 0j below 10^-320
+    for e in (-400, -401, -10**6):
+        assert one(3.0 + 4j, e) == 0
+    assert one(9.0, -321) == 9.0 * 10.0 ** -321 != 0
+    # a zero mantissa is +0j at any exponent
+    for e in (-10**6, 0, 10**6):
+        assert np.array_equal(_bits(one(complex(-0.0, -0.0), e)), _bits(0j))
+    # NaN stays NaN
+    for e in (0, 308, 309):
+        z = one(complex(math.nan, 1.0), e)
+        assert math.isnan(z.real)

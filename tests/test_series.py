@@ -113,6 +113,15 @@ def test_serialized_form_is_plain_text():
     assert text.splitlines()[0] == "1 1"
 
 
+def test_series_save_load_roundtrip(tmp_path, rng):
+    # exponents past the double range
+    a = (RamifiedSeries.from_complex(3, rng.normal(size=9) + 1j)
+         * ms.ScaledComplex.from_log10(700.0))
+    path = tmp_path / "a.series"
+    a.save(path)
+    assert RamifiedSeries.load(path) == a
+
+
 def test_biseries_roundtrip(tmp_path, rng):
     u = BiSeries.from_complex(1, 2, rng.normal(size=(4, 7)))
     path = tmp_path / "u.biseries"

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msumma as ms
@@ -360,13 +361,49 @@ def root_configurations(draw):
     return P
 
 
+def piece_sum_deviation(prob):
+    """Gap between the two solvers relative to the summed piece magnitudes
+    sum_u |u_u|, the error scale of a floating-point sum of the pieces.
+
+    A +-lam pair cancels in the sum: on L^2 - Z^6 the odd rows are
+    psi+ - psi- = d^-3 phi_1, far below the pieces, so a gap measured
+    against the grid maximum reads their rounding as 1e-11.
+    """
+    u1 = ms.solve_constant_leading(prob)
+    pieces = decompose(prob)
+    u2 = sum_pieces(pieces)
+    nt = min(u1.trunc_t, u2.trunc_t)
+    nz = min(u1.trunc_z, u2.trunc_z)
+    a = biseries_to_array(u1.truncate_to(nt, nz))
+    b = biseries_to_array(u2.truncate_to(nt, nz))
+    mag = sum(np.abs(biseries_to_array(pc.solution.truncate_to(nt, nz)))
+              for pc in pieces)
+    return float(np.abs(a - b).max() / max(1.0, mag.max()))
+
+
 @given(root_configurations(), st.integers(0, 2**32 - 1))
+@example(L**2 - Z**6, 0)
 @settings(max_examples=25, deadline=None)
 def test_cross_solver_random_root_configurations(P, seed):
     rng = np.random.default_rng(seed)
     data = tuple(random_series(rng, n=70) for _ in range(P.lam_degree))
     prob = PdeProblem(P=P, m1=GAMMA_1, m2=GAMMA_1, data=data, trunc_t=5)
-    assert cross_solver_deviation(prob) < 1e-12
+    assert piece_sum_deviation(prob) < 1e-12
+
+
+def test_decompose_plus_minus_pair_at_level_three(rng):
+    # (L - Z^3)(L + Z^3): psi+- = (phi_0 +- d^-3 phi_1) / 2, d^-1 adding
+    # no constant
+    data = tuple(random_series(rng, n=70) for _ in range(2))
+    prob = PdeProblem(P=L**2 - Z**6, m1=GAMMA_1, m2=GAMMA_1, data=data,
+                      trunc_t=5)
+    phi0, phi1 = (d.coeffs_complex() for d in data)
+    k = np.arange(3, 70)
+    inv3 = np.r_[0, 0, 0, phi1[:-3] / (k * (k - 1) * (k - 2))]
+    for piece in decompose(prob):
+        want = (phi0 + piece.root.leading * inv3) / 2
+        got = piece.psi.coeffs_complex()
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def test_decompose_rejects_nonfactorizable():
@@ -376,6 +413,17 @@ def test_decompose_rejects_nonfactorizable():
                       data=geometric_data(2, 20), trunc_t=4)
     with pytest.raises(ms.DecompositionError):
         decompose(prob)
+
+
+def test_decompose_refuses_data_past_the_double_range():
+    # gamma_coeffs(1) passes 1e308 near z^170 and the pieces are complex128:
+    # the residual check refuses them, and no step warns on the way
+    prob = data_file_problem("divergent_data", GAMMA_1, 10, width=171)
+    assert prob.trunc_z == 180
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ms.DecompositionError, match="residual nan"):
+            decompose(prob)
 
 
 def test_sum_pieces_min_rule():
