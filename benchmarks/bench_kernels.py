@@ -51,10 +51,15 @@ one row would answer the next call), and of the bare series u(t, 0) of
 its solution at heat's level (2, 1), each call on a fresh column.
 Then come `BiSeries.dumps` of that
 201x21 heat grid and `BiSeries.loads` of the real 201x201 grid's text.
-Last comes the parse stage, independent of n: `parse_problem` and
+Then comes the parse stage, independent of n: `parse_problem` and
 `ProblemFile.to_problem` of the tests/data heat and wave texts at trunc_t
 200, with trunc_z set as the pipebench worker sets it, to the
 recurrence's need plus 20 (heat) and 200 (wave) output columns.
+Last come the write-out and denormalize stages of that wave problem's
+201x201 solution grid, a wide-grid op's largest: `BiSeries.dumps`,
+`series._float_table` of its real parts (about half of them +0.0) and of
+its imaginary parts (all +0.0), and `solver._denormalize` on the scaled
+grid and data that its `solve_constant_leading` hands over.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 200000] [--reps 20]
 """
@@ -201,14 +206,15 @@ def run(n, reps):
     from msumma import (GAMMA_1, BiSeries, RamifiedSeries, ScaledComplex,
                         parse_problem)
     from msumma import _kernels as K
-    from msumma import moments
+    from msumma import moments, solver
     from msumma.analysis import estimate_gevrey, summability_verdict
     from msumma.moments import MomentFunction, kernel_pair_for
     from msumma.pade import diagonal_pade
     from msumma.quadrature import _nodes, integrate_segment
     from msumma.resummation import laplace_resum
     from msumma.scaled import from_log10_array
-    from msumma.solver import decompose, solve_constant_leading
+    from msumma.series import _float_table
+    from msumma.solver import _denormalize, decompose, solve_constant_leading
 
     rng = np.random.default_rng(0)
     m1, e1, m2, e2 = make_inputs(n, rng)
@@ -322,6 +328,26 @@ def run(n, reps):
             lambda: parse_problem(src), reps)
         results[f"to_problem {name} trunc_t {SOLVE_TRUNC_T}"] = bench(
             pf.to_problem, reps)
+    wave = parse_problem(problem_text("wave")).to_problem()
+    denormalize_args = []
+
+    def keep_args(*args):
+        denormalize_args.append(args)
+        return _denormalize(*args)
+
+    solver._denormalize = keep_args
+    try:
+        wave_grid = solve_constant_leading(wave)
+    finally:
+        solver._denormalize = _denormalize
+    shape = "x".join(map(str, wave_grid.mant.shape))
+    results[f"BiSeries.dumps wave {shape}"] = bench(wave_grid.dumps, reps)
+    for part in ("real", "imag"):
+        x = getattr(wave_grid.mant, part)
+        results[f"_float_table wave {part} {shape}"] = bench(
+            lambda: _float_table(x, " "), reps)
+    results[f"_denormalize wave {shape}"] = bench(
+        lambda: _denormalize(*denormalize_args[0]), reps)
     return results
 
 

@@ -232,6 +232,27 @@ def _format_spec(spec) -> str:
     raise ValueError(f"unknown spec {kind!r}")
 
 
+def _numpy_division(d: complex) -> tuple[complex, float]:
+    """(w, s) such that numpy's complex128 quotient x / d, for a nonzero
+    d, is complex(y.real * s, y.imag * s) with y = x * w in Python's
+    complex arithmetic.
+
+    numpy divides by a reciprocal scale: when |d_r| >= |d_i|, r = d_i/d_r,
+    s = 1/(d_r + d_i r) and x/d = ((x_r + x_i r) s, (x_i - x_r r) s);
+    otherwise r = d_r/d_i, s = 1/(d_i + d_r r) and x/d = ((x_r r + x_i) s,
+    (x_i r - x_r) s).  Python's x * (1 - ir), or x * (r - i), rounds to the
+    same parenthesized parts, since x_i (-r) = -(x_i r) and x_r 1 = x_r
+    exactly.  (CPython's complex `/` divides by the denominator instead of
+    multiplying by s, which can differ in the last bit.)
+    """
+    dr, di = np.float64(d.real), np.float64(d.imag)
+    if abs(dr) >= abs(di):
+        r = di / dr
+        return complex(1.0, -r), float(1.0 / (dr + di * r))
+    r = dr / di
+    return complex(r, -1.0), float(1.0 / (di + dr * r))
+
+
 def _materialize(spec, kappa: int, trunc_z: int) -> RamifiedSeries:
     kind = spec[0]
     n = trunc_z + 1
@@ -242,8 +263,7 @@ def _materialize(spec, kappa: int, trunc_z: int) -> RamifiedSeries:
         return RamifiedSeries.from_complex(kappa, c)
     if kind == "rat":
         num, den = spec[1], spec[2]
-        p = np.zeros(n, dtype=np.complex128)
-        q = np.zeros(n, dtype=np.complex128)
+        p, q = [0j] * n, [0j] * n
         for (_, b), c in num.coeffs.items():
             if b < n:
                 p[b] = c
@@ -254,16 +274,20 @@ def _materialize(spec, kappa: int, trunc_z: int) -> RamifiedSeries:
             raise SemanticError(
                 "rat() denominator vanishes at z = 0; the data series must "
                 "be a power series")
-        # out_j = (p_j - sum_i q_i out_{j-i}) / q_0 over the nonzero q_i
-        taps = [i for i in range(1, n) if q[i] != 0]
-        out = np.zeros(n, dtype=np.complex128)
+        # out_j = (p_j - sum_i q_i out_{j-i}) / q_0 over the nonzero q_i,
+        # in Python complex arithmetic, whose * and - round as numpy's do,
+        # and with numpy's rounding of the division
+        taps = [(i, q[i]) for i in range(1, n) if q[i] != 0]
+        w, s = _numpy_division(q[0])
+        out = []
         for j in range(n):
             acc = p[j]
-            for i in taps:
+            for i, qi in taps:
                 if i > j:
                     break
-                acc -= q[i] * out[j - i]
-            out[j] = acc / q[0]
+                acc -= qi * out[j - i]
+            y = acc * w
+            out.append(complex(y.real * s, y.imag * s))
         return RamifiedSeries.from_complex(kappa, out)
     if kind == "gamma":
         if spec[1] < 0:

@@ -15,8 +15,10 @@ exact vectorized path: its shortest round-trip digits follow from Dekker
 products x * 10^f for f = 14, 15 and 16 and a test against ulp(x)/2.
 Every other value, and any decision within 1e-9 of its boundary, goes
 through repr.  Each distinct value is formatted once into a NUL-padded
-byte row; lines are assembled as one byte matrix per block of about
-_kernels.BLOCK_CELLS cells, whose padding is dropped before decoding.
+byte row: +0.0 cells are found by their bits and kept out of the sort, and
+a field of one bit pattern is one repr call.  Lines are assembled as one
+byte matrix per block of about _kernels.BLOCK_CELLS cells, whose padding
+is dropped before decoding.
 """
 from __future__ import annotations
 
@@ -108,23 +110,29 @@ def _exact_digits(x):
 
 
 def _float_table(x: np.ndarray, sep: str):
-    """(table, index) of the text of float64 array x.
+    """(table, index) of the text of the nonempty float64 array x.
 
     `table` has one NUL-padded bytes row per distinct bit pattern (so -0.0
     and 0.0 stay apart), holding repr(value) + sep; index[...] is the row
-    of x[...].  Rows the exact path decides are written from its digits
-    as sign (or NUL), lead digit, '.', 16 digits whose trailing zeros are
-    NUL (a group of four is read bare when every later group is 0) and
-    sep; every other value goes through repr.  A field whose cells share
-    one bit pattern, as a real grid's imaginary parts do, takes a one-row
-    table without the sort.
+    of x[...].  Row 0 is +0.0, whose bits are 0: the zero cells, every
+    other row of a wave grid, take it without the sort, and only the
+    other cells go through np.unique, at rows 1 and up.  Rows the exact
+    path decides are written from its digits as sign (or NUL), lead
+    digit, '.', 16 digits whose trailing zeros are NUL (a group of four is
+    read bare when every later group is 0) and sep; every other value goes
+    through repr.  A field whose cells share one bit pattern, as a real
+    grid's imaginary parts do, is the one row repr(value) + sep, without
+    the sort or the digit pass.
     """
     bits = x.view(np.int64)
-    if bits.size and bits.min() == bits.max():
-        uniq, inv = bits.flat[:1], np.zeros(x.shape, dtype=np.intp)
-    else:
-        uniq, inv = np.unique(bits, return_inverse=True)
-    vals = uniq.view(np.float64)
+    if bits.min() == bits.max():
+        row = np.array([repr(float(x.flat[0])) + sep], dtype="S")
+        return row, np.zeros(x.shape, dtype=np.intp)
+    nonzero = bits != 0
+    uniq, inv = np.unique(bits[nonzero], return_inverse=True)
+    index = np.zeros(x.shape, dtype=np.intp)
+    index[nonzero] = inv + 1
+    vals = np.concatenate(([0.0], uniq.view(np.float64)))
     digits, ok = _exact_digits(vals)
     slow = np.array([repr(v) + sep for v in vals[~ok].tolist()], dtype="S")
     fast = ok.any()
@@ -146,7 +154,7 @@ def _float_table(x: np.ndarray, sep: str):
         table[later_zero, 3] = ord("0")  # repr keeps one: 3.0
         table[:, 19] = ord(sep)
     table[~ok] = slow.astype(f"S{width}").view(np.uint8).reshape(-1, width)
-    return table.view(f"S{width}").ravel(), inv.reshape(x.shape)
+    return table.view(f"S{width}").ravel(), index
 
 
 def _int_table(a: np.ndarray, sep: str):
@@ -294,7 +302,9 @@ class RamifiedSeries:
 
     @staticmethod
     def from_complex(kappa: int, coeffs) -> "RamifiedSeries":
-        c = np.asarray(list(coeffs), dtype=np.complex128)
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = list(coeffs)
+        c = np.asarray(coeffs, dtype=np.complex128)
         return RamifiedSeries(kappa, c, np.zeros(len(c), dtype=np.int64))
 
     @staticmethod

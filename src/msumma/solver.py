@@ -108,7 +108,8 @@ def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
     (m, kappa, sign).
     Blocks of `K.block_rows` rows, about K.BLOCK_CELLS cells each (one
     block for a 201 x 21 grid), are then multiplied by both tables in one
-    `K.mul` call on raveled arrays, so no grid-sized temporary is built and
+    `K.mul` call: the block's rows times their 1/m1(j) column, against the
+    1/m2 row broadcast over them, so no grid-sized temporary is built and
     no work is done per cell in Python.
     """
     nt, nz = cm.shape
@@ -125,12 +126,8 @@ def _denormalize(cm: np.ndarray, ce: np.ndarray, kappa: int,
     step = K.block_rows(nz)
     for j0 in range(first, nt, step):
         rows = slice(j0, j0 + step)
-        nb = min(step, nt - j0)
-        bm, be = K.mul((cm[rows] * f1m[rows, None]).ravel(),
-                       (ce[rows] + f1e[rows, None]).ravel(),
-                       np.tile(f2m, nb), np.tile(f2e, nb))
-        mant[rows] = bm.reshape(nb, nz)
-        exp[rows] = be.reshape(nb, nz)
+        mant[rows], exp[rows] = K.mul(cm[rows] * f1m[rows, None],
+                                      ce[rows] + f1e[rows, None], f2m, f2e)
     return BiSeries(1, kappa, mant, exp, normalized=True)
 
 

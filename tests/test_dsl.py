@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msumma as ms
-from msumma import parse_problem
-from msumma.dsl import KEYS, ProblemFile, tokenize
+from msumma import CharPolynomial, RamifiedSeries, parse_problem
+from msumma.dsl import KEYS, ProblemFile, _materialize, tokenize
 from msumma.moments import LOG10_E, MomentFunction, lgamma_array
 from msumma.scaled import from_log10_array
 
@@ -53,6 +53,141 @@ def test_rat_nontrivial_numerator():
     assert abs(phi.coeff_complex(0) - 1.0) < 1e-14
     for n in range(1, 8):
         assert abs(phi.coeff_complex(n) - 3.0 * 2.0 ** (n - 1)) < 1e-12
+
+
+# -- rat() data, against numpy's scalar arithmetic and exact division -------
+
+
+def rat_spec(num, den):
+    """The data spec of rat(num/den), from {power of z: coefficient}."""
+    return ("rat", CharPolynomial({(0, b): c for b, c in num.items()}),
+            CharPolynomial({(0, b): c for b, c in den.items()}))
+
+
+def numpy_scalar_rat(num, den, n):
+    """Reference expansion of rat(num/den) to n coefficients: the
+    recurrence on numpy complex128 scalars, one coefficient at a time."""
+    p = np.zeros(n, dtype=np.complex128)
+    q = np.zeros(n, dtype=np.complex128)
+    for b, c in num.items():
+        if b < n:
+            p[b] = c
+    for b, c in den.items():
+        if b < n:
+            q[b] = c
+    taps = [i for i in range(1, n) if q[i] != 0]
+    out = np.zeros(n, dtype=np.complex128)
+    for j in range(n):
+        acc = p[j]
+        for i in taps:
+            if i > j:
+                break
+            acc -= q[i] * out[j - i]
+        out[j] = acc / q[0]
+    return out
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a.mant.view(np.int64), b.mant.view(np.int64))
+    assert np.array_equal(a.exp10, b.exp10)
+
+
+# (-9388.200339328929-9491.082780130784j) / (-9.8159012289123+0j): numpy
+# scales by a reciprocal, CPython's `/` divides, and the two differ in the
+# last bit of the imaginary part
+DIVISION_CASE = (-9388.200339328929 - 9491.082780130784j,
+                 -9.8159012289123 + 0j)
+rat_coefficients = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0,
+                                      allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rat_specs(draw):
+    """(num, den): up to 3 numerator terms, and a denominator with q(0)
+    outside {0, 1} and 1 to 4 taps."""
+    num = draw(st.dictionaries(st.integers(0, 5), rat_coefficients,
+                               min_size=1, max_size=3))
+    q0 = draw(st.one_of(
+        st.sampled_from([3 + 0j, -9.8159012289123 + 0j, 1 + 2j]),
+        rat_coefficients.filter(lambda c: c != 1)))
+    taps = draw(st.dictionaries(st.integers(1, 6), rat_coefficients,
+                                min_size=1, max_size=4))
+    return num, {0: q0, **taps}
+
+
+def test_division_case_tells_numpy_from_cpython():
+    x, d = DIVISION_CASE
+    assert x / d != complex(np.complex128(x) / np.complex128(d))
+    assert_same_bits(_materialize(rat_spec({0: x}, {0: d}), 1, 0),
+                     RamifiedSeries.from_complex(1, [np.complex128(x) / d]))
+
+
+@given(rat_specs(), st.integers(0, 60))
+@example(({0: DIVISION_CASE[0]}, {0: DIVISION_CASE[1], 2: 1 + 0j}), 8)
+@settings(max_examples=200, deadline=None)
+def test_rat_data_match_the_numpy_scalar_loop(spec, trunc_z):
+    num, den = spec
+    assert_same_bits(_materialize(rat_spec(num, den), 1, trunc_z),
+                     RamifiedSeries.from_complex(
+                         1, numpy_scalar_rat(num, den, trunc_z + 1)))
+
+
+def exact_rat(num, den, n):
+    """rat(num/den) to n coefficients in exact Gaussian rationals, as
+    (real, imag) Fraction pairs."""
+    qr, qi = Fraction(den[0].real), Fraction(den[0].imag)
+    norm = qr * qr + qi * qi
+    out = []
+    for j in range(n):
+        c = num.get(j, 0j)
+        ar, ai = Fraction(c.real), Fraction(c.imag)
+        for i, qc in den.items():
+            if 0 < i <= j:
+                cr, ci = Fraction(qc.real), Fraction(qc.imag)
+                ur, ui = out[j - i]
+                ar -= cr * ur - ci * ui
+                ai -= cr * ui + ci * ur
+        out.append(((ar * qr + ai * qi) / norm, (ai * qr - ar * qi) / norm))
+    return out
+
+
+@given(rat_specs(), st.integers(0, 24))
+@example(({0: DIVISION_CASE[0]}, {0: DIVISION_CASE[1], 1: 1 + 0j}), 12)
+@settings(max_examples=100, deadline=None)
+def test_rat_data_are_the_exact_series_within_roundoff(spec, trunc_z):
+    """Forward-error bound: coefficient j, the sum of the terms of
+    magnitude M_j = |p_j| + sum_i |q_i| |out_{j-i}| divided by q(0), is off
+    by at most (16 (k + 2) u M_j + sum_i |q_i| e_{j-i}) / |q(0)| plus 2 u
+    |out_j| for the scaled form it is kept in, where k is the number of
+    taps i <= j and u = 2^-53: a few roundings per product and sum, the
+    division, and the errors carried from earlier coefficients."""
+    num, den = spec
+    n = trunc_z + 1
+    phi = _materialize(rat_spec(num, den), 1, trunc_z)
+    exact = exact_rat(num, den, n)
+    got = phi.coeffs_complex()
+    u = 2.0 ** -53
+    err = []
+    for j in range(n):
+        taps = [i for i in den if 0 < i <= j]
+        mag = abs(num.get(j, 0j)) + sum(abs(den[i]) * abs(got[j - i])
+                                        for i in taps)
+        carried = sum(abs(den[i]) * err[j - i] for i in taps)
+        err.append((16 * (len(taps) + 2) * u * mag + carried)
+                   / abs(den[0]) + 2 * u * abs(got[j]))
+        m = phi.mant[j]
+        scale = Fraction(10) ** int(phi.exp10[j])
+        off = complex(float(Fraction(m.real) * scale - exact[j][0]),
+                      float(Fraction(m.imag) * scale - exact[j][1]))
+        assert abs(off) <= err[j], j
+
+
+def test_rat_zero_constant_denominator():
+    for text in ("rat(1/(z))", "rat((1+z)/(z^2 - 3*z))", "rat(2/(0i + 5*z))"):
+        pf = parse_problem(f"equation: L - Z;\ndata: {text};\n")
+        with pytest.raises(ms.SemanticError,
+                           match=r"rat\(\) denominator vanishes at z = 0"):
+            pf.to_problem()
 
 
 def test_gamma_coeffs_data():
@@ -129,12 +264,6 @@ def test_pretty_roundtrip_complex():
 
 def test_to_problem_row_count_mismatch():
     pf = parse_problem("equation: L^2 - Z;\ndata: coeffs(1);\n")
-    with pytest.raises(ms.SemanticError):
-        pf.to_problem()
-
-
-def test_rat_zero_constant_denominator():
-    pf = parse_problem("equation: L - Z;\ndata: rat(1/(z));\n")
     with pytest.raises(ms.SemanticError):
         pf.to_problem()
 

@@ -242,6 +242,43 @@ def mixed_grid(rows=40, cols=50, seed=5):
                 rng.integers(-300, 300, size=(rows, cols)))
 
 
+def zero_cells_grid(rows=30, cols=41, seed=9):
+    """+0.0 in every odd row and in scattered cells, next to -0.0, NaN, +-inf,
+    subnormals and ordinary mantissas (SPECIALS)."""
+    rng = np.random.default_rng(seed)
+    re_part = rng.uniform(1, 10, (rows, cols)) * rng.choice([-1, 1],
+                                                             (rows, cols))
+    im_part = rng.normal(size=(rows, cols))
+    re_part.flat[::5] = np.resize(SPECIALS, re_part.flat[::5].shape)
+    im_part.flat[::3] = np.resize(SPECIALS[::-1], im_part.flat[::3].shape)
+    re_part[1::2] = 0.0
+    im_part.flat[::7] = 0.0
+    return grid(re_part, im_part, rng.integers(-300, 300, (rows, cols)))
+
+
+def filled_grid(value, shape=(6, 7)):
+    """Both fields one bit pattern."""
+    field = np.full(shape, value)
+    return grid(field, field.copy(), np.zeros(shape, dtype=np.int64))
+
+
+def zero_field_cases():
+    rng = np.random.default_rng(21)
+    no_zero = rng.uniform(1, 10, (20, 30)) * rng.choice([-1, 1], (20, 30))
+    no_zero.flat[::4] = np.resize(SPECIALS[1:], no_zero.flat[::4].shape)
+    return {
+        "zeros among specials": zero_cells_grid(),
+        "all zero": filled_grid(0.0),
+        "no zero": grid(no_zero, no_zero[::-1].copy(),
+                        rng.integers(-9, 9, (20, 30))),
+        "all 2.5": filled_grid(2.5),
+        "all -0.0": filled_grid(-0.0),
+        "all nan": filled_grid(np.nan),
+        "2.5 over zeros": grid(np.full((4, 5), 2.5), np.zeros((4, 5)),
+                               np.zeros((4, 5), dtype=np.int64)),
+    }
+
+
 def format_cases():
     rng = np.random.default_rng(11)
     sp = special_grid()
@@ -271,6 +308,7 @@ def format_cases():
         "heat@200": heat,
         "wave_col": wave.extract_col(0),
         "heat_view": heat.truncate_to(150, 120),
+        **zero_field_cases(),
     }
 
 
@@ -291,7 +329,7 @@ def _bits_equal(a, b):
 def test_dumps_loads_is_bitwise():
     heat, sp = solved("heat", 60, width=41), special_grid()
     for s in (heat, signed_zero_grid(), sp, heat.extract_col(3),
-              sp.extract_row(2)):
+              sp.extract_row(2), *zero_field_cases().values()):
         back = type(s).loads(s.dumps())
         assert back.mant.shape == s.mant.shape
         _bits_equal(s, back)
@@ -331,6 +369,52 @@ def test_series_loads_rejects_malformed_text(text):
 def test_grid_loads_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         BiSeries.loads(text)
+
+
+# cells drawn +0.0 about half the time, else any float64 (NaN and +-inf
+# included) or one of SPECIALS
+zero_heavy_cells = st.one_of(st.just(0.0), st.just(0.0), st.floats(),
+                             st.sampled_from(SPECIALS.tolist()))
+
+
+@st.composite
+def zero_heavy_grids(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    fields = [np.array(draw(st.lists(zero_heavy_cells, min_size=rows * cols,
+                                     max_size=rows * cols))).reshape(rows, cols)
+              for _ in range(2)]
+    exp10 = np.array(draw(st.lists(st.integers(-400, 400),
+                                   min_size=rows * cols,
+                                   max_size=rows * cols))).reshape(rows, cols)
+    return grid(*fields, exp10)
+
+
+@given(zero_heavy_grids())
+@settings(max_examples=200, deadline=None)
+def test_zero_heavy_grids_round_trip(s):
+    text = s.dumps()
+    assert text == percell_dumps(s)
+    _bits_equal(s, BiSeries.loads(text))
+
+
+def test_zero_cells_stay_out_of_the_sort(monkeypatch):
+    # every odd row of the wave grid past its data rows is +0.0: np.unique
+    # sees only the other cells, and the zero cells read table row 0
+    x = solved("wave", 40, width=41).mant.real
+    zero = x.view(np.int64) == 0
+    assert zero[3::2].all()
+    sizes = []
+    unique = np.unique
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.size)
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recording)
+    table, index = _float_table(x, " ")
+    assert sizes == [np.count_nonzero(~zero)]
+    assert (index[zero] == 0).all() and (index[~zero] > 0).all()
+    assert table[0].rstrip(b"\0") == b"0.0 "
 
 
 # -- the writer's float rows, pinned against repr ----------------------------
