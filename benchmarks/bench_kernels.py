@@ -31,7 +31,15 @@ evaluation on the 122 nodes of one bisection of a ray;
 case that bisects, of the peak 1/(1e-4 + x^2) on [-1, 1] at tol 1e-10;
 and `laplace_resum` of heat's Borel series at trunc_t 60 on the ray
 pi/2 at the five points t = 0.03i .. 0.09i, whose Pade sum and stable
-poles are memoized on the series after the warm-up.  Last, also
+poles are memoized on the series after the warm-up.  Then come the Borel
+plane's per-series and per-point costs, independent of n:
+`stable_poles` on a fresh series of STABLE_POLES_N ones, numerically
+rational of type [0/1], so its cost is the Pade layer's glue around an
+8 x 9 SVD, a 1 x 1 solve and a 1 x 1 eigenproblem; one `laplace_resum`
+call at t = RESUM_POINT on the ray pi/2, memo warm, on the Borel series
+1/(1 + x) of 201 ones of alternating sign (a [0/1] sum) and on heat's at
+trunc_t 200 (a [99/100] sum); and `newton_polygon_roots(L - Z^2)`, the
+verdict's characteristic roots of heat.  Last, also
 independent of n, comes `solve_constant_leading` on (L - 3Z)(L + 7Z) with
 data 1/(1-z) at trunc_t 200 and 21 output columns: its recurrence
 multiplies by s = -4 and 21, so its rows grow out of the mantissa range
@@ -81,6 +89,8 @@ RESUM_TRUNC_T = 60
 DECOMPOSE_TRUNC_T = 20
 DECOMPOSE_WINDOWS = (90, 250, 420)
 RESUM_TS = (0.03j, 0.045j, 0.06j, 0.075j, 0.09j)
+RESUM_POINT = 0.06j
+STABLE_POLES_N = (141, 421)
 VERDICT_DIRECTIONS = (0.0, math.pi / 2, math.pi)
 # output columns of the parse-stage texts, as in pipebench's workloads
 PARSE_MARGINS = {"heat": 20, "wave": 200}
@@ -152,17 +162,17 @@ def decompose_problems():
     return out
 
 
-def heat_borel():
-    """Borel transform of heat's u(t, 0) with data 1/(1-z) at trunc_t 60."""
+def heat_borel(trunc_t=RESUM_TRUNC_T):
+    """Borel transform of heat's u(t, 0) with data 1/(1-z) at trunc_t."""
     from msumma import GAMMA_1, CharPolynomial, PdeProblem, RamifiedSeries
     from msumma.operators import borel
     from msumma.solver import required_z_truncation, solve_constant_leading
 
     L, Z = CharPolynomial.lam(), CharPolynomial.zeta()
-    nz = required_z_truncation(L - Z**2, 1, RESUM_TRUNC_T) + 1
+    nz = required_z_truncation(L - Z**2, 1, trunc_t) + 1
     prob = PdeProblem(P=L - Z**2, m1=GAMMA_1, m2=GAMMA_1,
                       data=(RamifiedSeries.from_complex(1, np.ones(nz)),),
-                      trunc_t=RESUM_TRUNC_T)
+                      trunc_t=trunc_t)
     return borel(GAMMA_1, solve_constant_leading(prob).extract_col(0))
 
 
@@ -203,13 +213,13 @@ def bench_fresh(fn, make, reps):
 
 
 def run(n, reps):
-    from msumma import (GAMMA_1, BiSeries, RamifiedSeries, ScaledComplex,
-                        parse_problem)
+    from msumma import (GAMMA_1, BiSeries, CharPolynomial, RamifiedSeries,
+                        ScaledComplex, newton_polygon_roots, parse_problem)
     from msumma import _kernels as K
     from msumma import moments, solver
     from msumma.analysis import estimate_gevrey, summability_verdict
     from msumma.moments import MomentFunction, kernel_pair_for
-    from msumma.pade import diagonal_pade
+    from msumma.pade import diagonal_pade, stable_poles
     from msumma.quadrature import _nodes, integrate_segment
     from msumma.resummation import laplace_resum
     from msumma.scaled import from_log10_array
@@ -300,6 +310,18 @@ def run(n, reps):
     results[f"laplace_resum heat trunc_t {RESUM_TRUNC_T} x{len(RESUM_TS)}"] = (
         bench(lambda: [laplace_resum(bor, kernel, math.pi / 2, t)
                        for t in RESUM_TS], reps))
+    for n in STABLE_POLES_N:
+        results[f"stable_poles ones N={n}"] = bench_fresh(
+            stable_poles, series(np.ones(n)), reps)
+    for label, sum_series in (
+            ("[0/1] 1/(1+x)", series((-1.0) ** np.arange(201))()),
+            ("[99/100] heat trunc_t 200", heat_borel(200))):
+        results[f"laplace_resum {label}"] = bench(
+            lambda: laplace_resum(sum_series, kernel, math.pi / 2,
+                                  RESUM_POINT), reps)
+    heat_P = CharPolynomial.lam() - CharPolynomial.zeta()**2
+    results["newton_polygon_roots L-Z^2"] = bench(
+        lambda: newton_polygon_roots(heat_P), reps)
     prob = recurrence_problem()
     results["solve_constant_leading"] = bench(
         lambda: solve_constant_leading(prob), reps)

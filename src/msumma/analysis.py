@@ -208,12 +208,13 @@ def singular_triples(sing: SingularitySet, q: Fraction, lam: complex,
     """
     qf = float(q)
     n_branches = max(1, int(math.ceil(qf * kappa)))
+    arg_lam = np.angle(lam)
     out = []
     for pt in sing.points:
         base = math.atan2(pt.location.imag, pt.location.real)
         cone = pt.radius / max(abs(pt.location), 1e-300)
         for k in range(n_branches):
-            d = _mod_2pi(qf * (base + 2.0 * math.pi * k) - np.angle(lam))
+            d = _mod_2pi(qf * (base + 2.0 * math.pi * k) - arg_lam)
             out.append((d, pt.location, cone))
     return out
 
@@ -247,9 +248,17 @@ def _angular_gap(d1: float, d2: float) -> float:
 
 def blocking(d: float, triples):
     """The first (direction, witness, cone) triple whose direction lies
-    within ANGULAR_TOL plus its cone of d, else None."""
-    return next((t for t in triples
-                 if _angular_gap(d, t[0]) <= ANGULAR_TOL + t[2]), None)
+    within ANGULAR_TOL plus its cone of d, else None.
+
+    The gap is _angular_gap(d, direction), with d reduced once for all
+    triples.
+    """
+    dm = _mod_2pi(d)
+    for t in triples:
+        g = abs(dm - _mod_2pi(t[0]))
+        if min(g, 2.0 * math.pi - g) <= ANGULAR_TOL + t[2]:
+            return t
+    return None
 
 
 def direction_verdict(d: float, triples, growth_order: float, qK: float,

@@ -145,23 +145,50 @@ def _cluster_roots(roots, tol=MERGE_TOL):
     return out
 
 
-def _polish_root(poly, z0: complex, mult: int, steps: int = 3) -> complex:
+def _polyval(c: np.ndarray, x: np.ndarray):
+    """np.polyval(c, x) without its wrapper: the same multiply-add steps.
+
+    x is an array (here 0-d), so each product is numpy's array multiply,
+    which some CPUs fuse and so round differently from Python's complex
+    product.
+    """
+    y = np.zeros_like(x)
+    for v in c:
+        y = y * x + v
+    return y
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """np.polyder(c): c highest degree first, its leading entry nonzero.
+
+    The leading entry of the result is that entry times the degree, so it
+    stays nonzero and np.poly1d would trim nothing.
+    """
+    return c[:-1] * np.arange(len(c) - 1, 0, -1)
+
+
+def _polish_root(poly: np.ndarray, z0: complex, mult: int,
+                 steps: int = 3) -> complex:
     """Newton-refine a root of multiplicity mult.
 
     Companion-matrix roots of an exact m-fold root carry O(eps^(1/m))
     error; Newton on the (m-1)-th derivative, where the root is simple,
-    restores full precision.
+    restores full precision.  poly is highest degree first with a nonzero
+    leading entry.  The values are np.polyval's on 0-d arrays and the step
+    divides in numpy's complex division, not Python's, as the np.poly1d
+    form of this refinement did.
     """
-    p = np.poly1d(poly)
+    p = poly
     for _ in range(mult - 1):
-        p = p.deriv()
-    dp = p.deriv()
+        p = _derivative(p)
+    dp = _derivative(p)
     z = complex(z0)
     for _ in range(steps):
-        d = dp(z)
+        x = np.asarray(z)
+        d = _polyval(dp, x)
         if d == 0:
             break
-        z = z - p(z) / d
+        z = z - _polyval(p, x) / d
     return z
 
 
@@ -171,34 +198,27 @@ def newton_polygon_roots(P: CharPolynomial) -> list[CharRoot]:
     For every upper-hull edge of {(a, deg_zeta P_a)} with slope -q, the
     edge polynomial sum_{a on edge} coeff(a, d_a) c^a supplies the leading
     terms; its root multiplicities (merged under MERGE_TOL) become the
-    branch multiplicities.  Sorted by q descending.
+    branch multiplicities.  Sorted by q descending.  A point (a, d) lies
+    on the edge from (a1, d1) to (a2, d2) when (d - d1)(a2 - a1) =
+    (d2 - d1)(a - a1), in integers.
     """
     P.validate()
     deg = {}
     for (a, b), c in P.coeffs.items():
         if c != 0:
             deg[a] = max(deg.get(a, -1), b)
-    points = [(a, d) for a, d in deg.items()]
-    hull = _upper_hull(points)
+    hull = _upper_hull(list(deg.items()))
     roots: list[CharRoot] = []
     for (a1, d1), (a2, d2) in zip(hull, hull[1:]):
         q = Fraction(d1 - d2, a2 - a1)
-        # edge polynomial in c over the a-values lying on this edge
-        edge_pows = []
-        edge_coefs = []
+        # edge polynomial in c over the a-values lying on this edge,
+        # highest degree first as np.roots wants it; its first entry (a2)
+        # and its last (a1) are nonzero
+        poly = np.zeros(a2 - a1 + 1, dtype=np.complex128)
         for a in range(a1, a2 + 1):
-            if a not in deg:
-                continue
-            on_edge = Fraction(deg[a]) == Fraction(d1) - q * (a - a1)
-            if on_edge:
-                edge_pows.append(a)
-                edge_coefs.append(P.coeffs[(a, deg[a])])
-        maxa = max(edge_pows)
-        poly = np.zeros(maxa - a1 + 1, dtype=np.complex128)
-        for a, c in zip(edge_pows, edge_coefs):
-            poly[maxa - a] = c  # np.roots wants highest degree first
-        raw = np.roots(poly)
-        raw = [z for z in raw if abs(z) > 0]
+            if a in deg and (deg[a] - d1) * (a2 - a1) == (d2 - d1) * (a - a1):
+                poly[a2 - a] = P.coeffs[(a, deg[a])]
+        raw = [z for z in np.roots(poly) if abs(z) > 0]
         # an exact m-fold root splits by ~eps^(1/m) under the companion
         # eigensolver, so widen the merge tolerance with the edge degree
         edge_deg = len(poly) - 1

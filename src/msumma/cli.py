@@ -8,6 +8,7 @@ in a report file.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -179,6 +180,9 @@ def cmd_resum(pf, digest, args) -> int:
         t = complex(args.t)
     except ValueError as exc:
         raise SemanticError(f"bad --t value {args.t!r}") from exc
+    if t == 0 or not cmath.isfinite(t):
+        raise SemanticError(f"bad --t value {args.t!r}: not a finite nonzero "
+                            "point")
     dirs = [0.0] if args.d is None else _parse_directions(args.d, "--d")
     if len(dirs) != 1:
         raise SemanticError(f"--d takes one direction, got {args.d!r}")

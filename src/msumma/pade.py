@@ -17,22 +17,66 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import RamifiedSeries, geometric_slope  # noqa: F401 (re-export)
 
 STABILITY_TOL = 1e-2  # relative pole agreement across consecutive orders
 RANK_TOL = 1e-14  # numerical-rank threshold of Gonnet, Guttel & Trefethen
 RESIDUE_TOL = 1e-8  # relative residue below which a pole is spurious
+_EPS = float(np.finfo(float).eps)
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c, degree 0 first, without its top zero coefficients; [0] if all are.
+
+    The rule by which np.poly1d drops the leading zeros of its coefficients.
+    _horner_table's block size and the companion matrix of _roots both
+    follow the trimmed length, so every coefficient array of an
+    approximant is trimmed by it.
+    """
+    if c[-1] != 0:
+        return c
+    nz = np.flatnonzero(c)
+    return c[:nz[-1] + 1] if len(nz) else np.zeros(1, c.dtype)
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of the 1-D array x, bit for bit, without its wrapper.
+
+    The same ravel and the same dot products: a strided real view is
+    copied first, as norm copies it, because BLAS sums a strided dot in
+    another order.
+    """
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
+def _roots(h: np.ndarray) -> np.ndarray:
+    """np.roots of h, highest degree first, with h[0] and h[-1] nonzero.
+
+    np.roots strips leading and trailing zeros and then takes the
+    eigenvalues of the companion matrix; with none to strip, this is that
+    matrix and that eigvals call, bit for bit, without the rest of its
+    glue.  A denominator qualifies: it is trimmed, and q(0) = 1.
+    """
+    n = len(h) - 1
+    if n < 1:
+        return np.zeros(0)
+    companion = np.eye(n, k=-1, dtype=h.dtype)
+    companion[0] = -h[1:] / h[0]
+    return np.linalg.eigvals(companion)
 
 
 def _horner_table(*polys: np.ndarray) -> np.ndarray:
     """(B, nb, p) coefficient-block table of p polynomials for _horner.
 
-    Each polynomial is a coefficient array, highest degree first.  With k
-    the longest coefficient count, B = isqrt(k) and nb = ceil(k/B), entry
+    Each polynomial is a coefficient array, degree 0 first.  With k the
+    longest coefficient count, B = isqrt(k) and nb = ceil(k/B), entry
     [s, j, i] holds polynomial i's coefficient of degree j*B + B-1-s, zero
     where that degree is k or more (or above that polynomial's degree).
     Row s is the s-th Horner step of every block at once.
@@ -42,7 +86,7 @@ def _horner_table(*polys: np.ndarray) -> np.ndarray:
     nb = -(-k // B)
     rows = np.zeros((nb * B, len(polys)), dtype=np.complex128)
     for i, c in enumerate(polys):
-        rows[:len(c), i] = c[::-1]  # degree 0 first
+        rows[:len(c), i] = c
     blocks = np.ascontiguousarray(rows.reshape(nb, B, len(polys))[:, ::-1]
                                   .transpose(1, 0, 2))
     blocks.setflags(write=False)
@@ -50,14 +94,14 @@ def _horner_table(*polys: np.ndarray) -> np.ndarray:
 
 
 def _horner(blocks: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Every polynomial of the _horner_table `blocks` at the points y.
+    """Every polynomial of the _horner_table `blocks` at the array y.
 
     One Horner pass in y evaluates every block of every polynomial at
     once, in B - 1 steps; a second Horner pass in y^B combines the blocks.
     Returns shape (p,) + y.shape, complex128.
     """
-    steps = blocks.reshape(blocks.shape + (1,) * np.ndim(y))
-    acc = np.empty(blocks.shape[1:] + np.shape(y), dtype=np.complex128)
+    steps = blocks.reshape(blocks.shape + (1,) * y.ndim)
+    acc = np.empty(blocks.shape[1:] + y.shape, dtype=np.complex128)
     acc[...] = steps[0]
     for row in steps[1:]:
         acc *= y
@@ -72,34 +116,51 @@ def _horner(blocks: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PadeApproximant:
-    """[L/M] approximant of sum c_j x^j with an internal rescaling x = r*y."""
+    """[L/M] approximant p(y)/q(y) of sum c_j x^j at y = x/r.
 
-    num: np.poly1d
-    den: np.poly1d
+    p and q are read-only coefficient arrays, degree 0 first, with q_0 = 1,
+    each without top zero coefficients (_trimmed); num and den give them
+    as np.poly1d.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
     r: float
     order: tuple
 
+    def __post_init__(self):
+        self.p.setflags(write=False)
+        self.q.setflags(write=False)
+
+    @property
+    def num(self) -> np.poly1d:
+        return np.poly1d(self.p[::-1])
+
+    @property
+    def den(self) -> np.poly1d:
+        return np.poly1d(self.q[::-1])
+
     def __call__(self, x):
-        """num(y) / den(y) at y = x / r, by the two-level Horner evaluator.
+        """p(y) / q(y) at y = x / r, by the two-level Horner evaluator.
 
         Both polynomials are evaluated together by _horner on the block
         table _horner_blocks: about 2 sqrt(k) array steps for k
         coefficients instead of k, and as accurate as plain Horner: within
         1e-14 relative of 50-digit mpmath on heat's [99/100] Borel sum
         (tests/test_pade.py).  The result has the type and shape of
-        np.polyval's.  At a zero of the denominator the value is inf or
-        nan, with no warning; laplace_resum refuses a sum that is not
-        finite.
+        np.polyval's.  Where a Horner pass overflows or the denominator
+        vanishes, the value is inf or nan, with no warning; laplace_resum
+        refuses a sum that is not finite.
         """
-        out = _horner(self._horner_blocks,
-                      np.asarray(x, dtype=np.complex128) / self.r)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _horner(self._horner_blocks,
+                          np.asarray(x, dtype=np.complex128) / self.r)
             return out[0] / out[1]
 
     @cached_property
     def _horner_blocks(self) -> np.ndarray:
         """_horner's block table of the numerator and the denominator."""
-        return _horner_table(self.num.coeffs, self.den.coeffs)
+        return _horner_table(self.p, self.q)
 
     @cached_property
     def _roots_residues(self) -> tuple[np.ndarray, np.ndarray]:
@@ -109,18 +170,15 @@ class PadeApproximant:
         return new arrays built from it.  A denominator with imaginary
         parts all exactly zero is rooted in real arithmetic, about twice
         as fast; its roots are cast back to complex128 either way.  The
-        residues num(y) / den'(y) come from __call__'s two-level Horner
+        residues p(y) / q'(y) come from __call__'s two-level Horner
         evaluator.
         """
-        q = self.den.coeffs
-        if not q.imag.any():
-            q = q.real
-        y = np.roots(q).astype(np.complex128)
+        q = self.q if self.q.imag.any() else self.q.real
+        y = _roots(q[::-1]).astype(np.complex128)
         res = np.empty(0)
         if len(y):
-            table = _horner_table(self.num.coeffs,
-                                  np.polyder(self.den.coeffs))
-            vals = _horner(table, y)
+            dq = self.q[1:] * np.arange(1, len(self.q))  # np.polyder's q'
+            vals = _horner(_horner_table(self.p, dq), y)
             with np.errstate(divide="ignore", invalid="ignore"):
                 res = np.abs(vals[0] / vals[1])
             res = np.where(np.isfinite(res), res, np.inf)
@@ -133,22 +191,26 @@ class PadeApproximant:
         return p[np.argsort(np.abs(p))]
 
     def significant_poles(self) -> np.ndarray:
-        """Poles whose residue is non-negligible.
+        """Poles whose residue is non-negligible, as a new array.
 
         Spurious pole-zero doublets from (near-)degenerate coefficient
         systems carry residues many orders below the genuine ones; they are
         dropped below RESIDUE_TOL times the largest residue present.
         """
+        return self._significant.copy()
+
+    @cached_property
+    def _significant(self) -> np.ndarray:
+        """significant_poles, computed once per approximant and read-only."""
         y, res = self._roots_residues
-        if len(y) == 0:
-            return y.copy()
-        top = res.max()
-        if not np.isfinite(top) or top == 0.0:
-            keep = np.ones(len(y), dtype=bool)
-        else:
-            keep = res > RESIDUE_TOL * top
-        p = y[keep] * self.r
-        return p[np.argsort(np.abs(p))]
+        if len(y):
+            top = res.max()
+            if np.isfinite(top) and top != 0.0:
+                y = y[res > RESIDUE_TOL * top]
+        p = y * self.r
+        p = p[np.argsort(np.abs(p))]
+        p.setflags(write=False)
+        return p
 
 
 def _radius(slope: float) -> float:
@@ -174,12 +236,14 @@ def _scaled_coeffs(a: RamifiedSeries) -> tuple[np.ndarray, float]:
     j = np.flatnonzero(a.mant)
     m = a.mant[j]
     # libm hypot, log10 and pow, as abs(complex), ScaledComplex.log10_abs
-    # and Python's float power: numpy's complex abs and its vectorized
-    # log10 and power are an ulp off on some entries
+    # and Python's float power (math.pow is the same libm call): numpy's
+    # complex abs and its vectorized log10 and power are an ulp off on
+    # some entries
     am = np.hypot(m.real, m.imag)
     x = (np.fromiter(map(math.log10, am.tolist()), np.float64, len(j))
          + a.exp10[j] - slope * j)
-    mag = np.fromiter((10.0 ** v for v in x.tolist()), np.float64, len(j))
+    mag = np.fromiter(map(math.pow, repeat(10.0), x.tolist()), np.float64,
+                      len(j))
     t = mag * m
     # the steps of Python's complex / float, a division by (am, 0.0):
     # a plain t / am gives the other sign on some zero parts
@@ -192,16 +256,21 @@ def _denominator_block(c: np.ndarray, L: int, M: int) -> np.ndarray:
     """The M x (M+1) Toeplitz block c_{L+1+i-k} of [L/M], c_j = 0 for j < 0.
 
     Row i is the equation of x^(L+1+i), column k the factor of q_k.  It is
-    a read-only strided view of c behind M zeros: row i is c_{L+1+i-M} to
-    c_{L+1+i}, reversed.
+    one index gather of c; negative indices, which occur only when
+    L + 1 < M, are zeroed.
     """
-    padded = np.concatenate((np.zeros(M, dtype=c.dtype), c[:L + M + 1]))
-    return sliding_window_view(padded, M + 1)[L + 1:, ::-1]
+    j = np.arange(L + 1, L + M + 1)[:, None] - np.arange(M + 1)
+    block = c[j]
+    if L + 1 < M:
+        block[j < 0] = 0
+    return block
 
 
-def _solve_pade(c: np.ndarray, L: int, M: int) -> tuple[np.poly1d, np.poly1d]:
-    """[L/M] numerator and denominator of sum c_j x^j, normalized q(0) = 1.
+def _solve_pade(c: np.ndarray, L: int,
+                M: int) -> tuple[np.ndarray, np.ndarray]:
+    """[L/M] numerator p and denominator q of sum c_j x^j, normalized q_0 = 1.
 
+    Both are coefficient arrays, degree 0 first, trimmed by _trimmed.
     Only the denominator block is solved: sum_{k=1..M} q_k c_{L+i-k} =
     -c_{L+i} for i = 1..M, one M-square Toeplitz system.  The numerator is
     then the truncated convolution p_i = sum_{k<=min(i,M)} q_k c_{i-k},
@@ -224,7 +293,7 @@ def _solve_pade(c: np.ndarray, L: int, M: int) -> tuple[np.poly1d, np.poly1d]:
     block = _denominator_block(c, L, M)
     q = np.concatenate(([1.0], np.linalg.solve(block[:, 1:], -block[:, 0])))
     p = np.convolve(q, c[:L + 1])[:L + 1]
-    return np.poly1d(p[::-1]), np.poly1d(q[::-1])
+    return _trimmed(p), _trimmed(q)
 
 
 def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
@@ -242,8 +311,7 @@ def _numerical_rank(c: np.ndarray, L: int, M: int) -> int:
     if not c.imag.any():
         c = c.real  # a real block takes the real SVD, about twice as fast
     sv = np.linalg.svd(_denominator_block(c, L, M), compute_uv=False)
-    tol = max(RANK_TOL * np.linalg.norm(c[:L + M + 1]),
-              (M + 1) * np.finfo(float).eps * sv[0])
+    tol = max(RANK_TOL * _norm(c[:L + M + 1]), (M + 1) * _EPS * sv[0])
     return int(np.count_nonzero(sv > tol))
 
 
@@ -283,14 +351,19 @@ def _verified_type(c: np.ndarray, r: float, L: int,
     """
     lam = min(L, rho - 1)
     try:
-        num, den = _solve_pade(c, lam, rho)
+        p, q = _solve_pade(c, lam, rho)
     except np.linalg.LinAlgError:
         return None
-    res = np.convolve(den.coeffs[::-1], c)[:len(c)]
-    res[:len(num.coeffs)] -= num.coeffs[::-1]
-    if np.linalg.norm(res) > RANK_TOL * np.linalg.norm(c):
+    if _residual(c, p, q) > RANK_TOL * _norm(c):
         return None
-    return PadeApproximant(num=num, den=den, r=r, order=(lam, rho))
+    return PadeApproximant(p=p, q=q, r=r, order=(lam, rho))
+
+
+def _residual(c: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """||(q * c)_{0..N-1} - p||_2, the linearized residual of p/q on c."""
+    res = np.convolve(q, c)[:len(c)]
+    res[:len(p)] -= p
+    return _norm(res)
 
 
 def _numerical_type(c: np.ndarray, r: float, L: int, M: int) -> _NumericalType:
@@ -314,13 +387,6 @@ def _numerical_type(c: np.ndarray, r: float, L: int, M: int) -> _NumericalType:
         if rational is not None or k == M:
             return _NumericalType(L, M, rho, rational)
         k = min(4 * k, M)
-
-
-def _kept(ap: PadeApproximant) -> PadeApproximant:
-    """ap with read-only coefficients, to be shared by later requests."""
-    ap.num.coeffs.setflags(write=False)
-    ap.den.coeffs.setflags(write=False)
-    return ap
 
 
 def diagonal_pade(a: RamifiedSeries, M: int,
@@ -377,12 +443,12 @@ def diagonal_pade(a: RamifiedSeries, M: int,
         kind = _numerical_type(d, r, L, M)
         memo["type"] = kind
         if kind.rational is not None:
-            memo[key] = _kept(kind.rational)
+            memo[key] = kind.rational
             return kind.rational
     rho = kind.rank  # used at the first singular solve only
     while True:
         try:
-            num, den = _solve_pade(d, L, M)
+            p, q = _solve_pade(d, L, M)
             break
         except np.linalg.LinAlgError:
             if 1 <= rho < M:
@@ -393,32 +459,43 @@ def diagonal_pade(a: RamifiedSeries, M: int,
                 if M < 1:
                     raise
             rho = 0
-    ap = PadeApproximant(num=num, den=den, r=r, order=(L, M))
-    memo[key] = _kept(ap)  # shared by every later request
+    ap = PadeApproximant(p=p, q=q, r=r, order=(L, M))
+    memo[key] = ap  # shared by every later request
     return ap
 
 
 def _cluster(pole_sets, tol=STABILITY_TOL):
-    """Poles of pole_sets[0] recurring in every other set within tol."""
-    out = []
-    for p in pole_sets[0]:
-        group = [p]
-        for other in pole_sets[1:]:
-            if len(other) == 0:
-                group = None
-                break
-            d = np.abs(other - p)
-            i = int(np.argmin(d))
-            if d[i] <= tol * max(1e-300, abs(p)):
-                group.append(other[i])
-            else:
-                group = None
-                break
-        if group is not None:
-            center = np.mean(group)
-            radius = max(max(abs(g - center) for g in group),
-                         tol * abs(center) * 0.1)
-            out.append((complex(center), float(radius)))
+    """Poles of pole_sets[0] recurring in every other set within tol.
+
+    Each pole p of the first set is matched with the nearest pole of each
+    other set, the first of equal distances; p and its matches form a
+    group when every match lies within tol * max(1e-300, |p|).  A group's
+    center is np.mean of its members and its radius the largest
+    |member - center|, at least tol * |center| * 0.1.  Returns a new list
+    of (center, radius) sorted by |center|; empty when any set is.
+
+    Every pole of the first set is matched in one array pass per other
+    set.  The distances are the vector np.abs of the differences; the
+    moduli of the thresholds, the radii and the centers are the scalar
+    abs(), which np.hypot gives bit for bit, while the vector np.abs of a
+    contiguous array is an ulp off it on some entries.  Each max keeps
+    Python's rule: a later value replaces the first only when greater.
+    """
+    first = pole_sets[0]
+    if len(first) == 0 or any(len(other) == 0 for other in pole_sets[1:]):
+        return []
+    bound = tol * np.fmax(np.hypot(first.real, first.imag), 1e-300)
+    group = np.empty((len(first), len(pole_sets)), dtype=np.complex128)
+    group[:, 0] = first
+    keep = np.ones(len(first), dtype=bool)
+    for k, other in enumerate(pole_sets[1:], 1):
+        d = np.abs(other - first[:, None])
+        keep &= d.min(axis=1) <= bound
+        group[:, k] = other[d.argmin(axis=1)]
+    group = group[keep]
+    center = np.add.reduce(group, axis=1) / len(pole_sets)  # np.mean's
+    out = [(c, max(max(abs(m - c) for m in members), tol * abs(c) * 0.1))
+           for c, members in zip(center.tolist(), group.tolist())]
     out.sort(key=lambda t: abs(t[0]))
     return out
 
@@ -436,22 +513,21 @@ def stable_poles(a: RamifiedSeries):
     with that one approximant: its poles are compared with themselves,
     which is exact for such a series, not evidence across orders.  A pole
     counts as stable when each order reproduces it within STABILITY_TOL
-    relative.  Returns a new list of (location, confidence_radius) sorted
-    by modulus.
+    relative (_cluster).  Returns a new list of (location,
+    confidence_radius) sorted by modulus.
 
     The clusters are kept in the series' memo, so borel_singularities and
-    every laplace_resum point on one Borel series share one clustering.
+    every laplace_resum point on one Borel series share one clustering;
+    laplace_resum keeps their blocked-ray triples there too.  Each
+    approximant's significant poles are computed once and shared by the
+    requests it answers.
     """
     n = len(a)
     if n < 8:
         raise ValueError("need at least 8 coefficients for pole tracking")
     if a._pade_memo and "stable_poles" in a._pade_memo:
         return list(a._pade_memo["stable_poles"])
-    sets = []
-    for nk in (n, n - 1, n - 2):
-        m = nk // 2
-        ap = diagonal_pade(a, m)
-        sets.append(ap.significant_poles())
+    sets = [diagonal_pade(a, nk // 2)._significant for nk in (n, n - 1, n - 2)]
     clusters = _cluster(sets)
     a._pade_memo["stable_poles"] = tuple(clusters)  # diagonal_pade made it
     return clusters

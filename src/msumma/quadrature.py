@@ -59,6 +59,8 @@ _NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
 _WK = np.concatenate([_WGK, _WGK[-2::-1]])
 _WG_FULL = np.zeros(len(_NODES))
 _WG_FULL[1::2] = np.concatenate([_WG, _WG[::-1]])
+# both weight rows, so one product and one row-wise reduction give both sums
+_WEIGHTS = np.stack([_WK, _WG_FULL])
 
 
 def _nodes(a: complex, b: complex):
@@ -71,10 +73,14 @@ def _rule(half: complex, y: np.ndarray):
     """(K61 value, |K61 - G30|) from the integrand values at the 61 nodes.
 
     The Gauss rule reuses the Kronrod rule's values at its 30 nodes, so
-    the error estimate costs no further evaluation.
+    the error estimate costs no further evaluation.  Both weighted sums
+    come from one product with _WEIGHTS and one reduction along its rows,
+    each row summed as np.sum sums it; each is scaled by half as a numpy
+    scalar, whose complex product rounds as Python's does, not as the
+    (on some CPUs fused) array product.
     """
-    k61 = half * np.sum(_WK * y)
-    g30 = half * np.sum(_WG_FULL * y)
+    k61, g30 = np.add.reduce(_WEIGHTS * y, axis=1)
+    k61, g30 = half * k61, half * g30
     return k61, abs(k61 - g30)
 
 

@@ -45,15 +45,17 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
                   t: complex) -> ResummationResult:
     """value = int_0^{inf e^{id}} V(x) e_m(x/t) dx/x with V the Pade sum.
 
-    Preconditions: arg t inside the flatness sector of direction d
-    (|arg t - d| < pi/(2k) - margin) and no detected Borel singularity on
-    the ray within the angular tolerance.  Raises ResummationError when the
+    Preconditions: t finite and nonzero, arg t inside the flatness sector
+    of direction d (|arg t - d| < pi/(2k) - margin), else SectorError
+    before any other work, and no detected Borel singularity on the ray
+    within the angular tolerance.  Raises ResummationError when the
     value or its quadrature error is not finite, as when the ray meets a
     zero of the Pade denominator that no stable pole announced, and when
     the series has no Pade representative (diagonal_pade's ValueError).
 
     The Borel series' stable poles come from its memo after the first
-    stable_poles call.  The path is split at |t| into two adaptive G30/K61
+    stable_poles call, and so do their blocked-ray triples after the first
+    point (_pole_triples).  The path is split at |t| into two adaptive G30/K61
     segments; each evaluates V (PadeApproximant's two-level Horner) once
     on its 61 nodes and once more, on 122 nodes, per bisection.  V is
     analytic near the path, so a segment mostly takes one panel.  panels
@@ -62,11 +64,16 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
     if borel_series.kappa != 1:
         raise GridError("laplace_resum expects an unramified Borel series")
     t = complex(t)
+    if t == 0 or not cmath.isfinite(t):
+        raise SectorError(f"t = {t} is not a finite nonzero point; the "
+                          "Laplace integral needs one")
     k = kernel.k
     half = kernel.flatness_sector() - SECTOR_MARGIN
-    if _angular_gap(cmath.phase(t), d) >= half:
+    arg_t = cmath.phase(t)
+    gap = _angular_gap(arg_t, d)
+    if gap >= half:
         raise SectorError(
-            f"arg t = {cmath.phase(t):.4f} outside the sector |arg t - d| < "
+            f"arg t = {arg_t:.4f} outside the sector |arg t - d| < "
             f"{half:.4f} around direction d = {d:.4f}")
 
     try:
@@ -74,24 +81,22 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
         rep = diagonal_pade(borel_series, len(borel_series) // 2)
     except ValueError as exc:
         raise ResummationError(f"no Pade Borel sum: {exc}") from exc
-    triples = singular_triples(
-        SingularitySet(tuple(SingularPoint(*p) for p in poles), "pade_poles",
-                       borel_series.trunc), 1, 1.0, 1)
-    hit = blocking(d, triples)
+    hit = blocking(d, _pole_triples(borel_series, poles))
     if hit is not None:
         raise RayBlockedError(
             f"direction {d:.4f} blocked by Borel singularity at {hit[1]:.6g} "
             f"(confidence cone {hit[2]:.2g} rad)")
 
-    cosf = math.cos(k * _angular_gap(cmath.phase(t), d))
+    cosf = math.cos(k * gap)
     r_max = abs(t) * (DECAY_EXPONENT / cosf) ** (1.0 / k)
 
     def f(x):
         return rep(x) * (kernel.em(x / t) / x)
 
     # split at |t| so the adaptive pass resolves the kernel turnover
-    mid = min(abs(t), r_max / 2.0) * cmath.exp(1j * d)
-    end = r_max * cmath.exp(1j * d)
+    ray = cmath.exp(1j * d)
+    mid = min(abs(t), r_max / 2.0) * ray
+    end = r_max * ray
     res1 = integrate_segment(f, 0.0, mid, QUAD_TOL)
     res2 = integrate_segment(f, mid, end, QUAD_TOL)
     value, error = res1.value + res2.value, res1.error + res2.error
@@ -107,6 +112,21 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
         pade_radius_used=abs(poles[0][0]) if poles
         else ratio_radius(borel_series),
         panels=res1.panels + res2.panels)
+
+
+def _pole_triples(borel_series: RamifiedSeries, poles) -> tuple:
+    """singular_triples of the stable poles at level 1, built once per series.
+
+    They are kept in the series' Pade memo under "triples", next to the
+    clusters they come from, so every resummation point on one Borel
+    series tests its ray against the same tuple.
+    """
+    memo = borel_series._pade_memo
+    if "triples" not in memo:
+        memo["triples"] = tuple(singular_triples(
+            SingularitySet(tuple(SingularPoint(*p) for p in poles),
+                           "pade_poles", borel_series.trunc), 1, 1.0, 1))
+    return memo["triples"]
 
 
 def kernel_solution_quadrature(lam: complex, q: int, m1: MomentFunction,

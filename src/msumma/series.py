@@ -249,7 +249,8 @@ def geometric_slope(log10_abs: np.ndarray) -> float:
     idx = np.nonzero(finite)[0]
     if len(idx) < 2:
         return 0.0
-    d = np.sort(np.diff(log10_abs[idx]) / np.diff(idx))
+    v = log10_abs[idx]
+    d = np.sort((v[1:] - v[:-1]) / (idx[1:] - idx[:-1]))  # np.diff's steps
     # np.median's value bit for bit, without the numpy.ma import that its
     # first call costs: the middle element, or the two middle ones' mean
     h = len(d) // 2
@@ -273,7 +274,9 @@ class RamifiedSeries:
     # numerical type under "type" and its rescaled coefficients under
     # "scaled", filled by pade.diagonal_pade, and its
     # stable pole clusters under "stable_poles", filled by
-    # pade.stable_poles; it lives and dies with the (read-only) series.
+    # pade.stable_poles, and their blocked-ray triples under "triples",
+    # filled by resummation.laplace_resum; it lives and dies with the
+    # (read-only) series.
     # _log10 and _slope: the read-only array of log10_abs and its
     # geometric_slope, each computed on first use and shared by the Gevrey
     # fit, the ratio radius and the Pade rescaling; a failed Pade request

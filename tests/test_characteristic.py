@@ -131,3 +131,97 @@ def test_power_by_squaring_matches_repeated_products(k):
     assert set(got.coeffs) == set(want.coeffs)
     for key, c in want.coeffs.items():
         assert abs(got.coeffs[key] - c) <= 1e-13 * abs(c)
+
+
+# -- bitwise references: the array Newton steps against the np.poly1d ones ----
+
+from msumma import characteristic  # noqa: E402
+
+
+def polish_root_reference(poly, z0, mult, steps=3):
+    """The np.poly1d _polish_root that the coefficient arrays replaced."""
+    p = np.poly1d(poly)
+    for _ in range(mult - 1):
+        p = p.deriv()
+    dp = p.deriv()
+    z = complex(z0)
+    for _ in range(steps):
+        d = dp(z)
+        if d == 0:
+            break
+        z = z - p(z) / d
+    return z
+
+
+def newton_polygon_reference(P):
+    """newton_polygon_roots with Fraction edge tests and np.poly1d Newton."""
+    P.validate()
+    deg = {}
+    for (a, b), c in P.coeffs.items():
+        if c != 0:
+            deg[a] = max(deg.get(a, -1), b)
+    hull = characteristic._upper_hull([(a, d) for a, d in deg.items()])
+    roots = []
+    for (a1, d1), (a2, d2) in zip(hull, hull[1:]):
+        q = Fraction(d1 - d2, a2 - a1)
+        edge = [a for a in range(a1, a2 + 1) if a in deg
+                and Fraction(deg[a]) == Fraction(d1) - q * (a - a1)]
+        maxa = max(edge)
+        poly = np.zeros(maxa - a1 + 1, dtype=np.complex128)
+        for a in edge:
+            poly[maxa - a] = P.coeffs[(a, deg[a])]
+        raw = [z for z in np.roots(poly) if abs(z) > 0]
+        tol = max(characteristic.MERGE_TOL,
+                  4.0 * float(np.finfo(float).eps) ** (1.0 / (len(poly) - 1)))
+        for val, mult in characteristic._cluster_roots(raw, tol):
+            val = polish_root_reference(poly, val, mult)
+            roots.append(ms.CharRoot(q=q, leading=complex(val),
+                                     multiplicity=mult, nu=q.denominator))
+    roots.sort(key=lambda r: (-r.q, np.angle(r.leading)))
+    return roots
+
+
+def root_bits(roots):
+    return [(r.q, r.multiplicity, r.nu, r.leading.real.hex(),
+             r.leading.imag.hex()) for r in roots]
+
+
+def random_char_polynomial(seed):
+    """Two to four sparse terms, or a product of powers with repeated roots."""
+    rng = np.random.default_rng(seed)
+
+    def coeff():
+        return complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2, 2)
+
+    if seed % 2:
+        n = int(rng.integers(2, 5))
+        terms = {(int(rng.integers(0, 5)), int(rng.integers(0, 6))): coeff()
+                 for _ in range(n)}
+        terms[(int(rng.integers(1, 5)), 0)] = coeff()  # a nonzero P_0
+        return CharPolynomial(terms)
+    P = CharPolynomial.const(coeff())
+    for _ in range(int(rng.integers(1, 3))):
+        c, q = coeff(), int(rng.integers(1, 4))
+        P = P * (L - (Z ** q).scale(c)) ** int(rng.integers(1, 4))
+    return P
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_newton_polygon_matches_the_poly1d_reference(seed):
+    P = random_char_polynomial(seed)
+    assert root_bits(newton_polygon_roots(P)) == root_bits(
+        newton_polygon_reference(P))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_polish_root_matches_the_poly1d_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    roots = rng.normal(size=3) + 1j * rng.normal(size=3)
+    mult = int(rng.integers(1, 4))
+    # a root of multiplicity mult, among others, and a start near it
+    poly = np.poly(np.concatenate((np.repeat(roots[0], mult), roots[1:])))
+    for z0 in (roots[0] * (1 + 1e-6 * rng.normal()), roots[0], 0j):
+        got = characteristic._polish_root(poly, z0, mult)
+        ref = polish_root_reference(poly, z0, mult)
+        assert complex(got).real.hex() == complex(ref).real.hex()
+        assert complex(got).imag.hex() == complex(ref).imag.hex()

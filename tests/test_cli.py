@@ -162,6 +162,28 @@ def test_bad_resum_direction_exit_3(tmp_path, capsys):
     assert not (tmp_path / "resummation.txt").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bad_resum_point_exit_3(tmp_path, capsys):
+    # a t that is not finite, or zero, is refused before any work, as a
+    # non-finite --d is: exit 3, nothing written
+    for t in ("nan", "infj", "nanj", "inf", "0", "0j", "-0"):
+        assert run(["resum", HEAT, "--t", t, "--d", "1.5708",
+                    "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --t value") and "finite" in err
+    assert not (tmp_path / "resummation.txt").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_resum_point_refused_without_warning(tmp_path, capsys):
+    # finite but far past the Pade sum's range: the Laplace integral is not
+    # finite, which is refused with exit 3 and no RuntimeWarning on the way
+    assert run(["resum", HEAT, "--t", "1e200j", "--d", "1.5708",
+                "--out", tmp_path]) == 3
+    assert "is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "resummation.txt").exists()
+
+
 def test_non_finite_directions_exit_3(tmp_path, capsys):
     for dirs in ("nan,1", "1,inf", "2,-inf"):
         assert run(["verdict", HEAT, "--directions", dirs,

@@ -93,6 +93,12 @@ def bits(v):
     return np.asarray(v).tobytes()
 
 
+def pade_polys(c, L, M):
+    """_solve_pade's coefficient arrays as np.poly1d numerator, denominator."""
+    p, q = _solve_pade(c, L, M)
+    return np.poly1d(p[::-1]), np.poly1d(q[::-1])
+
+
 def mpmath_pade_value(ap, y):
     """num(y) / den(y) of ap at the complex128 point y, in 50 digits."""
     import mpmath
@@ -228,7 +234,7 @@ def test_real_series_gives_real_poles(coeffs, pole):
     assert abs(ap.poles()[0] - pole) < 1e-12
     d, _ = _scaled_coeffs(a)
     assert d.dtype == np.complex128
-    num, den = _solve_pade(d, *ap.order)
+    num, den = pade_polys(d, *ap.order)
     assert ap.num.coeffs.dtype == ap.den.coeffs.dtype == np.complex128
     assert bits(ap.num.coeffs) == bits(num.coeffs)
     assert bits(ap.den.coeffs) == bits(den.coeffs)
@@ -249,7 +255,7 @@ def test_solve_matches_mpmath_pade(M):
         p, q = mpmath.pade([mpmath.mpf(v) for v in c.tolist()], L, M)
     p = np.array([complex(v) for v in p])
     q = np.array([complex(v) for v in q])
-    num, den = _solve_pade(c.astype(np.complex128), L, M)
+    num, den = pade_polys(c.astype(np.complex128), L, M)
     assert num.order == L and den.order == M
     for got, ref in ((num.coeffs[::-1], p), (den.coeffs[::-1], q)):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -295,7 +301,7 @@ def test_singular_where_full_system_is(c):
 
 def test_rational_input_is_recovered_at_its_order():
     c = one_plus_x_over_one_plus_x2(4).astype(np.complex128)
-    num, den = _solve_pade(c, 1, 2)
+    num, den = pade_polys(c, 1, 2)
     assert np.array_equal(num.coeffs, [1.0, 1.0])
     assert np.array_equal(den.coeffs, [1.0, 0.0, 1.0])
 
@@ -311,7 +317,7 @@ def test_values_match_full_system(c, L, M):
     c, _ = _scaled_coeffs(series(c))
     x = 0.7 * np.linspace(0.0, 1.0, 8)[:, None] * np.exp(
         1j * np.linspace(0.0, 2 * np.pi, 24))[None, :]
-    num, den = _solve_pade(c, L, M)
+    num, den = pade_polys(c, L, M)
     rnum, rden = full_system_pade(c, L, M)
     ref = rnum(x) / rden(x)
     assert np.abs(num(x) / den(x) - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -631,13 +637,13 @@ def test_noisy_rational_input_lands_on_its_type(base, n, monkeypatch):
     # the noise keeps every block off exact singularity, so no solve ever
     # fails; the verified type is [0/1] all the same
     degrees = []
-    np_roots = np.roots
+    roots = pade._roots
 
     def spy(p):
         degrees.append(len(p) - 1)
-        return np_roots(p)
+        return roots(p)
 
-    monkeypatch.setattr(np, "roots", spy)
+    monkeypatch.setattr(pade, "_roots", spy)
     for seed in range(3):
         c = series(noisy_geometric(base, n, seed))
         ap = diagonal_pade(c, n // 2)
@@ -800,7 +806,7 @@ def step_down_pade(c, L, M):
     rho = None
     while True:
         try:
-            return _solve_pade(c, L, M), (L, M)
+            return pade_polys(c, L, M), (L, M)
         except np.linalg.LinAlgError:
             if rho is None:
                 rho = pade._numerical_rank(c, L, M)
@@ -831,3 +837,335 @@ def test_rejected_type_keeps_the_step_down_approximant(make):
         assert bits(ap.num.coeffs) == bits(num.coeffs)
         assert bits(ap.den.coeffs) == bits(den.coeffs)
     assert a._pade_memo["type"].rational is None
+
+
+# -- bitwise references: each array rewrite against the code it replaced ------
+#
+# The references below are the earlier np.poly1d, sliding-window and
+# per-pole forms, kept verbatim; every rewritten piece must give their bits.
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from numpy.lib.stride_tricks import sliding_window_view  # noqa: E402
+
+
+def hexes(pairs):
+    """(center, radius) pairs as exact float bit strings, signed zeros kept."""
+    return [(complex(c).real.hex(), complex(c).imag.hex(), float(r).hex())
+            for c, r in pairs]
+
+
+def cluster_reference(pole_sets, tol=pade.STABILITY_TOL):
+    """The per-pole _cluster that the array form replaced."""
+    out = []
+    for p in pole_sets[0]:
+        group = [p]
+        for other in pole_sets[1:]:
+            if len(other) == 0:
+                group = None
+                break
+            d = np.abs(other - p)
+            i = int(np.argmin(d))
+            if d[i] <= tol * max(1e-300, abs(p)):
+                group.append(other[i])
+            else:
+                group = None
+                break
+        if group is not None:
+            center = np.mean(group)
+            radius = max(max(abs(g - center) for g in group),
+                         tol * abs(center) * 0.1)
+            out.append((complex(center), float(radius)))
+    out.sort(key=lambda t: abs(t[0]))
+    return out
+
+
+def threshold_case():
+    """Sets where a match lies exactly on the larger of the two thresholds.
+
+    The first set repeats one pole p 16 times, so a vector np.abs of it
+    takes its SIMD path, and p is one whose vector np.abs is an ulp off
+    abs(p) (np.hypot).  The match sits at the larger of the two bounds
+    tol * |p|: the scalar form keeps or drops it as the reference does,
+    the vector form the other way.
+    """
+    tol = pade.STABILITY_TOL
+    rng = np.random.default_rng(7)
+    for _ in range(100_000):
+        p = complex(*rng.uniform(0.5, 2.0, 2))
+        first = np.full(16, p)
+        h = tol * math.hypot(p.real, p.imag)
+        v = tol * float(np.abs(first)[0])
+        if h == v:
+            continue
+        target = max(h, v)
+        other = np.array([complex(p.real + target, p.imag)])
+        if np.abs(other - first[:, None])[0, 0] == target:
+            return [first, other, other]
+    raise AssertionError("no threshold case found")
+
+
+def test_threshold_case_separates_the_two_moduli():
+    sets = threshold_case()
+    first = sets[0]
+    hyp = pade.STABILITY_TOL * np.hypot(first.real, first.imag)
+    vec = pade.STABILITY_TOL * np.abs(first)
+    assert not np.array_equal(hyp, vec)
+    assert hexes(pade._cluster(sets)) == hexes(cluster_reference(sets))
+
+
+def dyadic(draw, scale):
+    """A complex number with small dyadic parts, so sums of them are exact."""
+    return complex(draw(st.integers(-64, 64)) / scale,
+                   draw(st.integers(-64, 64)) / scale)
+
+
+@st.composite
+def pole_set_lists(draw):
+    """Pole sets as stable_poles hands them over, and harder ones.
+
+    The first set has 0-8 poles, sometimes with a repeated one; each other
+    set is the first set itself, a relative perturbation of it (shuffled,
+    with extra poles), its poles one ulp apart, exact distance ties (p + e
+    and p - e in dyadic arithmetic), independent poles, or empty.
+    """
+    exact = draw(st.booleans())
+    part = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    n = draw(st.integers(0, 8))
+    base = [dyadic(draw, 4) if exact else complex(draw(part), draw(part))
+            for _ in range(n)]
+    if base and draw(st.booleans()):
+        base.append(base[draw(st.integers(0, len(base) - 1))])
+    first = np.array(base, dtype=np.complex128)
+    sets = [first]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["same", "perturbed", "ulp", "ties", "independent", "empty"]))
+        if kind == "same":
+            other = first
+        elif kind == "perturbed":
+            rel = draw(st.sampled_from([1e-6, 1e-3, 5e-3, 1e-2, 2e-2]))
+            u = [complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+                 for _ in base]
+            other = list(first * (1 + rel * np.array(u, dtype=complex)))
+            other += [complex(draw(part), draw(part))
+                      for _ in range(draw(st.integers(0, 2)))]
+            other = [other[i] for i in draw(st.permutations(
+                range(len(other))))]
+        elif kind == "ulp":
+            other = [complex(np.nextafter(z.real, np.inf),
+                             np.nextafter(z.imag, -np.inf)) for z in base]
+        elif kind == "ties":
+            other = []
+            for z in base:
+                e = dyadic(draw, 1024)
+                pair = [z + e, z - e]
+                other += pair[::-1] if draw(st.booleans()) else pair
+        elif kind == "independent":
+            other = [complex(draw(part), draw(part))
+                     for _ in range(draw(st.integers(1, 6)))]
+        else:
+            other = []
+        sets.append(np.array(other, dtype=np.complex128))
+    return sets
+
+
+@given(pole_set_lists())
+@example(threshold_case())
+@settings(max_examples=400, deadline=None)
+def test_cluster_matches_the_per_pole_reference(sets):
+    assert hexes(pade._cluster(sets)) == hexes(cluster_reference(sets))
+
+
+def block_reference(c, L, M):
+    """The sliding-window view that the index gather replaced."""
+    padded = np.concatenate((np.zeros(M, dtype=c.dtype), c[:L + M + 1]))
+    return sliding_window_view(padded, M + 1)[L + 1:, ::-1]
+
+
+@pytest.mark.parametrize("L, M", [(9, 10), (10, 10), (12, 5), (0, 7), (2, 6),
+                                  (0, 1), (5, 1)])
+def test_denominator_block_matches_the_sliding_window(L, M):
+    rng = np.random.default_rng(L * 31 + M)
+    c = rng.standard_normal(L + M + 3) + 1j * rng.standard_normal(L + M + 3)
+    for x in (c, c.real):
+        got, ref = pade._denominator_block(x, L, M), block_reference(x, L, M)
+        assert got.shape == ref.shape == (M, M + 1)
+        assert got.dtype == ref.dtype
+        assert bits(got) == bits(np.ascontiguousarray(ref))
+
+
+def poly1d_solve_reference(c, L, M):
+    """The np.poly1d _solve_pade that the coefficient arrays replaced."""
+    block = block_reference(c, L, M)
+    q = np.concatenate(([1.0], np.linalg.solve(block[:, 1:], -block[:, 0])))
+    p = np.convolve(q, c[:L + 1])[:L + 1]
+    return np.poly1d(p[::-1]), np.poly1d(q[::-1])
+
+
+def verified_type_reference(c, r, L, rho):
+    """(approximant, residual) of the np.poly1d _verified_type replaced."""
+    lam = min(L, rho - 1)
+    try:
+        num, den = poly1d_solve_reference(c, lam, rho)
+    except np.linalg.LinAlgError:
+        return None, None
+    res = np.convolve(den.coeffs[::-1], c)[:len(c)]
+    res[:len(num.coeffs)] -= num.coeffs[::-1]
+    norm = np.linalg.norm(res)
+    if norm > pade.RANK_TOL * np.linalg.norm(c):
+        return None, norm
+    return (num, den, (lam, rho)), norm
+
+
+def verification_series():
+    """Scaled coefficients of rational series, rational ones with a
+    polynomial part, and branch points, each with rho = 1..6."""
+    fams = [noisy_geometric(1.0, 141, 0), noisy_geometric(4.0, 81, 1),
+            two_pole_coeffs(60), pole_sum_coeffs(3, 121, 3),
+            ring_pole_coeffs(5, 121, 0),
+            sqrt_series(61, np.random.default_rng(2))]
+    for d in range(3):
+        c = np.ones(60)
+        c[d] += 1.0
+        fams.append(c)
+    return [_scaled_coeffs(series(c)) for c in fams]
+
+
+def horner_table_reference(*polys):
+    """The _horner_table of highest-degree-first arrays that was replaced."""
+    return pade._horner_table(*(c[::-1] for c in polys))
+
+
+def poles_reference(num, den, r):
+    """(poles, significant poles, |residues|) of the np.poly1d approximant."""
+    q = den.coeffs
+    if not q.imag.any():
+        q = q.real
+    y = np.roots(q).astype(np.complex128)
+    res = np.empty(0)
+    if len(y):
+        vals = pade._horner(horner_table_reference(
+            num.coeffs, np.polyder(den.coeffs)), y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = np.abs(vals[0] / vals[1])
+        res = np.where(np.isfinite(res), res, np.inf)
+    allp = y * r
+    allp = allp[np.argsort(np.abs(allp))]
+    if len(y) == 0:
+        return allp, y.copy(), res
+    top = res.max()
+    if not np.isfinite(top) or top == 0.0:
+        keep = np.ones(len(y), dtype=bool)
+    else:
+        keep = res > pade.RESIDUE_TOL * top
+    sig = y[keep] * r
+    return allp, sig[np.argsort(np.abs(sig))], res
+
+
+def assert_poles_match(ap, num, den):
+    allp, sig, res = poles_reference(num, den, ap.r)
+    assert bits(ap.poles()) == bits(allp)
+    assert bits(ap.significant_poles()) == bits(sig)
+    assert bits(ap._roots_residues[1]) == bits(res)
+    x = 0.3 * ap.r * np.exp(1j * np.linspace(0.0, 6.0, 13))
+    y = x / ap.r
+    ref = np.polyval(num.coeffs, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert bits(ap(x)) == bits(pade._horner(horner_table_reference(
+            num.coeffs, den.coeffs), y)[0] / pade._horner(
+                horner_table_reference(num.coeffs, den.coeffs), y)[1])
+    assert np.abs(ap(x) - ref / np.polyval(den.coeffs, y)).max() <= (
+        1e-12 * np.abs(ap(x)).max())
+
+
+def test_verification_matches_the_poly1d_reference():
+    accepted = 0
+    for d, r in verification_series():
+        L = len(d) // 2 - 1
+        for rho in range(1, 7):
+            got = pade._verified_type(d, r, L, rho)
+            ref, ref_norm = verified_type_reference(d, r, L, rho)
+            if ref_norm is not None:
+                p, q = _solve_pade(d, min(L, rho - 1), rho)
+                assert (np.float64(pade._residual(d, p, q)).tobytes()
+                        == np.float64(ref_norm).tobytes())
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                accepted += 1
+                num, den, order = ref
+                assert got.order == order and got.r == r
+                assert bits(got.num.coeffs) == bits(num.coeffs)
+                assert bits(got.den.coeffs) == bits(den.coeffs)
+                assert_poles_match(got, num, den)
+    assert accepted >= 6
+
+
+@pytest.mark.parametrize("make, M", [
+    (lambda: heat_borel_series(60), 30),
+    (lambda: heat_borel_series(200), 100),
+    (lambda: series(sqrt_series(61, np.random.default_rng(3))), 30),
+    (lambda: series(two_pole_coeffs(40) * np.exp(0.3j) ** np.arange(40)), 20),
+], ids=["heat 60", "heat 200", "sqrt", "rotated two-pole"])
+def test_solved_approximant_matches_the_poly1d_reference(make, M):
+    a = make()
+    ap = diagonal_pade(a, M)
+    d, _ = _scaled_coeffs(a)
+    num, den = poly1d_solve_reference(d, *ap.order)
+    assert bits(ap.num.coeffs) == bits(num.coeffs)
+    assert bits(ap.den.coeffs) == bits(den.coeffs)
+    assert_poles_match(ap, num, den)
+
+
+def test_trim_follows_poly1d():
+    rng = np.random.default_rng(5)
+    cases = [np.array([1.0, 2.0, 0.0, -0.0]), np.array([0.0, 0.0]),
+             np.array([-0.0]), np.array([3.0 + 0j, 0j, -0j]),
+             np.array([np.nan, 0.0]), np.array([0.0, 1e-320, 0.0])]
+    for n in range(1, 8):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c[rng.integers(0, n):] = 0
+        cases.append(c)
+    for c in cases:
+        got = pade._trimmed(c)
+        ref = np.poly1d(c[::-1]).coeffs[::-1]
+        assert got.dtype == ref.dtype
+        assert bits(got) == bits(ref)
+
+
+def test_top_zero_denominator_is_trimmed():
+    # [1/2] of 2, 1, 1, 1 solves to q = 1 - x - 0 x^2: the denominator has
+    # degree 1, one pole at 1, as np.poly1d had it
+    c = np.array([2.0, 1.0, 1.0, 1.0], dtype=np.complex128)
+    p, q = _solve_pade(c, 1, 2)
+    num, den = poly1d_solve_reference(c, 1, 2)
+    assert len(q) == 2
+    assert bits(q[::-1]) == bits(den.coeffs)
+    assert bits(p[::-1]) == bits(num.coeffs)
+    ap = pade.PadeApproximant(p=p, q=q, r=1.0, order=(1, 2))
+    assert bits(ap.poles()) == bits(np.roots(den.coeffs).astype(complex))
+    assert abs(ap.poles()[0] - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_roots_match_np_roots(dtype):
+    rng = np.random.default_rng(11)
+    for n in range(1, 40):
+        h = rng.standard_normal(n + 1)
+        if dtype is np.complex128:
+            h = h + 1j * rng.standard_normal(n + 1)
+        h[rng.random(n + 1) < 0.2] = 0
+        h[0], h[-1] = 1.5, -0.5
+        ref = np.roots(h)
+        got = pade._roots(h)
+        assert got.dtype == ref.dtype and bits(got) == bits(ref)
+    assert pade._roots(np.array([1.0])).shape == (0,)
+
+
+def test_norm_matches_np_linalg_norm():
+    rng = np.random.default_rng(13)
+    for n in (1, 7, 61, 421):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for x in (c, c.real, c[: n // 2 + 1], c.real[::-1]):
+            assert (np.float64(pade._norm(x)).tobytes()
+                    == np.linalg.norm(x).tobytes())

@@ -44,6 +44,29 @@ def test_sector_violation():
         laplace_resum(euler_borel(), K1, 0.0, 0.1j * cmath.exp(0.2j))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [complex("nan"), complex("nanj"),
+                               complex(0.0, math.inf), complex(-math.inf, 1.0),
+                               0, 0j, -0.0])
+def test_non_finite_or_zero_t_refused_first(t, monkeypatch):
+    # a SectorError that names t, before any Pade work on the series
+    calls = []
+    monkeypatch.setattr(resummation, "stable_poles", calls.append)
+    monkeypatch.setattr(resummation, "diagonal_pade", calls.append)
+    with pytest.raises(ms.SectorError, match=r"^t = .* not a finite nonzero"):
+        laplace_resum(euler_borel(), K1, 0.0, t)
+    assert not calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_t_refused_without_warning():
+    # the Pade sum overflows far out on the ray; the sum is refused as not
+    # finite, and the overflow raises no RuntimeWarning
+    for trunc_t in (60, 200):
+        with pytest.raises(ms.ResummationError, match="not finite"):
+            laplace_resum(heat_borel(trunc_t), K1, math.pi / 2, 1e200j)
+
+
 def test_blocked_ray():
     # Borel function 1/(1-x): pole sits on the d = 0 ray
     a = RamifiedSeries.from_complex(1, np.ones(40))
@@ -109,17 +132,17 @@ RESUM_TS = [0.03j, 0.045j, 0.06j, 0.075j, 0.09j]
 
 def test_resummation_points_share_one_pole_search(monkeypatch):
     roots, solves = [], []
-    np_roots, solve = np.roots, pade._solve_pade
+    pade_roots, solve = pade._roots, pade._solve_pade
 
     def counting_roots(p):
         roots.append(len(p))
-        return np_roots(p)
+        return pade_roots(p)
 
     def counting_solve(c, L, M):
         solves.append((L, M))
         return solve(c, L, M)
 
-    monkeypatch.setattr(np, "roots", counting_roots)
+    monkeypatch.setattr(pade, "_roots", counting_roots)
     monkeypatch.setattr(pade, "_solve_pade", counting_solve)
     bor = heat_borel()
     pade.stable_poles(heat_borel())
