@@ -14,8 +14,13 @@ OUT/<name>/t<trunc_t>/problem.mpde.  Next to it go:
   first level;
 - `resum.txt`: the Laplace resummation of u(t, 0) on the ray pi/2 at
   RESUM_POINTS;
-- `cli_<command>.txt`: the stdout, stderr and exit code of the CLI's
-  `report`, `singular` and `verdict` on problem.mpde.
+- `cli_<command>.txt`: the exit code, stdout and stderr of each CLI
+  command on problem.mpde (`solve`, `gevrey`, `singular`, `verdict`,
+  `resum` at RESUM_POINTS[0] on the ray RESUM_DIRECTION, and `report`;
+  all at DIRECTIONS) with no --out, so its files go to stdout;
+- `cli_<command>_out.txt`, `cli_<command>_out/`: the same command with
+  --out cli_<command>_out: its exit code, stdout and stderr, and the files
+  it writes there, run_record.json without its timestamp.
 
 A stage that raises writes its error in place of its output, so a run
 never stops half way.  Two checkouts give the same outputs exactly when
@@ -41,7 +46,7 @@ MARGIN = 20
 DIRECTIONS = (0.0, 0.3, math.pi / 2, math.pi, 4.0)
 RESUM_DIRECTION = math.pi / 2
 RESUM_POINTS = (0.03j, 0.045j, 0.06j, 0.075j, 0.09j)
-CLI_COMMANDS = ("report", "singular", "verdict")
+CLI_COMMANDS = ("solve", "gevrey", "singular", "verdict", "resum", "report")
 
 
 def problem_text(name, trunc_t):
@@ -113,18 +118,29 @@ def dump_pipeline(text, out):
 
 
 def dump_cli(path, out):
-    """stdout, stderr and exit code of each CLI command on path."""
+    """Each CLI command on path, once to stdout and once with --out."""
     from msumma.cli import main
 
     dirs = ",".join(repr(d) for d in DIRECTIONS)
     for command in CLI_COMMANDS:
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = main([command, str(path), "--directions", dirs])
-        (out / f"cli_{command}.txt").write_text(
-            f"exit {code}\n--- stdout\n{stdout.getvalue()}"
-            f"--- stderr\n{stderr.getvalue()}")
+        argv = [command, str(path), "--directions", dirs]
+        if command == "resum":
+            argv += ["--t", repr(RESUM_POINTS[0]), "--d", repr(RESUM_DIRECTION)]
+        written = out / f"cli_{command}_out"
+        for name, extra in ((f"cli_{command}", []),
+                            (written.name, ["--out", str(written)])):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv + extra)
+            (out / f"{name}.txt").write_text(
+                f"exit {code}\n--- stdout\n{stdout.getvalue()}"
+                f"--- stderr\n{stderr.getvalue()}")
+        record = written / "run_record.json"
+        if record.exists():
+            rec = json.loads(record.read_text())
+            rec.pop("timestamp")
+            record.write_text(json.dumps(rec, indent=2) + "\n")
 
 
 def main():

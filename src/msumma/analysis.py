@@ -175,7 +175,7 @@ def borel_singularities(a: RamifiedSeries) -> SingularitySet:
                                    "no singularity detected")
     try:
         clusters = stable_poles(a)
-    except (ValueError, np.linalg.LinAlgError):
+    except ValueError:  # np.linalg.LinAlgError included
         clusters = []
     if clusters:
         pts = tuple(SingularPoint(location=c, radius=r) for c, r in clusters)

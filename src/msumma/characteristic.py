@@ -94,6 +94,9 @@ class CharPolynomial:
                 base = base * base
         return out
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CharPolynomial) and self.coeffs == other.coeffs
+
     def __call__(self, lam: complex, zeta: complex) -> complex:
         return sum(c * lam**a * zeta**b for (a, b), c in self.coeffs.items())
 
@@ -265,18 +268,13 @@ def reconstruct_from_roots(roots, p0: complex, kappa: int) -> dict:
     b_kappa / kappa; used to test whether the Newton-polygon leading terms
     are exact roots (monomial-factorizable P).
     """
-    acc = {(0, 0): complex(p0)}
+    acc = CharPolynomial.const(p0)
     for r in roots:
         shift = r.q * kappa
         if shift.denominator != 1:
             raise SemanticError(
                 f"root exponent {r.q} not on the 1/{kappa} grid")
-        shift = int(shift)
+        factor = CharPolynomial({(1, 0): 1.0, (0, int(shift)): -r.leading})
         for _ in range(r.multiplicity):
-            out = {}
-            for (a, b), c in acc.items():
-                out[(a + 1, b)] = out.get((a + 1, b), 0) + c
-                key = (a, b + shift)
-                out[key] = out.get(key, 0) - c * r.leading
-            acc = out
-    return {k: v for k, v in acc.items() if v != 0}
+            acc = acc * factor
+    return acc.coeffs

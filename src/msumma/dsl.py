@@ -118,7 +118,7 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProblemFile:
     equation: CharPolynomial
     m1: MomentFunction
@@ -128,16 +128,6 @@ class ProblemFile:
     trunc_z: int = 80
     kappa: int = 1
     gevrey_s: Fraction = Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ProblemFile)
-                and self.equation.coeffs == other.equation.coeffs
-                and self.m1 == other.m1 and self.m2 == other.m2
-                and len(self.data) == len(other.data)
-                and all(_spec_eq(a, b)
-                        for a, b in zip(self.data, other.data))
-                and (self.trunc_t, self.trunc_z, self.kappa, self.gevrey_s)
-                == (other.trunc_t, other.trunc_z, other.kappa, other.gevrey_s))
 
     def pretty(self) -> str:
         lines = [f"equation: {_format_poly(self.equation)};",
@@ -158,14 +148,6 @@ class ProblemFile:
         return PdeProblem(P=self.equation, m1=self.m1, m2=self.m2,
                           data=series, gevrey_s=self.gevrey_s,
                           trunc_t=self.trunc_t)
-
-
-def _spec_eq(a, b) -> bool:
-    if a[0] != b[0]:
-        return False
-    if a[0] == "rat":
-        return a[1].coeffs == b[1].coeffs and a[2].coeffs == b[2].coeffs
-    return a[1:] == b[1:]
 
 
 def _format_moment(m: MomentFunction) -> str:

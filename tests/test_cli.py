@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from msumma.cli import main
+from msumma.errors import MsummaError, ParseError
 
 DATA = Path(__file__).parent / "data"
 HEAT = str(DATA / "heat.mpde")
@@ -222,6 +223,68 @@ def test_inconclusive_exit_4(tmp_path):
                      "trunc_t: 2;\ntrunc_z: 6;\n")
     assert run(["singular", short]) == 4
     assert run(["verdict", short, "--directions", "0.1"]) == 4
+
+
+def _error_classes(cls=MsummaError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", [*(c for c in _error_classes()
+                                     if c is not ParseError), RuntimeError],
+                         ids=lambda c: c.__name__)
+def test_exit_code_follows_error_class(tmp_path, capsys, monkeypatch, error):
+    # every MsummaError but a ParseError is exit 3, whichever stage raises
+    # it; any other exception is an internal error, exit 5; either way
+    # nothing is written
+    import msumma.cli as cli
+
+    def failing(prob):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "solve_constant_leading", failing)
+    code, line = ((3, "error: boom\n") if issubclass(error, MsummaError)
+                  else (5, "internal error: RuntimeError: boom\n"))
+    assert run(["solve", HEAT, "--out", tmp_path / "out"]) == code
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_report_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the pole CSV is the report's last output: a failure there leaves no
+    # report.json (nor any other file) behind
+    import msumma.cli as cli
+
+    def failing(bor):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "stable_poles", failing)
+    assert run(["report", HEAT, "--out", tmp_path]) == 5
+    assert "internal error: RuntimeError" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["gevrey"], ["singular"], ["verdict", "--directions", "0,1"],
+    ["resum", "--t", "0.05j", "--d", "1.5708"], ["report"]],
+    ids=lambda a: a[0])
+def test_newton_polygon_once_per_command(tmp_path, monkeypatch, argv):
+    import msumma.analysis
+    import msumma.cli
+    import msumma.solver
+
+    calls = []
+    roots = msumma.cli.newton_polygon_roots
+
+    def counting(P):
+        calls.append(P)
+        return roots(P)
+
+    for mod in (msumma.analysis, msumma.cli, msumma.solver):
+        monkeypatch.setattr(mod, "newton_polygon_roots", counting)
+    assert run([argv[0], HEAT, *argv[1:], "--out", tmp_path]) == 0
+    assert len(calls) <= 1
 
 
 def test_unknown_command_exits_via_argparse():
