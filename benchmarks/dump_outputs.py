@@ -13,14 +13,16 @@ OUT/<name>/t<trunc_t>/problem.mpde.  Next to it go:
 - `singularities.json`: the Borel-plane singularities of u(t, 0) at the
   first level;
 - `resum.txt`: the Laplace resummation of u(t, 0) on the ray pi/2 at
-  RESUM_POINTS;
-- `cli_<command>.txt`: the exit code, stdout and stderr of each CLI
-  command on problem.mpde (`solve`, `gevrey`, `singular`, `verdict`,
-  `resum` at RESUM_POINTS[0] on the ray RESUM_DIRECTION, and `report`;
-  all at DIRECTIONS) with no --out, so its files go to stdout;
-- `cli_<command>_out.txt`, `cli_<command>_out/`: the same command with
-  --out cli_<command>_out: its exit code, stdout and stderr, and the files
-  it writes there, run_record.json without its timestamp.
+  RESUM_POINTS, then at BLOCKED_POINT on the ray 0, which heat's Borel
+  pole blocks, so its RayBlockedError text (witness and cone) is kept;
+- `cli_<run>.txt`: the exit code, stdout and stderr of each CLI run of
+  CLI_RUNS on problem.mpde (`solve`, `gevrey`, `singular`, `verdict`,
+  `resum` at RESUM_POINTS[0] on the ray RESUM_DIRECTION, `resum_blocked`
+  at BLOCKED_POINT on the ray 0, and `report`; all at DIRECTIONS) with no
+  --out, so its files go to stdout;
+- `cli_<run>_out.txt`, `cli_<run>_out/`: the same run with --out
+  cli_<run>_out: its exit code, stdout and stderr, and the files it
+  writes there, run_record.json without its timestamp.
 
 A stage that raises writes its error in place of its output, so a run
 never stops half way.  Two checkouts give the same outputs exactly when
@@ -46,7 +48,17 @@ MARGIN = 20
 DIRECTIONS = (0.0, 0.3, math.pi / 2, math.pi, 4.0)
 RESUM_DIRECTION = math.pi / 2
 RESUM_POINTS = (0.03j, 0.045j, 0.06j, 0.075j, 0.09j)
-CLI_COMMANDS = ("solve", "gevrey", "singular", "verdict", "resum", "report")
+BLOCKED_POINT = 0.03  # on the ray 0, where heat's Borel pole 1/4 lies
+# (file name, [command, flags]) of each CLI run; the problem path and
+# --directions DIRECTIONS follow the command
+CLI_RUNS = (
+    ("solve", ["solve"]), ("gevrey", ["gevrey"]), ("singular", ["singular"]),
+    ("verdict", ["verdict"]),
+    ("resum", ["resum", "--t", repr(RESUM_POINTS[0]),
+               "--d", repr(RESUM_DIRECTION)]),
+    ("resum_blocked", ["resum", "--t", repr(BLOCKED_POINT), "--d", "0.0"]),
+    ("report", ["report"]),
+)
 
 
 def problem_text(name, trunc_t):
@@ -107,9 +119,10 @@ def dump_pipeline(text, out):
     (out / "singularities.json").write_text(
         json.dumps(sing, indent=2, sort_keys=True) + "\n")
     lines = []
-    for t in RESUM_POINTS:
+    rays = [(RESUM_DIRECTION, t) for t in RESUM_POINTS] + [(0.0, BLOCKED_POINT)]
+    for d, t in rays:
         try:
-            r = laplace_resum(bor, kernel_pair_for(m), RESUM_DIRECTION, t)
+            r = laplace_resum(bor, kernel_pair_for(m), d, t)
             lines.append(f"{t!r} {r.value!r} {r.quadrature_error!r} "
                          f"{r.pade_radius_used!r}\n")
         except Exception as exc:  # noqa: BLE001
@@ -118,16 +131,14 @@ def dump_pipeline(text, out):
 
 
 def dump_cli(path, out):
-    """Each CLI command on path, once to stdout and once with --out."""
+    """Each CLI run on path, once to stdout and once with --out."""
     from msumma.cli import main
 
     dirs = ",".join(repr(d) for d in DIRECTIONS)
-    for command in CLI_COMMANDS:
-        argv = [command, str(path), "--directions", dirs]
-        if command == "resum":
-            argv += ["--t", repr(RESUM_POINTS[0]), "--d", repr(RESUM_DIRECTION)]
-        written = out / f"cli_{command}_out"
-        for name, extra in ((f"cli_{command}", []),
+    for run, (command, *flags) in CLI_RUNS:
+        argv = [command, str(path), "--directions", dirs, *flags]
+        written = out / f"cli_{run}_out"
+        for name, extra in ((f"cli_{run}", []),
                             (written.name, ["--out", str(written)])):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \

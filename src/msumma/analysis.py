@@ -20,7 +20,8 @@ from .characteristic import newton_polygon_roots, summability_levels
 from .errors import SemanticError
 from .moments import MomentFunction
 from .operators import borel
-from .pade import STABILITY_TOL, ratio_radius, stable_poles
+from .pade import (STABILITY_TOL, SingularPoint,  # noqa: F401 (re-export)
+                   ratio_radius, stable_poles)
 from .series import RamifiedSeries
 
 ANGULAR_TOL = math.radians(2.0)
@@ -123,12 +124,6 @@ def estimate_gevrey(a: RamifiedSeries) -> GevreyEstimate:
 # Borel-plane singularities
 
 @dataclass(frozen=True)
-class SingularPoint:
-    location: complex
-    radius: float
-
-
-@dataclass(frozen=True)
 class SingularitySet:
     points: tuple
     method: str
@@ -178,8 +173,8 @@ def borel_singularities(a: RamifiedSeries) -> SingularitySet:
     except ValueError:  # np.linalg.LinAlgError included
         clusters = []
     if clusters:
-        pts = tuple(SingularPoint(location=c, radius=r) for c, r in clusters)
-        return SingularitySet(pts, method, a.trunc, ratio_modulus=rr)
+        return SingularitySet(tuple(clusters), method, a.trunc,
+                              ratio_modulus=rr)
     return SingularitySet((), method, a.trunc, inconclusive=True,
                           ratio_modulus=rr,
                           note="finite ratio radius but no stable Pade pole")
@@ -198,9 +193,9 @@ def _mod_2pi(d: float) -> float:
     return out
 
 
-def singular_triples(sing: SingularitySet, q: Fraction, lam: complex,
+def singular_triples(points, q: Fraction, lam: complex,
                      kappa: int) -> list[tuple]:
-    """(direction, witness, cone) for each point xi of sing and branch k.
+    """(direction, witness, cone) for each SingularPoint xi and branch k.
 
     The direction is d = q(arg xi + 2 pi k) - arg lam reduced mod 2 pi,
     for the k = 0..q*kappa-1 branch rotations; the witness is xi and the
@@ -210,7 +205,7 @@ def singular_triples(sing: SingularitySet, q: Fraction, lam: complex,
     n_branches = max(1, int(math.ceil(qf * kappa)))
     arg_lam = np.angle(lam)
     out = []
-    for pt in sing.points:
+    for pt in points:
         base = math.atan2(pt.location.imag, pt.location.real)
         cone = pt.radius / max(abs(pt.location), 1e-300)
         for k in range(n_branches):
@@ -248,15 +243,9 @@ def _angular_gap(d1: float, d2: float) -> float:
 
 def blocking(d: float, triples):
     """The first (direction, witness, cone) triple whose direction lies
-    within ANGULAR_TOL plus its cone of d, else None.
-
-    The gap is _angular_gap(d, direction), with d reduced once for all
-    triples.
-    """
-    dm = _mod_2pi(d)
+    within ANGULAR_TOL plus its cone of d, else None."""
     for t in triples:
-        g = abs(dm - _mod_2pi(t[0]))
-        if min(g, 2.0 * math.pi - g) <= ANGULAR_TOL + t[2]:
+        if _angular_gap(d, t[0]) <= ANGULAR_TOL + t[2]:
             return t
     return None
 
@@ -400,7 +389,7 @@ def _verdict_level(pairs, roots, kappa: int, qK: float, directions):
     triples = []
     for _, sing in pairs:
         for q, lam in roots:
-            for t in singular_triples(sing, q, lam, kappa):
+            for t in singular_triples(sing.points, q, lam, kappa):
                 if all(_angular_gap(t[0], o[0]) > 1e-9 for o in triples):
                     triples.append(t)
     triples.sort(key=lambda t: t[0])

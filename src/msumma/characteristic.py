@@ -15,6 +15,7 @@ import numpy as np
 from .errors import SemanticError
 
 MERGE_TOL = 1e-8  # relative tolerance for coincident edge-polynomial roots
+POLISH_STEPS = 3  # Newton steps of _polish_root on a merged root
 
 
 class CharPolynomial:
@@ -170,9 +171,8 @@ def _derivative(c: np.ndarray) -> np.ndarray:
     return c[:-1] * np.arange(len(c) - 1, 0, -1)
 
 
-def _polish_root(poly: np.ndarray, z0: complex, mult: int,
-                 steps: int = 3) -> complex:
-    """Newton-refine a root of multiplicity mult.
+def _polish_root(poly: np.ndarray, z0: complex, mult: int) -> complex:
+    """Newton-refine a root of multiplicity mult in POLISH_STEPS steps.
 
     Companion-matrix roots of an exact m-fold root carry O(eps^(1/m))
     error; Newton on the (m-1)-th derivative, where the root is simple,
@@ -186,7 +186,7 @@ def _polish_root(poly: np.ndarray, z0: complex, mult: int,
         p = _derivative(p)
     dp = _derivative(p)
     z = complex(z0)
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         x = np.asarray(z)
         d = _polyval(dp, x)
         if d == 0:

@@ -172,9 +172,9 @@ def cmd_resum(pf, digest, args):
 
 
 def cmd_report(pf, digest, args):
-    prob, diag = _diag_series(pf)
     dirs = (_parse_directions(args.directions) if args.directions
             else [0.0, math.pi / 2, math.pi])
+    prob, diag = _diag_series(pf)
     report = summability_verdict(prob, dirs)
     est = estimate_gevrey(diag)
     bor, _, sing_payload = _singular_payload(prob, diag, report.levels)

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .series import RamifiedSeries, geometric_slope  # noqa: F401 (re-export)
 STABILITY_TOL = 1e-2  # relative pole agreement across consecutive orders
 RANK_TOL = 1e-14  # numerical-rank threshold of Gonnet, Guttel & Trefethen
 RESIDUE_TOL = 1e-8  # relative residue below which a pole is spurious
+MIN_POLE_COEFFS = 8  # the fewest coefficients stable_poles tracks poles on
 _EPS = float(np.finfo(float).eps)
 
 
@@ -464,15 +466,23 @@ def diagonal_pade(a: RamifiedSeries, M: int,
     return ap
 
 
-def _cluster(pole_sets, tol=STABILITY_TOL):
-    """Poles of pole_sets[0] recurring in every other set within tol.
+class SingularPoint(NamedTuple):
+    """A stable Pade pole: its location and confidence radius."""
+
+    location: complex
+    radius: float
+
+
+def _cluster(pole_sets) -> list[SingularPoint]:
+    """Poles of pole_sets[0] recurring in every other set within STABILITY_TOL.
 
     Each pole p of the first set is matched with the nearest pole of each
     other set, the first of equal distances; p and its matches form a
-    group when every match lies within tol * max(1e-300, |p|).  A group's
-    center is np.mean of its members and its radius the largest
-    |member - center|, at least tol * |center| * 0.1.  Returns a new list
-    of (center, radius) sorted by |center|; empty when any set is.
+    group when every match lies within STABILITY_TOL * max(1e-300, |p|).
+    A group's center is np.mean of its members and its radius the largest
+    |member - center|, at least STABILITY_TOL * |center| * 0.1.  Returns a
+    new list of SingularPoint(center, radius) sorted by |center|; empty
+    when any set is.
 
     Every pole of the first set is matched in one array pass per other
     set.  The distances are the vector np.abs of the differences; the
@@ -484,7 +494,8 @@ def _cluster(pole_sets, tol=STABILITY_TOL):
     first = pole_sets[0]
     if len(first) == 0 or any(len(other) == 0 for other in pole_sets[1:]):
         return []
-    bound = tol * np.fmax(np.hypot(first.real, first.imag), 1e-300)
+    bound = STABILITY_TOL * np.fmax(np.hypot(first.real, first.imag),
+                                    1e-300)
     group = np.empty((len(first), len(pole_sets)), dtype=np.complex128)
     group[:, 0] = first
     keep = np.ones(len(first), dtype=bool)
@@ -494,13 +505,14 @@ def _cluster(pole_sets, tol=STABILITY_TOL):
         group[:, k] = other[d.argmin(axis=1)]
     group = group[keep]
     center = np.add.reduce(group, axis=1) / len(pole_sets)  # np.mean's
-    out = [(c, max(max(abs(m - c) for m in members), tol * abs(c) * 0.1))
+    out = [SingularPoint(c, max(max(abs(m - c) for m in members),
+                                STABILITY_TOL * abs(c) * 0.1))
            for c, members in zip(center.tolist(), group.tolist())]
-    out.sort(key=lambda t: abs(t[0]))
+    out.sort(key=lambda pt: abs(pt.location))
     return out
 
 
-def stable_poles(a: RamifiedSeries):
+def stable_poles(a: RamifiedSeries) -> list[SingularPoint]:
     """Poles persisting across the Pade orders requested for N, N-1, N-2.
 
     The requests are [M-1/M] with M = n//2 for n in {N, N-1, N-2}, N the
@@ -513,18 +525,19 @@ def stable_poles(a: RamifiedSeries):
     with that one approximant: its poles are compared with themselves,
     which is exact for such a series, not evidence across orders.  A pole
     counts as stable when each order reproduces it within STABILITY_TOL
-    relative (_cluster).  Returns a new list of (location,
-    confidence_radius) sorted by modulus.
+    relative (_cluster).  Returns a new list of SingularPoint(location,
+    radius) sorted by modulus: the points of borel_singularities and of
+    laplace_resum's blocked-ray test.
 
-    The clusters are kept in the series' memo, so borel_singularities and
-    every laplace_resum point on one Borel series share one clustering;
-    laplace_resum keeps their blocked-ray triples there too.  Each
-    approximant's significant poles are computed once and shared by the
-    requests it answers.
+    The points are kept in the series' memo, so borel_singularities and
+    every laplace_resum point on one Borel series share one clustering.
+    Each approximant's significant poles are computed once and shared by
+    the requests it answers.
     """
     n = len(a)
-    if n < 8:
-        raise ValueError("need at least 8 coefficients for pole tracking")
+    if n < MIN_POLE_COEFFS:
+        raise ValueError(f"need at least {MIN_POLE_COEFFS} coefficients for "
+                         "pole tracking")
     if a._pade_memo and "stable_poles" in a._pade_memo:
         return list(a._pade_memo["stable_poles"])
     sets = [diagonal_pade(a, nk // 2)._significant for nk in (n, n - 1, n - 2)]

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_PANELS = 400  # panels at which integrate_segment stops bisecting
+
 # QUADPACK dqk61 constants: the nonnegative Kronrod nodes, descending (the
 # 30-point Gauss nodes are _XGK[1::2]), their K61 weights, and the G30
 # weights of those Gauss nodes.  Computed with mpmath at 60 digits as the
@@ -91,8 +93,8 @@ class QuadResult:
     panels: int
 
 
-def integrate_segment(f, a: complex, b: complex, tol: float = 1e-12,
-                      max_panels: int = 400) -> QuadResult:
+def integrate_segment(f, a: complex, b: complex,
+                      tol: float = 1e-12) -> QuadResult:
     """Adaptive integral of f along the straight segment from a to b.
 
     f must accept a numpy array of complex points and return one value
@@ -108,7 +110,7 @@ def integrate_segment(f, a: complex, b: complex, tol: float = 1e-12,
     total_val, total_err = val, err
     count = 1
     serial = 1
-    while total_err > tol * max(1.0, abs(total_val)) and count < max_panels:
+    while total_err > tol * max(1.0, abs(total_val)) and count < MAX_PANELS:
         neg_err, _, pa, pb, pval = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         h1, x1 = _nodes(pa, mid)

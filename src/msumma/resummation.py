@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (SingularPoint, SingularitySet, _angular_gap, blocking,
-                       singular_triples)
+from .analysis import _angular_gap, blocking, singular_triples
 from .errors import (GridError, RayBlockedError, ResummationError,
                      SectorError, UnsupportedRangeError)
 from .moments import KernelPair, MomentFunction, kernel_pair_for
-from .pade import diagonal_pade, ratio_radius, stable_poles
+from .pade import MIN_POLE_COEFFS, diagonal_pade, ratio_radius, stable_poles
 from .quadrature import integrate_segment
 from .series import RamifiedSeries
 
@@ -53,9 +52,9 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
     zero of the Pade denominator that no stable pole announced, and when
     the series has no Pade representative (diagonal_pade's ValueError).
 
-    The Borel series' stable poles come from its memo after the first
-    stable_poles call, and so do their blocked-ray triples after the first
-    point (_pole_triples).  The path is split at |t| into two adaptive G30/K61
+    The ray is tested by analysis.blocking against the level-1 triples of
+    the stable poles, which the Borel series' memo keeps after the first
+    stable_poles call.  The path is split at |t| into two adaptive G30/K61
     segments; each evaluates V (PadeApproximant's two-level Horner) once
     on its 61 nodes and once more, on 122 nodes, per bisection.  V is
     analytic near the path, so a segment mostly takes one panel.  panels
@@ -77,11 +76,12 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
             f"{half:.4f} around direction d = {d:.4f}")
 
     try:
-        poles = stable_poles(borel_series) if len(borel_series) >= 8 else []
+        poles = (stable_poles(borel_series)
+                 if len(borel_series) >= MIN_POLE_COEFFS else [])
         rep = diagonal_pade(borel_series, len(borel_series) // 2)
     except ValueError as exc:
         raise ResummationError(f"no Pade Borel sum: {exc}") from exc
-    hit = blocking(d, _pole_triples(borel_series, poles))
+    hit = blocking(d, singular_triples(poles, 1, 1.0, 1))
     if hit is not None:
         raise RayBlockedError(
             f"direction {d:.4f} blocked by Borel singularity at {hit[1]:.6g} "
@@ -109,24 +109,9 @@ def laplace_resum(borel_series: RamifiedSeries, kernel: KernelPair, d: float,
         value=value,
         direction=d, t=t,
         quadrature_error=max(error, 1e-300),
-        pade_radius_used=abs(poles[0][0]) if poles
+        pade_radius_used=abs(poles[0].location) if poles
         else ratio_radius(borel_series),
         panels=res1.panels + res2.panels)
-
-
-def _pole_triples(borel_series: RamifiedSeries, poles) -> tuple:
-    """singular_triples of the stable poles at level 1, built once per series.
-
-    They are kept in the series' Pade memo under "triples", next to the
-    clusters they come from, so every resummation point on one Borel
-    series tests its ray against the same tuple.
-    """
-    memo = borel_series._pade_memo
-    if "triples" not in memo:
-        memo["triples"] = tuple(singular_triples(
-            SingularitySet(tuple(SingularPoint(*p) for p in poles),
-                           "pade_poles", borel_series.trunc), 1, 1.0, 1))
-    return memo["triples"]
 
 
 def kernel_solution_quadrature(lam: complex, q: int, m1: MomentFunction,

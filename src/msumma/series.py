@@ -270,13 +270,9 @@ def _root(x: complex, kappa: int, branch: int) -> ScaledComplex:
 class RamifiedSeries:
     """Truncated series sum c_j x^(j/kappa), scaled complex coefficients."""
 
-    # _pade_memo: Pade approximants of this series by (M, L), its
-    # numerical type under "type" and its rescaled coefficients under
-    # "scaled", filled by pade.diagonal_pade, and its
-    # stable pole clusters under "stable_poles", filled by
-    # pade.stable_poles, and their blocked-ray triples under "triples",
-    # filled by resummation.laplace_resum; it lives and dies with the
-    # (read-only) series.
+    # _pade_memo: belongs to pade, which alone reads and fills it (its
+    # approximants, numerical type, rescaled coefficients and stable
+    # poles); it lives and dies with the (read-only) series.
     # _log10 and _slope: the read-only array of log10_abs and its
     # geometric_slope, each computed on first use and shared by the Gevrey
     # fit, the ratio radius and the Pade rescaling; a failed Pade request

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ from msumma import (CharPolynomial, GAMMA_1, PdeProblem, RamifiedSeries,
 from msumma.analysis import (direction_verdict, fitted_growth_order,
                              multidirection_admissible, SingularitySet,
                              singular_triples)
+from msumma.pade import stable_poles
 
 L = CharPolynomial.lam()
 Z = CharPolynomial.zeta()
@@ -213,9 +215,57 @@ def test_fitted_growth_order_exponential():
 
 
 def triple_directions(points, q, lam, kappa):
-    """The directions of singular_triples on a set of the given points."""
-    sing = SingularitySet(points=points, method="pade_poles", trunc=40)
-    return [d for d, _, _ in singular_triples(sing, q, lam, kappa)]
+    """The directions of singular_triples on the given points."""
+    return [d for d, _, _ in singular_triples(points, q, lam, kappa)]
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassPoint:
+    """The frozen dataclass that singular points were before pade's tuple."""
+
+    location: complex
+    radius: float
+
+
+def triples_reference(sing, q, lam, kappa):
+    """singular_triples as it read the points of a SingularitySet."""
+    qf = float(q)
+    arg_lam = np.angle(lam)
+    out = []
+    for pt in sing.points:
+        base = math.atan2(pt.location.imag, pt.location.real)
+        cone = pt.radius / max(abs(pt.location), 1e-300)
+        for k in range(max(1, int(math.ceil(qf * kappa)))):
+            d = ms.analysis._mod_2pi(qf * (base + 2.0 * math.pi * k) - arg_lam)
+            out.append((d, pt.location, cone))
+    return out
+
+
+def triple_bits(triples):
+    return [(d.hex(), w.real.hex(), w.imag.hex(), c.hex())
+            for d, w, c in triples]
+
+
+def test_stable_poles_are_the_singular_points():
+    # one pole form: the points stable_poles hands out are those that
+    # borel_singularities reports, each unpacks as (location, radius), and
+    # they map to the triples that a set of the dataclass points gave
+    j = np.arange(40.0)
+    a = RamifiedSeries.from_complex(
+        1, (0.4 * np.exp(1.1j)) ** -j + (-0.9 + 0.3j) ** -j)
+    poles = stable_poles(a)
+    sing = borel_singularities(a)
+    assert len(poles) == 2 and tuple(poles) == sing.points
+    for pt, (loc, rad) in zip(sing.points, poles):
+        assert isinstance(pt, ms.analysis.SingularPoint)
+        assert (pt.location, pt.radius) == (loc, rad)
+        assert type(loc) is complex and type(rad) is float
+    old = SingularitySet(tuple(DataclassPoint(loc, rad) for loc, rad in poles),
+                         "pade_poles", a.trunc)
+    for q, lam, kappa in ((Fraction(1), 1.0, 1), (Fraction(2), np.exp(0.8j), 1),
+                          (Fraction(3, 2), -1j, 2)):
+        assert triple_bits(singular_triples(poles, q, lam, kappa)) == \
+            triple_bits(triples_reference(old, q, lam, kappa))
 
 
 def test_singular_directions_square_root_level():

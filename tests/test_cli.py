@@ -193,6 +193,21 @@ def test_non_finite_directions_exit_3(tmp_path, capsys):
     assert not (tmp_path / "summability_report.json").exists()
 
 
+def test_report_refuses_bad_directions_before_solving(tmp_path, capsys,
+                                                     monkeypatch):
+    # as verdict and resum do: a bad --directions list exits 3 before the
+    # recurrence runs, and nothing is written
+    import msumma.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "solve_constant_leading", calls.append)
+    assert run(["report", HEAT, "--directions", "a,b",
+                "--out", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err.startswith("error: bad --directions")
+    assert not (tmp_path / "out").exists()
+    assert calls == []
+
+
 def test_blocked_ray_exit_3(capsys):
     assert run(["resum", HEAT, "--t", "0.05", "--d", "0"]) == 3
     assert "blocked" in capsys.readouterr().err

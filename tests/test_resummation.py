@@ -85,7 +85,8 @@ def test_resummation_blocks_what_the_verdict_does_not_call_summable():
     a = RamifiedSeries.from_complex(
         1, [math.factorial(j) / b**j for j in range(40)])
     bor = borel(GAMMA_1, a)
-    (sd, _, cone), = singular_triples(ms.borel_singularities(bor), 1, 1.0, 1)
+    (sd, _, cone), = singular_triples(ms.borel_singularities(bor).points,
+                                      1, 1.0, 1)
     edge = ANGULAR_TOL + cone
     for gap in (0.0, ANGULAR_TOL + cone / 2, edge - 1e-13, -edge + 1e-13,
                 edge + 1e-9, 0.1):
